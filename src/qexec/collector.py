@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .dispatch import Dispatch
 from .errors import CollectorError, MergeError, ResultTimeoutError
-from .providers import JobHandle, JobState, JobStatus
+from .providers import JobHandle, JobState, JobStatus, JobTable
 
 __all__ = ["ResultCollector", "RunState", "to_table", "tree_to_json"]
 
@@ -61,84 +61,60 @@ class ResultCollector:
         self._merge_fn = merge_fn
         self.policy_context = dict(policy_context or {})
 
-        self._cond = threading.Condition()
         self._merge_lock = threading.Lock()
-        self._statuses: dict[int, JobStatus] = {}
-        self._handles: dict[int, JobHandle] = {}
-        self._counts: dict[int, dict[str, int]] = {}
+        self._handles: dict[int, JobHandle] = {}  # each ordinal written once, by its lane
         self._job_site: dict[int, tuple[str, str]] = {}
         for provider_id, backend_name, spec in dispatch.jobs():
-            self._statuses[spec.ordinal] = JobStatus(JobState.QUEUED)
             self._job_site[spec.ordinal] = (provider_id, backend_name)
+        self._table = JobTable(self._job_site)
         self.started_at = time.time()
-        self.finished_at: float | None = time.time() if not self._statuses else None
         self._merged: tuple | None = None
+
+    @property
+    def finished_at(self) -> float | None:
+        """Wall-clock time the last job became terminal; None while any is pending."""
+        return self._table.finished_at
 
     # -- writer side -------------------------------------------------------
 
     def record_submitted(self, ordinal: int, handle: JobHandle) -> None:
-        with self._cond:
-            self._handles[ordinal] = handle
+        self._handles[ordinal] = handle
 
     def record_status(self, ordinal: int, status: JobStatus) -> None:
         """Upgrade a job's observed non-terminal status; terminal states only
         ever enter through record_result/record_failed."""
-        if status.state.terminal:
-            return
-        with self._cond:
-            current = self._statuses[ordinal]
-            if current.state is JobState.QUEUED and status.state is JobState.RUNNING:
-                self._statuses[ordinal] = status
+        if status.state is JobState.RUNNING:
+            self._table.set_running(ordinal)
 
     def record_result(self, ordinal: int, counts: dict[str, int]) -> None:
-        with self._cond:
-            if self._statuses[ordinal].state.terminal:
-                return
-            self._counts[ordinal] = dict(counts)
-            self._statuses[ordinal] = JobStatus(JobState.DONE)
-            self._after_terminal()
+        self._table.set_done(ordinal, dict(counts))
 
     def record_failed(self, ordinal: int, message: str) -> None:
-        with self._cond:
-            if self._statuses[ordinal].state.terminal:
-                return
-            self._statuses[ordinal] = JobStatus(JobState.FAILED, message)
-            self._after_terminal()
-
-    def _after_terminal(self) -> None:
-        if self._terminal_locked():
-            self.finished_at = time.time()
-        self._cond.notify_all()
-
-    def _terminal_locked(self) -> bool:
-        return all(s.state.terminal for s in self._statuses.values())
+        self._table.set_failed(ordinal, message)
 
     # -- reader side -------------------------------------------------------
 
     def is_terminal(self) -> bool:
-        with self._cond:
-            return self._terminal_locked()
+        return self.finished_at is not None
 
     def status(self) -> dict[int, JobStatus]:
         """Non-blocking snapshot, ordinal -> JobStatus."""
-        with self._cond:
-            return dict(self._statuses)
+        statuses, _ = self._table.snapshot()
+        return statuses
 
     def run_state(self) -> RunState:
-        with self._cond:
-            jobs = tuple(
-                (ordinal, self._handles.get(ordinal), self._statuses[ordinal])
-                for ordinal in sorted(self._statuses)
-            )
-            return RunState(self.run_id, jobs, self.started_at, self.finished_at)
+        statuses, finished_at = self._table.snapshot()
+        jobs = tuple(
+            (ordinal, self._handles.get(ordinal), statuses[ordinal]) for ordinal in sorted(statuses)
+        )
+        return RunState(self.run_id, jobs, self.started_at, finished_at)
 
     def job_site(self, ordinal: int) -> tuple[str, str]:
         return self._job_site[ordinal]
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the run is terminal; returns False on timeout."""
-        with self._cond:
-            return self._cond.wait_for(self._terminal_locked, timeout)
+        return self._table.wait(timeout)
 
     def get_results(self, block: bool = True, timeout: float | None = None) -> dict:
         """The result tree; blocking waits for the run to finish first.
@@ -154,8 +130,7 @@ class ResultCollector:
         return self._build_tree()
 
     def _build_tree(self) -> dict:
-        with self._cond:
-            done = dict(self._counts)
+        done = self._table.done_counts()
         tree: dict[str, dict[str, list[dict[str, int]]]] = {}
         for provider_id, backend_name, spec in self.dispatch.jobs():
             if spec.ordinal in done:
@@ -165,28 +140,27 @@ class ResultCollector:
         return tree
 
     def failed_jobs(self) -> list[dict]:
-        with self._cond:
-            return [
-                {
-                    "ordinal": ordinal,
-                    "provider": self._job_site[ordinal][0],
-                    "backend": self._job_site[ordinal][1],
-                    "error": status.error_message or "",
-                }
-                for ordinal, status in sorted(self._statuses.items())
-                if status.state is JobState.FAILED
-            ]
+        statuses, _ = self._table.snapshot()
+        return [
+            {
+                "ordinal": ordinal,
+                "provider": self._job_site[ordinal][0],
+                "backend": self._job_site[ordinal][1],
+                "error": status.error_message or "",
+            }
+            for ordinal, status in sorted(statuses.items())
+            if status.state is JobState.FAILED
+        ]
 
     def get_merged_results(self) -> tuple:
         """Apply the run's merge policy to the complete tree, exactly once."""
         with self._merge_lock:
             if self._merged is not None:
                 return self._merged
-            with self._cond:
-                if not self._terminal_locked():
-                    raise CollectorError("run is not terminal; merged results unavailable")
-                if self._merge_fn is None:
-                    raise CollectorError("no merge policy configured for this run")
+            if not self.is_terminal():
+                raise CollectorError("run is not terminal; merged results unavailable")
+            if self._merge_fn is None:
+                raise CollectorError("no merge policy configured for this run")
             tree = self._build_tree()
             try:
                 merged, metadata = self._merge_fn(tree, self.policy_context)

@@ -130,13 +130,22 @@ def tvd(p: dict[str, int], q: dict[str, int]) -> float:
 
 
 def merge_tvd(results: dict, context: Mapping[str, Any] | None = None) -> tuple[dict[str, float], dict]:
-    """TVD of every backend's first counts against a reference backend's.
+    """TVD of every backend's counts against a reference backend's.
 
     The reference is context["reference"] = "provider/backend" when given;
     otherwise the unique backend flagged is_ideal_simulator in
-    context["backend_info"]. Output keys are "provider/backend".
+    context["backend_info"]. Output keys are "provider/backend". Each
+    backend must hold exactly one run: a tree with several circuits per
+    backend raises MergeError rather than comparing only the first.
     """
     context = context or {}
+    for provider_id in sorted(results):
+        for backend_name in sorted(results[provider_id]):
+            runs = len(results[provider_id][backend_name])
+            if runs > 1:
+                raise MergeError(
+                    f"tvd merge compares one run per backend; {provider_id}/{backend_name} has {runs}"
+                )
     ref_provider, ref_backend = _resolve_reference(results, context)
     reference_counts = results[ref_provider][ref_backend][0]
 

@@ -5,8 +5,9 @@ behind a single API so the executor never touches provider-specific quirks.
 Four provider kinds ship built-in:
 
 * ``local_ideal``   - in-process ideal statevector simulator
-* ``local_noisy``   - in-process trajectory-noise simulator
-* ``mock_delay``    - completes jobs after a configured delay (async testing)
+* ``local_noisy``   - in-process trajectory-noise simulator (needs ``noise``)
+* ``mock_delay``    - in-process ideal simulator; each job starts no earlier
+  than ``delay`` seconds after submission (async testing)
 * ``remote_http``   - client for the qexec remote job service wire protocol
 
 Submission is non-blocking for every kind: jobs enter QUEUED immediately and
@@ -21,9 +22,9 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Hashable, Iterable, Mapping
 
 import requests
 
@@ -47,6 +48,8 @@ __all__ = [
     "JobHandle",
     "BackendDescriptor",
     "ProviderConfig",
+    "JobTable",
+    "JobRunner",
     "VirtualProvider",
 ]
 
@@ -90,7 +93,6 @@ class BackendDescriptor:
     online: bool
     max_qubits: int
     is_ideal_simulator: bool
-    queue_latency_hint: float | None = None
 
 
 @dataclass(frozen=True)
@@ -135,175 +137,184 @@ class ProviderConfig:
 
 
 # --------------------------------------------------------------------------
-# Shared in-memory job table (local adapter kinds)
+# Job table and job runner (local adapters, job service, collector)
 # --------------------------------------------------------------------------
 
 
-class _JobRecord:
-    __slots__ = ("state", "counts", "error")
+class JobTable:
+    """Thread-safe job store enforcing QUEUED -> RUNNING -> DONE/FAILED.
 
-    def __init__(self):
-        self.state = JobState.QUEUED
-        self.counts: dict[str, int] | None = None
-        self.error: str | None = None
+    A transition that would move a job backwards, or out of a terminal
+    state, is ignored: the first terminal state recorded wins. The table
+    counts its pending (non-terminal) jobs. ``finished_at`` is the wall-clock
+    time at which the last pending job became terminal, and None exactly
+    while a job is pending; wait() blocks until no job is pending.
+    """
+
+    def __init__(self, keys: Iterable[Hashable] = ()):
+        self._statuses: dict[Hashable, JobStatus] = {}
+        self._counts: dict[Hashable, dict[str, int]] = {}  # DONE jobs only
+        self._pending = 0
+        self._cond = threading.Condition()
+        self.finished_at: float | None = time.time()
+        for key in keys:
+            self.create(key)
+
+    def create(self, key: Hashable) -> None:
+        with self._cond:
+            if key in self._statuses:
+                raise ValueError(f"job {key!r} already exists")
+            self._statuses[key] = JobStatus(JobState.QUEUED)
+            self._pending += 1
+            self.finished_at = None
+
+    def _transition(
+        self, key: Hashable, status: JobStatus, counts: dict[str, int] | None = None
+    ) -> None:
+        with self._cond:
+            if _STATE_RANK[status.state] <= _STATE_RANK[self._statuses[key].state]:
+                return
+            self._statuses[key] = status
+            if status.state is JobState.DONE:
+                self._counts[key] = counts
+            if status.state.terminal:
+                self._pending -= 1
+                if not self._pending:
+                    self.finished_at = time.time()
+                    self._cond.notify_all()
+
+    def set_running(self, key: Hashable) -> None:
+        self._transition(key, JobStatus(JobState.RUNNING))
+
+    def set_done(self, key: Hashable, counts: dict[str, int]) -> None:
+        self._transition(key, JobStatus(JobState.DONE), counts)
+
+    def set_failed(self, key: Hashable, message: str) -> None:
+        self._transition(key, JobStatus(JobState.FAILED, message))
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until no job is pending; returns False on timeout."""
+        with self._cond:
+            return self._cond.wait_for(lambda: not self._pending, timeout)
+
+    def status(self, key: Hashable) -> JobStatus:
+        """The job's status; KeyError if the table never saw the key."""
+        with self._cond:
+            return self._statuses[key]
+
+    def snapshot(self) -> tuple[dict[Hashable, JobStatus], float | None]:
+        """Every job's status and ``finished_at``, read together."""
+        with self._cond:
+            return dict(self._statuses), self.finished_at
+
+    def done_counts(self) -> dict[Hashable, dict[str, int]]:
+        """Counts of every DONE job, by key."""
+        with self._cond:
+            return dict(self._counts)
+
+    def result(self, key: Hashable) -> dict[str, int]:
+        """Counts of a DONE job; JobNotReadyError / JobFailedError otherwise,
+        KeyError if the table never saw the key."""
+        with self._cond:
+            status = self._statuses[key]
+            if status.state is JobState.FAILED:
+                raise JobFailedError(status.error_message or "job failed")
+            if status.state is not JobState.DONE:
+                raise JobNotReadyError(f"job is {status.state.value}")
+            return dict(self._counts[key])
 
 
-class _JobTable:
-    """Thread-safe job store enforcing monotone state transitions."""
+class JobRunner:
+    """Runs simulator jobs on a bounded thread pool, tracked in a JobTable.
 
-    def __init__(self):
-        self._jobs: dict[str, _JobRecord] = {}
-        self._lock = threading.Lock()
+    A job runs no earlier than ``delay`` seconds after its submission: the
+    worker that takes it sleeps until it is due. Workers take jobs in
+    submission order and every job gets the same delay, so due times never
+    decrease along the queue and N jobs submitted together finish about one
+    delay later, not N delays.
+    """
 
-    def create(self, job_id: str) -> None:
-        with self._lock:
-            self._jobs[job_id] = _JobRecord()
+    def __init__(self, name: str, workers: int, delay: float = 0.0):
+        self.table = JobTable()
+        self._name = name
+        self._delay = delay
+        self._pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix=f"{name}-worker")
 
-    def _transition(self, job_id: str, state: JobState) -> _JobRecord:
-        record = self._jobs[job_id]
-        if _STATE_RANK[state] < _STATE_RANK[record.state] or record.state.terminal:
-            raise RuntimeError(f"illegal transition {record.state} -> {state}")
-        record.state = state
-        return record
+    def submit(
+        self, circuit: Circuit, shots: int, seed: int, noise: NoiseSpec | None, max_qubits: int
+    ) -> str:
+        """Queue one job and return its id; sample_noisy runs when noise is set."""
+        job_id = f"{self._name}-{next(_JOB_COUNTER)}"
+        self.table.create(job_id)
+        due = time.monotonic() + self._delay
+        self._pool.submit(self._run, job_id, due, circuit, shots, seed, noise, max_qubits)
+        return job_id
 
-    def set_running(self, job_id: str) -> None:
-        with self._lock:
-            self._transition(job_id, JobState.RUNNING)
+    def _run(self, job_id, due, circuit, shots, seed, noise, max_qubits) -> None:
+        wait = due - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
+        self.table.set_running(job_id)
+        try:
+            if noise is not None:
+                counts = sample_noisy(circuit, shots, noise, seed, max_qubits)
+            else:
+                counts = sample(circuit, shots, seed, max_qubits)
+        except Exception as exc:
+            logger.debug("job %s failed", job_id, exc_info=True)
+            self.table.set_failed(job_id, str(exc))
+        else:
+            self.table.set_done(job_id, counts)
 
-    def set_done(self, job_id: str, counts: dict[str, int]) -> None:
-        with self._lock:
-            self._transition(job_id, JobState.DONE).counts = counts
-
-    def set_failed(self, job_id: str, message: str) -> None:
-        with self._lock:
-            self._transition(job_id, JobState.FAILED).error = message
-
-    def status(self, job_id: str) -> JobStatus:
-        with self._lock:
-            record = self._jobs[job_id]
-            return JobStatus(record.state, record.error)
-
-    def result(self, job_id: str) -> dict[str, int]:
-        with self._lock:
-            record = self._jobs[job_id]
-            if record.state is JobState.FAILED:
-                raise JobFailedError(record.error or "job failed")
-            if record.state is not JobState.DONE:
-                raise JobNotReadyError(f"job is {record.state.value}")
-            assert record.counts is not None
-            return dict(record.counts)
+    def shutdown(self) -> None:
+        """Stop taking jobs; jobs not yet started stay QUEUED."""
+        self._pool.shutdown(wait=False, cancel_futures=True)
 
 
 # --------------------------------------------------------------------------
 # Adapters
 # --------------------------------------------------------------------------
 
+# local provider kind -> (backend name, is_ideal_simulator)
+_LOCAL_BACKENDS = {
+    "local_ideal": ("statevector", True),
+    "local_noisy": ("noisy_statevector", False),
+    "mock_delay": ("delayed_statevector", False),
+}
+
 
 class LocalSimulatorAdapter:
-    """In-process simulator provider; one worker so jobs run in submission order."""
+    """In-process simulator provider for the local_ideal, local_noisy and
+    mock_delay kinds; one worker, so jobs run in submission order."""
 
     def __init__(self, config: ProviderConfig):
         self.provider_id = config.provider_id
         self._noise = config.noise
         self._max_qubits = config.max_qubits
-        self._online = config.online
-        self._backend_name = "noisy_statevector" if config.kind == "local_noisy" else "statevector"
-        self._is_ideal = config.kind == "local_ideal"
-        self._table = _JobTable()
-        self._pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"{self.provider_id}-worker"
+        backend_name, is_ideal = _LOCAL_BACKENDS[config.kind]
+        self._descriptor = BackendDescriptor(
+            provider_id=config.provider_id,
+            backend_name=backend_name,
+            online=config.online,
+            max_qubits=config.max_qubits,
+            is_ideal_simulator=is_ideal,
         )
+        self._runner = JobRunner(config.provider_id, workers=1, delay=config.delay or 0.0)
 
     def backends(self) -> list[BackendDescriptor]:
-        return [
-            BackendDescriptor(
-                provider_id=self.provider_id,
-                backend_name=self._backend_name,
-                online=self._online,
-                max_qubits=self._max_qubits,
-                is_ideal_simulator=self._is_ideal,
-                queue_latency_hint=0.0,
-            )
-        ]
+        return [self._descriptor]
 
     def submit(
         self, backend_name: str, circuit: Circuit, shots: int, options: Mapping[str, Any]
     ) -> str:
-        job_id = f"{self.provider_id}-{next(_JOB_COUNTER)}"
-        self._table.create(job_id)
         seed = int(options.get("seed", 0))
-        self._pool.submit(self._execute, job_id, circuit, shots, seed)
-        return job_id
-
-    def _execute(self, job_id: str, circuit: Circuit, shots: int, seed: int) -> None:
-        self._table.set_running(job_id)
-        try:
-            if self._noise is not None:
-                counts = sample_noisy(circuit, shots, self._noise, seed, self._max_qubits)
-            else:
-                counts = sample(circuit, shots, seed, self._max_qubits)
-            self._table.set_done(job_id, counts)
-        except Exception as exc:
-            self._table.set_failed(job_id, str(exc))
+        return self._runner.submit(circuit, shots, seed, self._noise, self._max_qubits)
 
     def status(self, job_id: str) -> JobStatus:
-        return self._table.status(job_id)
+        return self._runner.table.status(job_id)
 
     def result(self, job_id: str) -> dict[str, int]:
-        return self._table.result(job_id)
-
-
-class MockDelayAdapter:
-    """Completes jobs a fixed delay after submission, on independent timers.
-
-    Exists to exercise asynchronous paths: in-flight jobs stay observable in
-    QUEUED/RUNNING, and N concurrent jobs finish in ~one delay, not N.
-    """
-
-    backend_name = "delayed_statevector"
-
-    def __init__(self, config: ProviderConfig):
-        self.provider_id = config.provider_id
-        self._delay = config.delay if config.delay is not None else 0.0
-        self._max_qubits = config.max_qubits
-        self._online = config.online
-        self._table = _JobTable()
-
-    def backends(self) -> list[BackendDescriptor]:
-        return [
-            BackendDescriptor(
-                provider_id=self.provider_id,
-                backend_name=self.backend_name,
-                online=self._online,
-                max_qubits=self._max_qubits,
-                is_ideal_simulator=False,
-                queue_latency_hint=self._delay,
-            )
-        ]
-
-    def submit(
-        self, backend_name: str, circuit: Circuit, shots: int, options: Mapping[str, Any]
-    ) -> str:
-        job_id = f"{self.provider_id}-{next(_JOB_COUNTER)}"
-        self._table.create(job_id)
-        seed = int(options.get("seed", 0))
-        timer = threading.Timer(self._delay, self._complete, args=(job_id, circuit, shots, seed))
-        timer.daemon = True
-        timer.start()
-        return job_id
-
-    def _complete(self, job_id: str, circuit: Circuit, shots: int, seed: int) -> None:
-        self._table.set_running(job_id)
-        try:
-            self._table.set_done(job_id, sample(circuit, shots, seed, self._max_qubits))
-        except Exception as exc:
-            self._table.set_failed(job_id, str(exc))
-
-    def status(self, job_id: str) -> JobStatus:
-        return self._table.status(job_id)
-
-    def result(self, job_id: str) -> dict[str, int]:
-        return self._table.result(job_id)
+        return self._runner.table.result(job_id)
 
 
 class RemoteHttpAdapter:
@@ -330,17 +341,7 @@ class RemoteHttpAdapter:
             # dead provider cannot break an all-backends sweep.
             logger.debug("discovery failed for %s: %s", self.provider_id, exc)
             with self._lock:
-                return [
-                    BackendDescriptor(
-                        provider_id=d.provider_id,
-                        backend_name=d.backend_name,
-                        online=False,
-                        max_qubits=d.max_qubits,
-                        is_ideal_simulator=d.is_ideal_simulator,
-                        queue_latency_hint=d.queue_latency_hint,
-                    )
-                    for d in self._last_known
-                ]
+                return [replace(d, online=False) for d in self._last_known]
         descriptors = [
             BackendDescriptor(
                 provider_id=self.provider_id,
@@ -348,7 +349,6 @@ class RemoteHttpAdapter:
                 online=bool(entry.get("online", True)),
                 max_qubits=int(entry.get("max_qubits", MAX_WIDTH_DEFAULT)),
                 is_ideal_simulator=bool(entry.get("is_ideal_simulator", False)),
-                queue_latency_hint=None,
             )
             for entry in listing
         ]
@@ -413,7 +413,7 @@ class RemoteHttpAdapter:
 _ADAPTER_KINDS = {
     "local_ideal": LocalSimulatorAdapter,
     "local_noisy": LocalSimulatorAdapter,
-    "mock_delay": MockDelayAdapter,
+    "mock_delay": LocalSimulatorAdapter,
     "remote_http": RemoteHttpAdapter,
 }
 
@@ -427,6 +427,11 @@ def _build_adapter(config: ProviderConfig):
         raise ProviderConfigError(f"provider {config.provider_id!r}: remote_http requires endpoint")
     if config.kind == "local_noisy" and config.noise is None:
         raise ProviderConfigError(f"provider {config.provider_id!r}: local_noisy requires noise")
+    for setting, kind in (("noise", "local_noisy"), ("delay", "mock_delay")):
+        if getattr(config, setting) is not None and config.kind != kind:
+            raise ProviderConfigError(
+                f"provider {config.provider_id!r}: {setting} applies only to {kind}, not {config.kind}"
+            )
     return _ADAPTER_KINDS[config.kind](config)
 
 

@@ -9,8 +9,10 @@ distributed and asynchronous paths are exercised across a real socket:
 * ``GET /jobs/{id}/result``  -> counts | 409 not ready | 410 failed
 
 JSON bodies, UTF-8, no auth unless an api_key is configured (then every
-request must carry a matching X-API-Key header). Jobs live in memory only;
-a restart loses them and clients see 404.
+request must carry a matching X-API-Key header). Jobs run on the same
+JobRunner as the in-process providers: ``workers`` threads, each job
+starting no earlier than ``delay`` seconds after its submission. Jobs live
+in memory only; a restart loses them and clients see 404.
 
 Run standalone with ``python -m qexec.server --port 8748``.
 """
@@ -18,18 +20,17 @@ Run standalone with ``python -m qexec.server --port 8748``.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .circuit import parse_qasm
-from .errors import QExecError
-from .simulator import MAX_WIDTH_DEFAULT, NoiseSpec, sample, sample_noisy
+from .errors import JobFailedError, JobNotReadyError, QExecError
+from .providers import JobRunner
+from .simulator import MAX_WIDTH_DEFAULT, NoiseSpec
 
 __all__ = ["ServerBackend", "ServerConfig", "RemoteServer", "main"]
 
@@ -56,60 +57,17 @@ def _default_backends() -> list[ServerBackend]:
 class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = pick a free port
-    delay: float = 0.0  # artificial seconds before each job executes
+    delay: float = 0.0  # each job starts no earlier than this many seconds after submission
     api_key: str | None = None
     backends: list[ServerBackend] = field(default_factory=_default_backends)
     workers: int = 4
 
 
-class _Job:
-    __slots__ = ("job_id", "state", "counts", "error")
-
-    def __init__(self, job_id: str):
-        self.job_id = job_id
-        self.state = "QUEUED"
-        self.counts: dict[str, int] | None = None
-        self.error: str | None = None
-
-
-class _ServiceState:
-    def __init__(self, config: ServerConfig):
-        self.config = config
-        self.backends = {b.name: b for b in config.backends}
-        self.jobs: dict[str, _Job] = {}
-        self.lock = threading.Lock()
-        self.pool = ThreadPoolExecutor(max_workers=config.workers, thread_name_prefix="qexec-srv")
-        self._ids = itertools.count(1)
-
-    def enqueue(self, backend: ServerBackend, qasm: str, shots: int, seed: int) -> _Job:
-        job = _Job(f"rjob-{next(self._ids)}")
-        with self.lock:
-            self.jobs[job.job_id] = job
-        self.pool.submit(self._execute, job, backend, qasm, shots, seed)
-        return job
-
-    def _execute(self, job: _Job, backend: ServerBackend, qasm: str, shots: int, seed: int) -> None:
-        if self.config.delay > 0:
-            time.sleep(self.config.delay)
-        with self.lock:
-            job.state = "RUNNING"
-        try:
-            circuit = parse_qasm(qasm)
-            if backend.noise is not None:
-                counts = sample_noisy(circuit, shots, backend.noise, seed, backend.max_qubits)
-            else:
-                counts = sample(circuit, shots, seed, backend.max_qubits)
-            with self.lock:
-                job.counts = counts
-                job.state = "DONE"
-        except Exception as exc:
-            with self.lock:
-                job.error = str(exc)
-                job.state = "FAILED"
-
-
 class _Handler(BaseHTTPRequestHandler):
-    state: _ServiceState  # bound per server via type()
+    # bound per server via type()
+    config: ServerConfig
+    backends: dict[str, ServerBackend]
+    runner: JobRunner
 
     # -- plumbing ------------------------------------------------------------
 
@@ -125,7 +83,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _authorized(self) -> bool:
-        expected = self.state.config.api_key
+        expected = self.config.api_key
         if expected is None:
             return True
         if self.headers.get("X-API-Key") == expected:
@@ -149,7 +107,7 @@ class _Handler(BaseHTTPRequestHandler):
                         "max_qubits": b.max_qubits,
                         "is_ideal_simulator": b.noise is None,
                     }
-                    for b in sorted(self.state.backends.values(), key=lambda b: b.name)
+                    for b in sorted(self.backends.values(), key=lambda b: b.name)
                 ],
             )
         elif len(parts) == 2 and parts[0] == "jobs":
@@ -173,7 +131,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(400, {"error": "malformed JSON body"})
             return
 
-        backend = self.state.backends.get(str(body.get("backend", "")))
+        backend = self.backends.get(str(body.get("backend", "")))
         if backend is None:
             self._send(404, {"error": f"unknown backend {body.get('backend')!r}"})
             return
@@ -199,33 +157,31 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(400, {"error": f"circuit width {circuit.width} exceeds {backend.max_qubits}"})
             return
 
-        job = self.state.enqueue(backend, qasm, shots, seed)
-        self._send(201, {"job_id": job.job_id, "state": "QUEUED"})
+        job_id = self.runner.submit(circuit, shots, seed, backend.noise, backend.max_qubits)
+        self._send(201, {"job_id": job_id, "state": "QUEUED"})
 
     def _job_status(self, job_id: str) -> None:
-        with self.state.lock:
-            job = self.state.jobs.get(job_id)
-            if job is None:
-                self._send(404, {"error": "unknown job"})
-                return
-            payload = {"job_id": job.job_id, "state": job.state}
-            if job.error is not None:
-                payload["error"] = job.error
+        try:
+            status = self.runner.table.status(job_id)
+        except KeyError:
+            self._send(404, {"error": "unknown job"})
+            return
+        payload = {"job_id": job_id, "state": status.state.value}
+        if status.error_message is not None:
+            payload["error"] = status.error_message
         self._send(200, payload)
 
     def _job_result(self, job_id: str) -> None:
-        with self.state.lock:
-            job = self.state.jobs.get(job_id)
-            if job is None:
-                self._send(404, {"error": "unknown job"})
-                return
-            state, counts, error = job.state, job.counts, job.error
-        if state == "DONE":
-            self._send(200, counts)
-        elif state == "FAILED":
-            self._send(410, {"error": error or "job failed"})
-        else:
+        try:
+            counts = self.runner.table.result(job_id)
+        except KeyError:
+            self._send(404, {"error": "unknown job"})
+        except JobNotReadyError:
             self._send(409, {"error": "not ready"})
+        except JobFailedError as exc:
+            self._send(410, {"error": str(exc)})
+        else:
+            self._send(200, counts)
 
 
 class RemoteServer:
@@ -233,8 +189,13 @@ class RemoteServer:
 
     def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig()
-        self._state = _ServiceState(self.config)
-        handler = type("BoundHandler", (_Handler,), {"state": self._state})
+        self._runner = JobRunner("rjob", self.config.workers, self.config.delay)
+        bound = {
+            "config": self.config,
+            "backends": {b.name: b for b in self.config.backends},
+            "runner": self._runner,
+        }
+        handler = type("BoundHandler", (_Handler,), bound)
         self._httpd = ThreadingHTTPServer((self.config.host, self.config.port), handler)
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
@@ -258,7 +219,7 @@ class RemoteServer:
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
-        self._state.pool.shutdown(wait=False)
+        self._runner.shutdown()
 
     def __enter__(self) -> "RemoteServer":
         return self.start()
@@ -271,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="qexec remote job service")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8748)
-    parser.add_argument("--delay", type=float, default=0.0, help="artificial seconds before each job runs")
+    parser.add_argument("--delay", type=float, default=0.0, help="seconds after submission before a job may run")
     parser.add_argument("--api-key", default=None)
     parser.add_argument("--noise-p", type=float, default=0.05, help="depolarizing p of the noisy backend")
     parser.add_argument(

@@ -1,9 +1,17 @@
-import pytest
+import sys
+import threading
+import time
 
-from qexec import Dispatch, ResultCollector, merge_sum, to_table, tvd
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qexec import Dispatch, ResultCollector, merge_sum, parse_qasm, to_table, tvd
 from qexec.collector import tree_to_json
 from qexec.errors import CollectorError, MergeError, ResultTimeoutError
 from qexec.providers import JobState, JobStatus
+
+from conftest import BELL_QASM
 
 
 def two_backend_dispatch(bell):
@@ -195,6 +203,133 @@ def test_run_state_snapshot(bell):
     collector.record_result(0, {"00": 10})
     collector.record_result(1, {"00": 10})
     assert collector.run_state().terminal
+
+
+# --------------------------------------------------------------------------
+# interleavings and concurrency
+# --------------------------------------------------------------------------
+
+
+@given(
+    n_jobs=st.integers(1, 6),
+    ops=st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from(["queued", "running", "done", "failed"])),
+        max_size=30,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_record_interleavings_property(n_jobs, ops):
+    bell = parse_qasm(BELL_QASM, name="bell")
+    dispatch = Dispatch()
+    for i in range(n_jobs):
+        dispatch.add_job("p", f"b{i % 2}", bell, 10)
+    collector = ResultCollector(dispatch)
+    first_terminal: dict[int, tuple[JobState, object]] = {}
+    running: set[int] = set()
+    partials = []
+    finished_at = None
+
+    def record(step, ordinal, kind):
+        if kind == "queued":
+            collector.record_status(ordinal, JobStatus(JobState.QUEUED))
+        elif kind == "running":
+            collector.record_status(ordinal, JobStatus(JobState.RUNNING))
+            running.add(ordinal)
+        elif kind == "done":
+            collector.record_result(ordinal, {"0": step + 1})
+            first_terminal.setdefault(ordinal, (JobState.DONE, {"0": step + 1}))
+        else:
+            collector.record_failed(ordinal, f"failure {step}")
+            first_terminal.setdefault(ordinal, (JobState.FAILED, f"failure {step}"))
+
+    def check():
+        all_terminal = len(first_terminal) == n_jobs
+        assert collector.is_terminal() is all_terminal
+        assert (collector.finished_at is not None) is all_terminal
+        for ordinal, status in collector.status().items():
+            if ordinal in first_terminal:
+                state, payload = first_terminal[ordinal]
+                assert status.state is state
+                if state is JobState.FAILED:
+                    assert status.error_message == payload
+            else:
+                expected = JobState.RUNNING if ordinal in running else JobState.QUEUED
+                assert status.state is expected
+        done = {o for o, (state, _) in first_terminal.items() if state is JobState.DONE}
+        partials.append((collector.get_results(block=False), done))
+
+    for step, (index, kind) in enumerate(ops):
+        record(step, index % n_jobs, kind)
+        check()
+        if finished_at is None:
+            finished_at = collector.finished_at
+    for ordinal in range(n_jobs):
+        record(len(ops) + ordinal, ordinal, "done")
+        check()
+    if finished_at is not None:
+        assert collector.finished_at == finished_at  # later records change nothing
+
+    counts = {o: payload for o, (state, payload) in first_terminal.items() if state is JobState.DONE}
+
+    def tree_of(done):
+        tree: dict = {}
+        for provider_id, backend_name, spec in dispatch.jobs():
+            if spec.ordinal in done:
+                tree.setdefault(provider_id, {}).setdefault(backend_name, []).append(
+                    counts[spec.ordinal]
+                )
+        return tree
+
+    assert collector.get_results(block=True, timeout=1) == tree_of(counts)
+    # Each partial tree is the final tree with the jobs not yet DONE left
+    # out, so a prefix of it when jobs finish in dispatch order.
+    for partial, done in partials:
+        assert partial == tree_of(done)
+    assert [job["error"] for job in collector.failed_jobs()] == [
+        payload
+        for _, (state, payload) in sorted(first_terminal.items())
+        if state is JobState.FAILED
+    ]
+
+
+def test_concurrent_records_finish_exactly_once(bell):
+    jobs, writers = 200, 8
+    dispatch = Dispatch()
+    for _ in range(jobs):
+        dispatch.add_job("p", "b", bell, 10)
+    collector = ResultCollector(dispatch)
+    start = threading.Barrier(writers)
+
+    def writer(index):
+        start.wait()
+        for ordinal in range(jobs):
+            collector.record_status(ordinal, JobStatus(JobState.RUNNING))
+            if index % 2:
+                collector.record_failed(ordinal, f"writer {index}")
+            else:
+                collector.record_result(ordinal, {"0": 10})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    inconsistent = 0
+    try:
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(writers)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 30
+        while any(t.is_alive() for t in threads) and time.monotonic() < deadline:
+            # A doubled pending-count update sets finished_at early.
+            state = collector.run_state()
+            inconsistent += (state.finished_at is not None) != state.terminal
+        for thread in threads:
+            thread.join(timeout=1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert inconsistent == 0
+    # A lost pending-count update leaves the run non-terminal.
+    assert collector.wait(timeout=0)
+    assert all(status.state.terminal for status in collector.status().values())
 
 
 # --------------------------------------------------------------------------

@@ -269,13 +269,13 @@ def test_merge_tvd_ambiguous_reference():
         merge_tvd(tree, context)
 
 
-def test_merge_tvd_uses_first_counts_only():
+def test_merge_tvd_rejects_multiple_runs():
     tree = {
-        "ideal": {"sim": [{"0": 10}, {"1": 10}]},
+        "ideal": {"sim": [{"0": 10}]},
         "noisy": {"dev": [{"0": 10}, {"1": 10}]},
     }
-    merged, _ = merge_tvd(tree, {"reference": "ideal/sim"})
-    assert merged == {"noisy/dev": 0.0}  # runs[1] ignored by the built-in
+    with pytest.raises(MergeError, match="noisy/dev has 2"):
+        merge_tvd(tree, {"reference": "ideal/sim"})
 
 
 # --------------------------------------------------------------------------

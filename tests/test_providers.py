@@ -1,3 +1,4 @@
+import threading
 import time
 
 import pytest
@@ -54,6 +55,18 @@ def test_register_remote_requires_endpoint():
 def test_register_noisy_requires_noise():
     with pytest.raises(ProviderConfigError, match="noise"):
         VirtualProvider().register_provider(ProviderConfig("n1", "local_noisy"))
+
+
+def test_register_noise_only_on_local_noisy():
+    with pytest.raises(ProviderConfigError, match="noise applies only to local_noisy"):
+        VirtualProvider().register_provider(
+            ProviderConfig.from_dict("i1", {"kind": "local_ideal", "noise": 0.3})
+        )
+
+
+def test_register_delay_only_on_mock_delay():
+    with pytest.raises(ProviderConfigError, match="delay applies only to mock_delay"):
+        VirtualProvider().register_provider(ProviderConfig("i1", "local_ideal", delay=0.5))
 
 
 def test_register_unknown_kind():
@@ -151,6 +164,15 @@ def test_mock_delay_polled_immediately(bell):
     with pytest.raises(JobNotReadyError):
         registry.result(handle)
     assert wait_terminal(registry, handle).state is JobState.DONE
+
+
+def test_mock_delay_threads_bounded(bell):
+    registry = VirtualProvider()
+    registry.register_provider(ProviderConfig("mock", "mock_delay", delay=0.2))
+    before = threading.active_count()
+    handles = [registry.submit("mock", "delayed_statevector", bell, 8) for _ in range(50)]
+    assert threading.active_count() - before <= 2
+    assert all(wait_terminal(registry, h).state is JobState.DONE for h in handles)
 
 
 def test_foreign_handle_rejected(local_registry):

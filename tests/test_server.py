@@ -3,6 +3,7 @@ import time
 import pytest
 import requests
 
+import qexec.providers
 from qexec import sample
 from qexec.server import RemoteServer, ServerBackend, ServerConfig
 
@@ -152,22 +153,22 @@ def test_unknown_job_404(remote_server):
     )
 
 
-def test_failed_job_410(remote_server):
+def test_failed_job_410(remote_server, monkeypatch):
+    # Submission already validated the input, so only a kernel fault can
+    # fail a job: make the ideal kernel raise.
+    def broken_sample(*args, **kwargs):
+        raise RuntimeError("induced failure")
+
+    monkeypatch.setattr(qexec.providers, "sample", broken_sample)
     endpoint = remote_server.endpoint
     job_id = requests.post(
         f"{endpoint}/jobs",
         json={"backend": "statevector", "qasm": BELL_QASM, "shots": 8, "seed": 0},
         timeout=5,
     ).json()["job_id"]
-    wait_done(endpoint, job_id)
-    # Force the FAILED protocol leg directly; honest execution of valid input
-    # cannot fail, since submission already validated it.
-    state = remote_server._state
-    with state.lock:
-        job = state.jobs[job_id]
-        job.state = "FAILED"
-        job.error = "induced failure"
-        job.counts = None
+    assert wait_done(endpoint, job_id) == "FAILED"
+    status = requests.get(f"{endpoint}/jobs/{job_id}", timeout=5).json()
+    assert status == {"job_id": job_id, "state": "FAILED", "error": "induced failure"}
     response = requests.get(f"{endpoint}/jobs/{job_id}/result", timeout=5)
     assert response.status_code == 410
     assert response.json()["error"] == "induced failure"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from .circuit import Circuit, parse_qasm, serialize_qasm, validate
-from .errors import DispatchError
+from .errors import BackendOfflineError, CircuitError, DispatchError
 
 __all__ = ["JobSpec", "Dispatch"]
 
@@ -23,8 +23,8 @@ class JobSpec:
     """One planned job: circuit, shot count, backend-specific options.
 
     ``ordinal`` is the job's 0-based position in the canonical flattened
-    order over the whole dispatch; it is recomputed on every add_job so the
-    ordinals always form a gapless permutation of 0..N-1.
+    order over the whole dispatch; the first jobs() or jobs_for() after an
+    add_job renumbers, so ordinals read through them are exactly 0..N-1.
     """
 
     circuit: Circuit
@@ -38,6 +38,7 @@ class Dispatch:
 
     def __init__(self):
         self._assignments: dict[str, dict[str, list[JobSpec]]] = {}
+        self._numbered = True
 
     def add_job(
         self,
@@ -55,20 +56,23 @@ class Dispatch:
             raise DispatchError(f"invalid circuit {circuit.name!r}: " + "; ".join(violations))
         backend_jobs = self._assignments.setdefault(provider_id, {}).setdefault(backend_name, [])
         backend_jobs.append(JobSpec(circuit=circuit, shots=shots, options=dict(options or {})))
-        self._renumber()
+        self._numbered = False
         return self
 
-    def _renumber(self) -> None:
-        for ordinal, (_, _, spec) in enumerate(self.jobs()):
-            spec.ordinal = ordinal
+    def _number(self) -> None:
+        if not self._numbered:
+            self._numbered = True  # first, so the jobs() below does not recurse
+            for ordinal, (_, _, spec) in enumerate(self.jobs()):
+                spec.ordinal = ordinal
 
     def jobs(self) -> Iterator[tuple[str, str, JobSpec]]:
-        """Yield (provider_id, backend_name, spec) in canonical order."""
-        for provider_id in sorted(self._assignments):
-            backends = self._assignments[provider_id]
-            for backend_name in sorted(backends):
-                for spec in backends[backend_name]:
-                    yield provider_id, backend_name, spec
+        """(provider_id, backend_name, spec) in canonical order."""
+        self._number()
+        return (
+            (provider_id, backend_name, spec)
+            for provider_id, backend_name in self.backends()
+            for spec in self._assignments[provider_id][backend_name]
+        )
 
     def backends(self) -> list[tuple[str, str]]:
         """Distinct (provider_id, backend_name) targets in canonical order."""
@@ -79,6 +83,7 @@ class Dispatch:
         ]
 
     def jobs_for(self, provider_id: str, backend_name: str) -> list[JobSpec]:
+        self._number()
         return list(self._assignments.get(provider_id, {}).get(backend_name, []))
 
     def total_jobs(self) -> int:
@@ -90,22 +95,20 @@ class Dispatch:
     def validate_against(self, registry) -> list[str]:
         """Pre-flight check against a provider registry; nothing is submitted.
 
-        Reports unknown backends, offline backends, and width overflows as
-        human-readable violation strings.
+        Looks each distinct backend up once and reports it once if unknown,
+        else each job's BackendDescriptor.check failure, as readable strings.
         """
         violations: list[str] = []
-        for provider_id, backend_name, spec in self.jobs():
+        for provider_id, backend_name in self.backends():
             descriptor = registry.find_backend(provider_id, backend_name)
             if descriptor is None:
                 violations.append(f"unknown backend {provider_id}/{backend_name}")
                 continue
-            if not descriptor.online:
-                violations.append(f"backend {provider_id}/{backend_name} is offline")
-            if spec.circuit.width > descriptor.max_qubits:
-                violations.append(
-                    f"circuit {spec.circuit.name!r} width {spec.circuit.width} exceeds "
-                    f"{provider_id}/{backend_name} limit {descriptor.max_qubits}"
-                )
+            for spec in self._assignments[provider_id][backend_name]:
+                try:
+                    descriptor.check(spec.circuit)
+                except (BackendOfflineError, CircuitError) as exc:
+                    violations.append(str(exc))
         return violations
 
     def to_dict(self) -> dict:

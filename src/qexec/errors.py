@@ -44,11 +44,11 @@ class UnknownBackendError(ProviderError):
 
 
 class BackendOfflineError(ProviderError):
-    """Submission targeted a backend that is currently offline."""
+    """The target backend is currently offline (BackendDescriptor.check)."""
 
 
 class UnknownJobError(ProviderError):
-    """Job handle was not issued by this registry (or the job is gone)."""
+    """No adapter issued this job: unknown provider_id or job_id."""
 
 
 class JobNotReadyError(QExecError):

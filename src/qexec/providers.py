@@ -12,7 +12,8 @@ Four provider kinds ship built-in:
 
 Submission is non-blocking for every kind: jobs enter QUEUED immediately and
 progress QUEUED -> RUNNING -> DONE/FAILED, observable through status().
-The registry is shared state, safe for concurrent submit/status/result.
+The registry holds only its adapters and is safe for concurrent use; a job
+is known by (provider_id, job_id), the id that provider's adapter issued.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ class JobStatus:
 
 @dataclass(frozen=True)
 class JobHandle:
+    """A submitted job: ``job_id`` is the id the ``provider_id`` adapter issued."""
+
     job_id: str
     provider_id: str
     backend_name: str
@@ -93,6 +96,16 @@ class BackendDescriptor:
     online: bool
     max_qubits: int
     is_ideal_simulator: bool
+
+    def check(self, circuit: Circuit) -> None:
+        """Raise BackendOfflineError or CircuitError unless circuit can run here."""
+        if not self.online:
+            raise BackendOfflineError(f"backend {self.provider_id}/{self.backend_name} is offline")
+        if circuit.width > self.max_qubits:
+            raise CircuitError(
+                f"circuit {circuit.name!r} width {circuit.width} exceeds "
+                f"{self.provider_id}/{self.backend_name} limit {self.max_qubits}"
+            )
 
 
 @dataclass(frozen=True)
@@ -198,8 +211,10 @@ class JobTable:
             return self._cond.wait_for(lambda: not self._pending, timeout)
 
     def status(self, key: Hashable) -> JobStatus:
-        """The job's status; KeyError if the table never saw the key."""
+        """The job's status; UnknownJobError if the table never saw the key."""
         with self._cond:
+            if key not in self._statuses:
+                raise UnknownJobError(f"unknown job {key!r}")
             return self._statuses[key]
 
     def snapshot(self) -> tuple[dict[Hashable, JobStatus], float | None]:
@@ -214,9 +229,9 @@ class JobTable:
 
     def result(self, key: Hashable) -> dict[str, int]:
         """Counts of a DONE job; JobNotReadyError / JobFailedError otherwise,
-        KeyError if the table never saw the key."""
+        UnknownJobError if the table never saw the key."""
         with self._cond:
-            status = self._statuses[key]
+            status = self.status(key)  # the Condition's lock is reentrant
             if status.state is JobState.FAILED:
                 raise JobFailedError(status.error_message or "job failed")
             if status.state is not JobState.DONE:
@@ -290,7 +305,6 @@ class LocalSimulatorAdapter:
     def __init__(self, config: ProviderConfig):
         self.provider_id = config.provider_id
         self._noise = config.noise
-        self._max_qubits = config.max_qubits
         backend_name, is_ideal = _LOCAL_BACKENDS[config.kind]
         self._descriptor = BackendDescriptor(
             provider_id=config.provider_id,
@@ -307,8 +321,11 @@ class LocalSimulatorAdapter:
     def submit(
         self, backend_name: str, circuit: Circuit, shots: int, options: Mapping[str, Any]
     ) -> str:
+        if backend_name != self._descriptor.backend_name:
+            raise UnknownBackendError(f"unknown backend {self.provider_id}/{backend_name}")
+        self._descriptor.check(circuit)
         seed = int(options.get("seed", 0))
-        return self._runner.submit(circuit, shots, seed, self._noise, self._max_qubits)
+        return self._runner.submit(circuit, shots, seed, self._noise, self._descriptor.max_qubits)
 
     def status(self, job_id: str) -> JobStatus:
         return self._runner.table.status(job_id)
@@ -441,11 +458,10 @@ def _build_adapter(config: ProviderConfig):
 
 
 class VirtualProvider:
-    """Registry of provider adapters plus process-unique job handles."""
+    """Registry of provider adapters; routes each job handle to its adapter."""
 
     def __init__(self):
         self._adapters: dict[str, Any] = {}
-        self._handles: dict[str, tuple[Any, str]] = {}
         self._lock = threading.Lock()
 
     def register_provider(self, config: ProviderConfig) -> str:
@@ -479,12 +495,8 @@ class VirtualProvider:
     def find_backend(self, provider_id: str, backend_name: str) -> BackendDescriptor | None:
         with self._lock:
             adapter = self._adapters.get(provider_id)
-        if adapter is None:
-            return None
-        for descriptor in adapter.backends():
-            if descriptor.backend_name == backend_name:
-                return descriptor
-        return None
+        backends = adapter.backends() if adapter is not None else ()
+        return next((d for d in backends if d.backend_name == backend_name), None)
 
     def submit(
         self,
@@ -494,44 +506,27 @@ class VirtualProvider:
         shots: int,
         options: Mapping[str, Any] | None = None,
     ) -> JobHandle:
-        """Non-blocking submission; the job enters QUEUED on the target backend."""
+        """Non-blocking submission, with no discovery call: the adapter rejects
+        a backend it does not host or a circuit that cannot run there."""
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
-        descriptor = self.find_backend(provider_id, backend_name)
-        if descriptor is None:
+        with self._lock:
+            adapter = self._adapters.get(provider_id)
+        if adapter is None:
             raise UnknownBackendError(f"unknown backend {provider_id}/{backend_name}")
-        if not descriptor.online:
-            raise BackendOfflineError(f"backend {provider_id}/{backend_name} is offline")
-        if circuit.width > descriptor.max_qubits:
-            raise CircuitError(
-                f"circuit {circuit.name!r} width {circuit.width} exceeds "
-                f"{provider_id}/{backend_name} limit {descriptor.max_qubits}"
-            )
-        with self._lock:
-            adapter = self._adapters[provider_id]
-        provider_job_id = adapter.submit(backend_name, circuit, shots, options or {})
-        handle = JobHandle(
-            job_id=f"job-{next(_JOB_COUNTER)}",
-            provider_id=provider_id,
-            backend_name=backend_name,
-            submitted_at=time.time(),
-        )
-        with self._lock:
-            self._handles[handle.job_id] = (adapter, provider_job_id)
-        return handle
+        job_id = adapter.submit(backend_name, circuit, shots, options or {})
+        return JobHandle(job_id, provider_id, backend_name, submitted_at=time.time())
 
-    def _entry(self, handle: JobHandle) -> tuple[Any, str]:
+    def _adapter_for(self, handle: JobHandle):
         with self._lock:
-            entry = self._handles.get(handle.job_id)
-        if entry is None:
-            raise UnknownJobError(f"handle {handle.job_id!r} was not issued by this registry")
-        return entry
+            adapter = self._adapters.get(handle.provider_id)
+        if adapter is None:
+            raise UnknownJobError(f"no provider {handle.provider_id!r} issued job {handle.job_id!r}")
+        return adapter
 
     def status(self, handle: JobHandle) -> JobStatus:
-        adapter, provider_job_id = self._entry(handle)
-        return adapter.status(provider_job_id)
+        return self._adapter_for(handle).status(handle.job_id)
 
     def result(self, handle: JobHandle) -> dict[str, int]:
         """Counts for a DONE job; raises JobNotReadyError / JobFailedError otherwise."""
-        adapter, provider_job_id = self._entry(handle)
-        return adapter.result(provider_job_id)
+        return self._adapter_for(handle).result(handle.job_id)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .circuit import parse_qasm
-from .errors import JobFailedError, JobNotReadyError, QExecError
+from .errors import JobFailedError, JobNotReadyError, QExecError, UnknownJobError
 from .providers import JobRunner
 from .simulator import MAX_WIDTH_DEFAULT, NoiseSpec
 
@@ -163,7 +163,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _job_status(self, job_id: str) -> None:
         try:
             status = self.runner.table.status(job_id)
-        except KeyError:
+        except UnknownJobError:
             self._send(404, {"error": "unknown job"})
             return
         payload = {"job_id": job_id, "state": status.state.value}
@@ -174,7 +174,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _job_result(self, job_id: str) -> None:
         try:
             counts = self.runner.table.result(job_id)
-        except KeyError:
+        except UnknownJobError:
             self._send(404, {"error": "unknown job"})
         except JobNotReadyError:
             self._send(409, {"error": "not ready"})

@@ -66,6 +66,24 @@ def test_canonical_iteration_order(bell):
     assert ordinals == [0, 1, 2]
 
 
+def test_ordinals_numbered_on_read_in_canonical_order(bell):
+    dispatch = Dispatch()
+    for index in range(3):
+        for provider_id, backend_name in (("zeta", "b"), ("alpha", "y"), ("alpha", "x")):
+            dispatch.add_job(provider_id, backend_name, bell, 1, {"index": index})
+    canonical = [
+        (p, b, i) for p, b in (("alpha", "x"), ("alpha", "y"), ("zeta", "b")) for i in range(3)
+    ]
+    assert [(p, b, s.options["index"]) for p, b, s in dispatch.jobs()] == canonical
+    assert [s.ordinal for _, _, s in dispatch.jobs()] == list(range(9))
+    assert [s.ordinal for s in dispatch.jobs_for("alpha", "y")] == [3, 4, 5]
+
+    dispatch.add_job("alpha", "x", bell, 1, {"index": 3})
+    assert [s.ordinal for s in dispatch.jobs_for("alpha", "x")] == [0, 1, 2, 3]
+    assert [s.ordinal for s in dispatch.jobs_for("zeta", "b")] == [7, 8, 9]
+    assert [s.ordinal for _, _, s in dispatch.jobs()] == list(range(10))
+
+
 def test_validate_against_ok(bell, local_registry):
     dispatch = Dispatch().add_job("local_ideal", "statevector", bell, 10)
     assert dispatch.validate_against(local_registry) == []
@@ -76,6 +94,13 @@ def test_validate_against_unknown_provider(bell, local_registry):
     violations = dispatch.validate_against(local_registry)
     assert len(violations) == 1
     assert "unknown backend" in violations[0]
+
+
+def test_validate_against_unknown_backend_reported_once(bell, local_registry):
+    dispatch = Dispatch()
+    for _ in range(5):
+        dispatch.add_job("nope", "statevector", bell, 10)
+    assert dispatch.validate_against(local_registry) == ["unknown backend nope/statevector"]
 
 
 def test_validate_against_width_overflow(local_registry):

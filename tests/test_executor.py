@@ -1,12 +1,14 @@
 import time
 
 import pytest
+import requests
 
 from qexec import (
     Dispatch,
     ExperimentSpec,
     ProviderConfig,
     QuantumExecutor,
+    VirtualProvider,
     merge_sum,
     tree_to_json,
 )
@@ -57,6 +59,20 @@ class _BrokenAdapter:
         raise AssertionError("result should never be fetched for a failed job")
 
 
+@pytest.fixture
+def submit_calls(monkeypatch):
+    """The arguments of every VirtualProvider.submit call made in the test."""
+    calls = []
+    original = VirtualProvider.submit
+
+    def counting_submit(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(VirtualProvider, "submit", counting_submit)
+    return calls
+
+
 def executor_with_broken(broken: _BrokenAdapter, local_executor) -> QuantumExecutor:
     local_executor.virtual_provider._adapters[broken.provider_id] = broken
     return local_executor
@@ -90,12 +106,17 @@ def test_run_dispatch_parallel_mock_delay_wall_time(bell):
     assert wall < 1.5  # ~one delay, generously bounded at 3x
 
 
-def test_run_dispatch_preflight_unknown_backend(local_executor, bell):
+def test_run_dispatch_preflight_unknown_backend(local_executor, bell, submit_calls):
     dispatch = Dispatch().add_job("ghost", "nowhere", bell, 10)
     with pytest.raises(DispatchValidationError) as info:
         local_executor.run_dispatch(dispatch)
     assert any("unknown backend" in v for v in info.value.violations)
-    assert local_executor.virtual_provider._handles == {}  # nothing submitted
+    assert submit_calls == []  # nothing submitted
+
+
+def test_submit_counter_sees_submissions(local_executor, bell, submit_calls):
+    local_executor.run_dispatch(Dispatch().add_job("local_ideal", "statevector", bell, 8))
+    assert len(submit_calls) == 1
 
 
 def test_run_dispatch_empty_registry(bell):
@@ -159,19 +180,58 @@ def test_run_experiment_tvd_merge(local_executor, bell):
     assert metadata["reference"] == "local_ideal/statevector"
 
 
-def test_run_experiment_unknown_policy(local_executor, bell):
+def test_run_experiment_unknown_policy(local_executor, bell, submit_calls):
     with pytest.raises(UnknownPolicyError):
         local_executor.run_experiment(
             circuits=bell, shots=10, backends=LOCAL_PAIR, split_policy="nonexistent"
         )
-    assert local_executor.virtual_provider._handles == {}
+    assert submit_calls == []
 
 
-def test_run_experiment_unresolvable_backend(local_executor, bell):
+def test_run_experiment_unresolvable_backend(local_executor, bell, submit_calls):
     with pytest.raises(UnknownBackendError):
         local_executor.run_experiment(
             circuits=bell, shots=10, backends={"local_ideal": ["teleporter"]}
         )
+    assert submit_calls == []
+
+
+def test_run_experiment_discovers_per_backend_not_per_job(local_executor, bell):
+    discoveries = {}
+    for provider_id, adapter in local_executor.virtual_provider._adapters.items():
+
+        def counting_backends(original=adapter.backends, provider_id=provider_id):
+            discoveries[provider_id] = discoveries.get(provider_id, 0) + 1
+            return original()
+
+        adapter.backends = counting_backends
+    collector = local_executor.run_experiment(
+        circuits=[bell] * 20, shots=8, backends=LOCAL_PAIR, wait=True
+    )
+    assert collector.dispatch.total_jobs() == 40
+    assert collector.failed_jobs() == []
+    assert set(discoveries) == set(LOCAL_PAIR)
+    assert all(calls <= 3 for calls in discoveries.values())
+
+
+def test_run_dispatch_rejects_wide_remote_job_before_posting(remote_server, monkeypatch):
+    from qexec import Circuit
+
+    posts = []
+    original_post = requests.Session.post
+
+    def counting_post(session, url, *args, **kwargs):
+        posts.append(url)
+        return original_post(session, url, *args, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "post", counting_post)
+    executor = QuantumExecutor(
+        providers=[ProviderConfig("remote", "remote_http", endpoint=remote_server.endpoint)]
+    )
+    dispatch = Dispatch().add_job("remote", "statevector", Circuit(width=25, name="wide"), 10)
+    with pytest.raises(DispatchValidationError, match="exceeds"):
+        executor.run_dispatch(dispatch)
+    assert posts == []
 
 
 def test_run_experiment_foreign_target_policy_bug_surfaced(local_executor, bell):

@@ -11,6 +11,7 @@ from qexec.errors import (
     JobFailedError,
     JobNotReadyError,
     ProviderConfigError,
+    ProviderError,
     UnknownBackendError,
     UnknownJobError,
 )
@@ -135,6 +136,22 @@ def test_submit_unknown_provider(local_registry, bell):
         local_registry.submit("nope", "statevector", bell, 10)
 
 
+def test_submit_unknown_local_backend(local_registry, bell):
+    with pytest.raises(UnknownBackendError, match="teleporter"):
+        local_registry.submit("local_ideal", "teleporter", bell, 10)
+
+
+def test_remote_submit_rejections_come_from_the_service(remote_server, bell):
+    registry = VirtualProvider()
+    registry.register_provider(
+        ProviderConfig("remote", "remote_http", endpoint=remote_server.endpoint)
+    )
+    with pytest.raises(UnknownBackendError):
+        registry.submit("remote", "teleporter", bell, 10)
+    with pytest.raises(ProviderError, match="exceeds"):
+        registry.submit("remote", "statevector", Circuit(width=25), 10)
+
+
 def test_submit_offline_backend_rejected(bell):
     registry = VirtualProvider()
     registry.register_provider(ProviderConfig("mock", "mock_delay", delay=0.1, online=False))
@@ -179,6 +196,20 @@ def test_foreign_handle_rejected(local_registry):
     foreign = JobHandle("job-999999", "local_ideal", "statevector", time.time())
     with pytest.raises(UnknownJobError):
         local_registry.status(foreign)
+    with pytest.raises(UnknownJobError):
+        local_registry.result(foreign)
+    unregistered = JobHandle("job-1", "ghost", "statevector", time.time())
+    with pytest.raises(UnknownJobError):
+        local_registry.status(unregistered)
+
+
+def test_handle_carries_the_adapter_job_id(local_registry, bell):
+    handle = local_registry.submit("local_noisy", "noisy_statevector", bell, 4)
+    wait_terminal(local_registry, handle)
+    # The id is the adapter's own, so it resolves only under its own provider.
+    moved = JobHandle(handle.job_id, "local_ideal", "statevector", handle.submitted_at)
+    with pytest.raises(UnknownJobError):
+        local_registry.status(moved)
 
 
 def test_failed_job_carries_message(local_registry):

@@ -201,6 +201,11 @@ def _write_initial_record(run_dir: Path, source: Path, collector: ResultCollecto
     (run_dir / "experiment.yaml").write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
     (run_dir / "dispatch.json").write_text(collector.dispatch.to_json() + "\n", encoding="utf-8")
     _write_json(run_dir / "status.json", _status_payload(collector))
+    _write_meta(run_dir, source, collector)
+
+
+def _write_meta(run_dir: Path, source: Path, collector: ResultCollector) -> None:
+    """meta.json, written when the record is created and again when it is finalized."""
     _write_json(
         run_dir / "meta.json",
         {
@@ -208,27 +213,19 @@ def _write_initial_record(run_dir: Path, source: Path, collector: ResultCollecto
             "experiment_file": str(source),
             "merge_policy": collector.merge_policy,
             "started_at": collector.started_at,
-            "finished_at": None,
+            "finished_at": collector.finished_at,
         },
     )
 
 
-def _finalize_record(run_dir: Path, collector: ResultCollector) -> int:
+def _finalize_record(run_dir: Path, source: Path, collector: ResultCollector) -> int:
     tree = collector.get_results(block=True)
     (run_dir / "results.json").write_text(tree_to_json(tree) + "\n", encoding="utf-8")
     if collector.merge_policy is not None:
         merged, metadata = collector.get_merged_results()
         _write_json(run_dir / "merged.json", {"merged": merged, "metadata": metadata})
     _write_json(run_dir / "status.json", _status_payload(collector))
-    _write_json(
-        run_dir / "meta.json",
-        {
-            "run_id": collector.run_id,
-            "merge_policy": collector.merge_policy,
-            "started_at": collector.started_at,
-            "finished_at": collector.finished_at,
-        },
-    )
+    _write_meta(run_dir, source, collector)
     return EXIT_JOB_FAILED if collector.failed_jobs() else EXIT_OK
 
 
@@ -282,7 +279,7 @@ def cmd_run(args) -> int:
 
     # Both modes finalize in this process; --no-wait just reported the run_id
     # immediately while the run progresses in the background.
-    exit_code = _finalize_record(run_dir, collector)
+    exit_code = _finalize_record(run_dir, source, collector)
     effective_wait = data.get("wait", True) and not args.no_wait
     if effective_wait:
         merged_path = run_dir / "merged.json"

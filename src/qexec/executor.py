@@ -3,10 +3,10 @@
 Runs are declarative (run_experiment with an ExperimentSpec) or explicit
 (run_dispatch with a pre-built Dispatch). Either way, execution is lane-per-
 backend: each distinct backend gets a worker that submits its jobs in order
-and then polls them to completion, so parallel runs overlap across backends
-while same-backend submission order is preserved. Job k's seed is
-base_seed + ordinal(k), making serial and parallel runs of the same plan
-bit-identical on local simulators regardless of scheduling.
+and then waits for them one at a time, in that same order, so parallel runs
+overlap across backends while same-backend submission order is preserved.
+Job k's seed is base_seed + ordinal(k), making serial and parallel runs of
+the same plan bit-identical on local simulators regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -215,9 +215,11 @@ class QuantumExecutor:
         base_seed: int,
         collector: ResultCollector,
     ) -> None:
-        """Submit this backend's jobs in order, then poll all to completion."""
+        """Submit this backend's jobs in order, then wait for each in turn:
+        poll it with a backoff that restarts per job and record it once
+        terminal. A job whose status or result raises fails alone."""
         try:
-            pending = []
+            submitted = []
             for spec in specs:
                 options = dict(spec.options)
                 options["seed"] = base_seed + spec.ordinal
@@ -226,36 +228,25 @@ class QuantumExecutor:
                         provider_id, backend_name, spec.circuit, spec.shots, options
                     )
                     collector.record_submitted(spec.ordinal, handle)
-                    pending.append((spec, handle))
+                    submitted.append((spec.ordinal, handle))
                 except Exception as exc:
                     collector.record_failed(spec.ordinal, str(exc))
 
-            interval = _POLL_INITIAL
-            while pending:
-                still_pending = []
-                for spec, handle in pending:
-                    try:
+            for ordinal, handle in submitted:
+                try:
+                    interval = _POLL_INITIAL
+                    status = self.virtual_provider.status(handle)
+                    while not status.state.terminal:
+                        collector.record_status(ordinal, status)
+                        time.sleep(interval)
+                        interval = min(interval * 1.5, _POLL_MAX)
                         status = self.virtual_provider.status(handle)
-                    except Exception as exc:
-                        collector.record_failed(spec.ordinal, str(exc))
-                        continue
-                    if status.state is JobState.DONE:
-                        try:
-                            counts = self.virtual_provider.result(handle)
-                            collector.record_result(spec.ordinal, counts)
-                        except Exception as exc:
-                            collector.record_failed(spec.ordinal, str(exc))
-                    elif status.state is JobState.FAILED:
-                        collector.record_failed(
-                            spec.ordinal, status.error_message or "job failed"
-                        )
+                    if status.state is JobState.FAILED:
+                        collector.record_failed(ordinal, status.error_message or "job failed")
                     else:
-                        collector.record_status(spec.ordinal, status)
-                        still_pending.append((spec, handle))
-                pending = still_pending
-                if pending:
-                    time.sleep(interval)
-                    interval = min(interval * 1.5, _POLL_MAX)
+                        collector.record_result(ordinal, self.virtual_provider.result(handle))
+                except Exception as exc:
+                    collector.record_failed(ordinal, str(exc))
         except Exception as exc:  # last resort: never leave the run non-terminal
             logger.exception("lane %s/%s crashed", provider_id, backend_name)
             for spec in specs:

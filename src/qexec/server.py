@@ -130,6 +130,9 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValueError, UnicodeDecodeError):
             self._send(400, {"error": "malformed JSON body"})
             return
+        if not isinstance(body, dict):
+            self._send(400, {"error": "body must be a JSON object"})
+            return
 
         backend = self.backends.get(str(body.get("backend", "")))
         if backend is None:

@@ -115,6 +115,19 @@ def test_run_persists_record_and_results_replay(tmp_path, store):
     assert status.stdout.count("DONE") == 2
 
 
+def test_run_meta_keeps_experiment_file(tmp_path, store):
+    exp = write_experiment(tmp_path, INLINE_EXPERIMENT)
+    result = run_cli("--store", str(store), "run", str(exp))
+    assert result.returncode == 0, result.stderr
+    run_id = result.stdout.splitlines()[0].strip()
+    meta = json.loads((store / run_id / "meta.json").read_text())
+    assert meta["experiment_file"] == str(exp)
+    assert meta["run_id"] == run_id
+    assert meta["merge_policy"] == "sum"
+    assert meta["started_at"] is not None
+    assert meta["finished_at"] is not None
+
+
 def test_run_unknown_policy_exit2_no_run_dir(tmp_path, store):
     payload = dict(INLINE_EXPERIMENT, split_policy="does_not_exist")
     exp = write_experiment(tmp_path, payload)

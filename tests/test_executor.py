@@ -1,8 +1,10 @@
+import threading
 import time
 
 import pytest
 import requests
 
+import qexec.providers
 from qexec import (
     Dispatch,
     ExperimentSpec,
@@ -57,6 +59,19 @@ class _BrokenAdapter:
 
     def result(self, job_id):
         raise AssertionError("result should never be fetched for a failed job")
+
+
+class _StatusRaisingAdapter(_BrokenAdapter):
+    """Every job is DONE with all shots on "00", except that the status
+    check of the second job raises."""
+
+    def status(self, job_id):
+        if job_id == f"{self.provider_id}-2":
+            raise ProviderError("status check exploded")
+        return JobStatus(JobState.DONE)
+
+    def result(self, job_id):
+        return {"00": 8}
 
 
 @pytest.fixture
@@ -140,6 +155,67 @@ def test_run_dispatch_wait_false_progresses_in_background(bell):
     assert collector.get_results(block=False) == {}
     assert collector.wait(timeout=3)
     assert len(collector.get_results(block=False)["mock"]["delayed_statevector"]) == 1
+
+
+# --------------------------------------------------------------------------
+# lane: waiting for jobs
+# --------------------------------------------------------------------------
+
+
+def test_lane_polls_jobs_in_order_not_in_rounds(bell, monkeypatch):
+    # The lane waits for job 0 for about one delay; by then the other 19 are
+    # done and each needs one poll. Sweeping every pending job on each round
+    # would poll about 200 times.
+    calls = []
+    original = VirtualProvider.status
+
+    def counting_status(self, handle):
+        calls.append(handle.job_id)
+        return original(self, handle)
+
+    monkeypatch.setattr(VirtualProvider, "status", counting_status)
+    executor = QuantumExecutor(providers=[ProviderConfig("mock", "mock_delay", delay=0.1)])
+    dispatch = Dispatch()
+    for _ in range(20):
+        dispatch.add_job("mock", "delayed_statevector", bell, 16)
+    collector = executor.run_dispatch(dispatch, wait=True)
+    assert collector.failed_jobs() == []
+    assert len(collector.get_results()["mock"]["delayed_statevector"]) == 20
+    assert len(calls) <= 60
+
+
+def test_lane_records_running_status(local_executor, bell, monkeypatch):
+    release = threading.Event()
+    original = qexec.providers.sample
+
+    def blocked_sample(*args, **kwargs):
+        release.wait(10)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qexec.providers, "sample", blocked_sample)
+    dispatch = Dispatch().add_job("local_ideal", "statevector", bell, 32)
+    try:
+        collector = local_executor.run_dispatch(dispatch, wait=False)
+        deadline = time.monotonic() + 5
+        while collector.status()[0].state is not JobState.RUNNING:
+            assert time.monotonic() < deadline, "job never showed RUNNING"
+            time.sleep(0.005)
+    finally:
+        release.set()
+    assert collector.wait(timeout=5)
+    assert sum(collector.get_results()["local_ideal"]["statevector"][0].values()) == 32
+
+
+def test_lane_status_error_fails_only_that_job(local_executor, bell):
+    executor = executor_with_broken(_StatusRaisingAdapter(), local_executor)
+    dispatch = Dispatch()
+    for _ in range(3):
+        dispatch.add_job("flaky", "device", bell, 8)
+    collector = executor.run_dispatch(dispatch, wait=True)
+    statuses = collector.status()
+    assert [statuses[o].state for o in range(3)] == [JobState.DONE, JobState.FAILED, JobState.DONE]
+    assert statuses[1].error_message == "status check exploded"
+    assert collector.get_results()["flaky"]["device"] == [{"00": 8}, {"00": 8}]
 
 
 # --------------------------------------------------------------------------

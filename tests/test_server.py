@@ -102,6 +102,18 @@ def test_submit_malformed_body(remote_server):
     assert response.status_code == 400
 
 
+@pytest.mark.parametrize("body", [b"[1,2]", b'"x"', b"null"])
+def test_submit_body_not_an_object(remote_server, body):
+    response = requests.post(
+        f"{remote_server.endpoint}/jobs",
+        data=body,
+        headers={"Content-Type": "application/json"},
+        timeout=5,
+    )
+    assert response.status_code == 400
+    assert response.json() == {"error": "body must be a JSON object"}
+
+
 def test_submit_width_overflow(remote_server):
     wide = "OPENQASM 2.0; qreg q[25];"
     response = requests.post(

@@ -14,7 +14,6 @@ from .policies import (
     PolicyRegistry,
     merge_sum,
     merge_tvd,
-    register_policy,
     split_even,
     split_multiplier,
     tvd,
@@ -51,7 +50,6 @@ __all__ = [
     "merge_sum",
     "merge_tvd",
     "tvd",
-    "register_policy",
     "BackendDescriptor",
     "ProviderConfig",
     "VirtualProvider",

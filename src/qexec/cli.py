@@ -14,7 +14,9 @@ re-running never mutates a prior record. ``status`` and ``results`` replay
 from disk only and need no providers to be reachable.
 
 Exit codes for ``run``: 0 success, 1 schema error, 2 pre-flight validation
-failure (nothing submitted, no run directory), 3 at least one job FAILED.
+failure (nothing submitted, no run directory) or a merge policy that raised
+after the run (the record then holds everything but ``merged.json``),
+3 at least one job FAILED.
 With ``--no-wait`` the run_id prints immediately and the process stays alive
 until the background run finalizes the record.
 """
@@ -106,8 +108,10 @@ def load_experiment_file(path: Path) -> dict[str, Any]:
         for provider_id, names in backends.items():
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
                 raise SchemaError(f"{path}: backends[{provider_id!r}] must be a list of names")
-    for key, expected in (("split_policy", str), ("merge_policy", str), ("name", str)):
-        if key in data and data[key] is not None and not isinstance(data[key], expected):
+    if "split_policy" in data and not isinstance(data["split_policy"], str):
+        raise SchemaError(f"{path}: split_policy must be a string")
+    for key in ("merge_policy", "name"):
+        if data.get(key) is not None and not isinstance(data[key], str):
             raise SchemaError(f"{path}: {key} must be a string")
     for key in ("parallel", "wait"):
         if key in data and not isinstance(data[key], bool):
@@ -219,13 +223,14 @@ def _write_meta(run_dir: Path, source: Path, collector: ResultCollector) -> None
 
 
 def _finalize_record(run_dir: Path, source: Path, collector: ResultCollector) -> int:
+    """Write the final files, merged.json last: a merge that raises leaves the rest."""
     tree = collector.get_results(block=True)
     (run_dir / "results.json").write_text(tree_to_json(tree) + "\n", encoding="utf-8")
+    _write_json(run_dir / "status.json", _status_payload(collector))
+    _write_meta(run_dir, source, collector)
     if collector.merge_policy is not None:
         merged, metadata = collector.get_merged_results()
         _write_json(run_dir / "merged.json", {"merged": merged, "metadata": metadata})
-    _write_json(run_dir / "status.json", _status_payload(collector))
-    _write_meta(run_dir, source, collector)
     return EXIT_JOB_FAILED if collector.failed_jobs() else EXIT_OK
 
 

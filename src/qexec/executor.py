@@ -11,7 +11,6 @@ the same plan bit-identical on local simulators regardless of scheduling.
 
 from __future__ import annotations
 
-import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,8 +30,6 @@ from .policies import PolicyRegistry
 from .providers import JobState, ProviderConfig, VirtualProvider
 
 __all__ = ["ExperimentSpec", "QuantumExecutor"]
-
-logger = logging.getLogger(__name__)
 
 _POLL_INITIAL = 0.002
 _POLL_MAX = 0.05
@@ -84,21 +81,17 @@ class QuantumExecutor:
     def add_policy(
         self,
         name: str,
-        kind: str | None = None,
-        fn: Callable | None = None,
         *,
         split_policy: Callable | None = None,
         merge_policy: Callable | None = None,
     ) -> None:
-        """Register a runtime policy, by (name, kind, fn) or keyword form
-        add_policy(name=..., split_policy=fn) / add_policy(name=..., merge_policy=fn)."""
-        if split_policy is not None:
-            kind, fn = "split", split_policy
-        elif merge_policy is not None:
-            kind, fn = "merge", merge_policy
-        if kind is None or fn is None:
-            raise PolicyError("add_policy needs kind and fn (or split_policy=/merge_policy=)")
-        self.policies.register(name, kind, fn)
+        """Register a split policy, a merge policy or both under one name:
+        add_policy("spread", split_policy=fn), add_policy("median", merge_policy=fn)."""
+        if split_policy is None and merge_policy is None:
+            raise PolicyError("add_policy needs split_policy=, merge_policy= or both")
+        for kind, fn in (("split", split_policy), ("merge", merge_policy)):
+            if fn is not None:
+                self.policies.register(name, kind, fn)
 
     # -- runs -----------------------------------------------------------------
 
@@ -111,9 +104,6 @@ class QuantumExecutor:
         if spec is None:
             spec = ExperimentSpec(**kwargs)
         split_fn = self.policies.resolve_split(spec.split_policy)
-        merge_fn = (
-            self.policies.resolve_merge(spec.merge_policy) if spec.merge_policy else None
-        )
 
         targets: list[tuple[str, str]] = []
         for provider_id in sorted(spec.backends):
@@ -134,7 +124,7 @@ class QuantumExecutor:
             dispatch,
             parallel=spec.parallel,
             wait=spec.wait,
-            merge_policy=(spec.merge_policy, merge_fn) if merge_fn else None,
+            merge_policy=spec.merge_policy,
             base_seed=spec.base_seed,
             policy_context=spec.policy_context,
         )
@@ -144,7 +134,7 @@ class QuantumExecutor:
         dispatch: Dispatch,
         parallel: bool = True,
         wait: bool = True,
-        merge_policy: str | tuple[str, Callable] | None = None,
+        merge_policy: str | None = None,
         base_seed: int = 0,
         policy_context: Mapping[str, Any] | None = None,
     ) -> ResultCollector:
@@ -152,9 +142,10 @@ class QuantumExecutor:
 
         parallel=True runs one worker lane per distinct backend; wait=True
         blocks until the run is terminal, wait=False returns a live collector
-        whose completion progresses in the background.
+        whose completion progresses in the background. merge_policy names a
+        registered merge policy; None or "" means no merge.
         """
-        merge_name, merge_fn = self._resolve_merge(merge_policy)
+        merge_fn = self.policies.resolve_merge(merge_policy) if merge_policy else None
         if dispatch.total_jobs() > 0 and not self.virtual_provider.providers():
             raise ProviderError("no providers registered")
         violations = dispatch.validate_against(self.virtual_provider)
@@ -164,7 +155,7 @@ class QuantumExecutor:
         context = dict(policy_context or {})
         context.setdefault("backend_info", {}).update(self._backend_info(dispatch))
         collector = ResultCollector(
-            dispatch, merge_policy=merge_name, merge_fn=merge_fn, policy_context=context
+            dispatch, merge_policy=merge_policy or None, merge_fn=merge_fn, policy_context=context
         )
 
         lanes = dispatch.backends()
@@ -185,15 +176,6 @@ class QuantumExecutor:
         if wait:
             collector.wait()
         return collector
-
-    def _resolve_merge(self, merge_policy) -> tuple[str | None, Callable | None]:
-        if merge_policy is None:
-            return None, None
-        if isinstance(merge_policy, tuple):
-            return merge_policy
-        if callable(merge_policy):
-            return getattr(merge_policy, "__name__", "merge"), merge_policy
-        return merge_policy, self.policies.resolve_merge(merge_policy)
 
     def _backend_info(self, dispatch: Dispatch) -> dict[str, dict]:
         info: dict[str, dict] = {}
@@ -217,37 +199,32 @@ class QuantumExecutor:
     ) -> None:
         """Submit this backend's jobs in order, then wait for each in turn:
         poll it with a backoff that restarts per job and record it once
-        terminal. A job whose status or result raises fails alone."""
-        try:
-            submitted = []
-            for spec in specs:
+        terminal. Each job has its own try, so whatever raises fails one job."""
+        submitted = []
+        for spec in specs:
+            try:
                 options = dict(spec.options)
                 options["seed"] = base_seed + spec.ordinal
-                try:
-                    handle = self.virtual_provider.submit(
-                        provider_id, backend_name, spec.circuit, spec.shots, options
-                    )
-                    collector.record_submitted(spec.ordinal, handle)
-                    submitted.append((spec.ordinal, handle))
-                except Exception as exc:
-                    collector.record_failed(spec.ordinal, str(exc))
+                handle = self.virtual_provider.submit(
+                    provider_id, backend_name, spec.circuit, spec.shots, options
+                )
+                collector.record_submitted(spec.ordinal, handle)
+                submitted.append((spec.ordinal, handle))
+            except Exception as exc:
+                collector.record_failed(spec.ordinal, str(exc))
 
-            for ordinal, handle in submitted:
-                try:
-                    interval = _POLL_INITIAL
+        for ordinal, handle in submitted:
+            try:
+                interval = _POLL_INITIAL
+                status = self.virtual_provider.status(handle)
+                while not status.state.terminal:
+                    collector.record_status(ordinal, status)
+                    time.sleep(interval)
+                    interval = min(interval * 1.5, _POLL_MAX)
                     status = self.virtual_provider.status(handle)
-                    while not status.state.terminal:
-                        collector.record_status(ordinal, status)
-                        time.sleep(interval)
-                        interval = min(interval * 1.5, _POLL_MAX)
-                        status = self.virtual_provider.status(handle)
-                    if status.state is JobState.FAILED:
-                        collector.record_failed(ordinal, status.error_message or "job failed")
-                    else:
-                        collector.record_result(ordinal, self.virtual_provider.result(handle))
-                except Exception as exc:
-                    collector.record_failed(ordinal, str(exc))
-        except Exception as exc:  # last resort: never leave the run non-terminal
-            logger.exception("lane %s/%s crashed", provider_id, backend_name)
-            for spec in specs:
-                collector.record_failed(spec.ordinal, f"lane failure: {exc}")
+                if status.state is JobState.FAILED:
+                    collector.record_failed(ordinal, status.error_message or "job failed")
+                else:
+                    collector.record_result(ordinal, self.virtual_provider.result(handle))
+            except Exception as exc:
+                collector.record_failed(ordinal, str(exc))

@@ -28,7 +28,6 @@ __all__ = [
     "tvd",
     "merge_tvd",
     "PolicyRegistry",
-    "register_policy",
 ]
 
 SplitPolicyFn = Callable[[list, int, list, Any], Dispatch]
@@ -238,8 +237,3 @@ class PolicyRegistry:
         if kind == "merge":
             return self._merge
         raise PolicyError(f"policy kind must be 'split' or 'merge', got {kind!r}")
-
-
-def register_policy(registry: PolicyRegistry, name: str, kind: str, fn: Callable) -> PolicyRegistry:
-    """Module-level convenience mirroring PolicyRegistry.register."""
-    return registry.register(name, kind, fn)

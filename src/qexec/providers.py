@@ -131,9 +131,16 @@ class ProviderConfig:
             )
         noise = data.get("noise")
         if isinstance(noise, Mapping):
-            noise = NoiseSpec(float(noise.get("p_depolarizing", 0.0)))
-        elif noise is not None:
+            if set(noise) != {"p_depolarizing"}:
+                raise ProviderConfigError(
+                    f"provider {provider_id!r}: noise mapping must hold exactly p_depolarizing"
+                )
+            noise = noise["p_depolarizing"]
+        if noise is not None:
             noise = NoiseSpec(float(noise))
+        online = data.get("online", True)
+        if not isinstance(online, bool):
+            raise ProviderConfigError(f"provider {provider_id!r}: online must be a boolean")
         credentials = {}
         if "api_key" in data:
             credentials["api_key"] = str(data["api_key"])
@@ -145,7 +152,7 @@ class ProviderConfig:
             noise=noise,
             delay=float(data["delay"]) if "delay" in data else None,
             max_qubits=int(data.get("max_qubits", MAX_WIDTH_DEFAULT)),
-            online=bool(data.get("online", True)),
+            online=online,
         )
 
 

@@ -136,6 +136,54 @@ def test_run_unknown_policy_exit2_no_run_dir(tmp_path, store):
     assert not store.exists()
 
 
+def test_run_merge_failure_leaves_complete_record(tmp_path, store):
+    # tvd compares one run per backend, so two circuits on one backend make
+    # the merge raise after every job is done.
+    providers = tmp_path / "providers.yaml"
+    providers.write_text("slow: {kind: mock_delay, delay: 0.3}\n")
+    payload = {
+        "circuits": [BELL_QASM, BELL_QASM],
+        "shots": 16,
+        "backends": {"slow": ["delayed_statevector"]},
+        "merge_policy": "tvd",
+    }
+    exp = write_experiment(tmp_path, payload)
+    result = run_cli("--store", str(store), "--providers", str(providers), "run", str(exp))
+    assert result.returncode == 2
+    assert "one run per backend" in result.stderr
+    run_dir = store / result.stdout.splitlines()[0].strip()
+    statuses = json.loads((run_dir / "status.json").read_text())
+    assert [entry["state"] for entry in statuses.values()] == ["DONE", "DONE"]
+    assert json.loads((run_dir / "meta.json").read_text())["finished_at"] is not None
+    assert (run_dir / "results.json").exists()
+    assert not (run_dir / "merged.json").exists()
+
+
+def test_run_null_split_policy_exit1(tmp_path, store):
+    exp = write_experiment(tmp_path, dict(INLINE_EXPERIMENT, split_policy=None))
+    result = run_cli("--store", str(store), "run", str(exp))
+    assert result.returncode == 1
+    assert "split_policy must be a string" in result.stderr
+    assert not store.exists()
+
+
+def test_run_null_merge_policy_and_name_allowed(tmp_path, store):
+    exp = write_experiment(tmp_path, dict(INLINE_EXPERIMENT, merge_policy=None, name=None))
+    result = run_cli("--store", str(store), "run", str(exp))
+    assert result.returncode == 0, result.stderr
+
+
+def test_run_bad_providers_file_exit1(tmp_path, store):
+    providers = tmp_path / "providers.yaml"
+    providers.write_text("local_noisy: {kind: local_noisy, noise: {p: 0.05}}\n")
+    payload = dict(INLINE_EXPERIMENT, backends={"local_noisy": ["noisy_statevector"]})
+    exp = write_experiment(tmp_path, payload)
+    result = run_cli("--store", str(store), "--providers", str(providers), "run", str(exp))
+    assert result.returncode == 1
+    assert "p_depolarizing" in result.stderr
+    assert not store.exists()
+
+
 def test_run_unknown_key_exit1(tmp_path, store):
     payload = dict(INLINE_EXPERIMENT, frobnicate=True)
     exp = write_experiment(tmp_path, payload)

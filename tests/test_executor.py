@@ -18,6 +18,7 @@ from qexec.errors import (
     DispatchValidationError,
     DuplicatePolicyError,
     ExperimentError,
+    PolicyError,
     ProviderError,
     UnknownBackendError,
     UnknownPolicyError,
@@ -392,6 +393,39 @@ def test_submit_failure_recorded_not_raised(local_executor, bell):
     assert sum(collector.get_results()["local_ideal"]["statevector"][0].values()) == 8
 
 
+def test_run_dispatch_merges_by_name(local_executor, bell):
+    dispatch = Dispatch()
+    dispatch.add_job("local_ideal", "statevector", bell, 16)
+    dispatch.add_job("local_noisy", "noisy_statevector", bell, 16)
+    collector = local_executor.run_dispatch(dispatch, merge_policy="sum")
+    assert collector.merge_policy == "sum"
+    merged, metadata = collector.get_merged_results()
+    assert sum(merged.values()) == 32
+    assert metadata["jobs"] == 2
+
+
+def test_run_dispatch_unknown_merge_name_submits_nothing(local_executor, bell, submit_calls):
+    dispatch = Dispatch().add_job("local_ideal", "statevector", bell, 16)
+    with pytest.raises(UnknownPolicyError, match="nope"):
+        local_executor.run_dispatch(dispatch, merge_policy="nope")
+    assert submit_calls == []
+
+
+def test_lane_error_fails_only_its_own_job(local_executor, bell):
+    # base_seed=None makes building every job's seed raise inside the lane.
+    dispatch = Dispatch()
+    dispatch.add_job("local_ideal", "statevector", bell, 8)
+    dispatch.add_job("local_ideal", "statevector", bell, 8)
+    dispatch.add_job("local_noisy", "noisy_statevector", bell, 8)
+    collector = local_executor.run_dispatch(dispatch, base_seed=None)
+    assert collector.is_terminal()
+    failed = collector.failed_jobs()
+    assert [job["ordinal"] for job in failed] == [0, 1, 2]
+    for job in failed:
+        assert "NoneType" in job["error"]
+        assert not job["error"].startswith("lane failure:")
+
+
 def test_policy_boundary_integrity(local_executor, bell):
     # multiplier + sum over the full experiment == leaf-for-leaf sum of
     # individually dispatched (circuit, backend) runs with matching seeds.
@@ -450,9 +484,26 @@ def test_add_policy_keyword_form_and_use(local_executor, bell):
 
 
 def test_add_policy_duplicate(local_executor):
-    local_executor.add_policy("mine", "merge", lambda r, c: ({}, {}))
+    local_executor.add_policy("mine", merge_policy=lambda r, c: ({}, {}))
     with pytest.raises(DuplicatePolicyError):
-        local_executor.add_policy("mine", "merge", lambda r, c: ({}, {}))
+        local_executor.add_policy("mine", merge_policy=lambda r, c: ({}, {}))
+
+
+def test_add_policy_registers_split_and_merge_together(local_executor):
+    def split(circuits, shots, targets, options=None):
+        return Dispatch()
+
+    def merge(results, context):
+        return {}, {}
+
+    local_executor.add_policy("both", split_policy=split, merge_policy=merge)
+    assert local_executor.policies.resolve_split("both") is split
+    assert local_executor.policies.resolve_merge("both") is merge
+
+
+def test_add_policy_needs_a_policy(local_executor):
+    with pytest.raises(PolicyError, match="split_policy=, merge_policy= or both"):
+        local_executor.add_policy("none")
 
 
 def test_add_policy_custom_split_used(local_executor, bell):

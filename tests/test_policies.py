@@ -9,7 +9,6 @@ from qexec import (
     PolicyRegistry,
     merge_sum,
     merge_tvd,
-    register_policy,
     split_even,
     split_multiplier,
     tvd,
@@ -295,7 +294,7 @@ def test_registry_register_and_resolve():
     def median_merge(results, context):
         return {}, {}
 
-    register_policy(registry, "median", "merge", median_merge)
+    registry.register("median", "merge", median_merge)
     assert registry.resolve_merge("median") is median_merge
 
 

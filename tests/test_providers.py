@@ -80,6 +80,24 @@ def test_provider_config_from_dict_rejects_unknown_keys():
         ProviderConfig.from_dict("p", {"kind": "local_ideal", "color": "red"})
 
 
+def test_provider_config_from_dict_reads_noise():
+    for noise in (0.05, {"p_depolarizing": 0.05}):
+        config = ProviderConfig.from_dict("n", {"kind": "local_noisy", "noise": noise})
+        assert config.noise == NoiseSpec(0.05)
+
+
+@pytest.mark.parametrize("noise", [{"p": 0.05}, {}, {"p_depolarizing": 0.05, "p": 0.1}])
+def test_provider_config_from_dict_rejects_other_noise_mappings(noise):
+    with pytest.raises(ProviderConfigError, match="exactly p_depolarizing"):
+        ProviderConfig.from_dict("n", {"kind": "local_noisy", "noise": noise})
+
+
+def test_provider_config_from_dict_online_must_be_boolean():
+    assert ProviderConfig.from_dict("m", {"kind": "mock_delay", "online": False}).online is False
+    with pytest.raises(ProviderConfigError, match="online must be a boolean"):
+        ProviderConfig.from_dict("m", {"kind": "mock_delay", "online": "false"})
+
+
 # --------------------------------------------------------------------------
 # get_backends
 # --------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """The principal orchestrator: wires registry, policies, dispatch, collector.
 
 Runs are declarative (run_experiment with an ExperimentSpec) or explicit
-(run_dispatch with a pre-built Dispatch). Either way, execution is lane-per-
-backend: each distinct backend gets a worker that submits its jobs in order
-and then waits for them one at a time, in that same order, so parallel runs
-overlap across backends while same-backend submission order is preserved.
+(run_dispatch with a pre-built Dispatch). Either way, execution runs in
+lanes. A lane is a worker thread that takes its backends in canonical order
+and, for each, submits its jobs in order and then waits for them one at a
+time, in that same order. In-process simulator backends (local_ideal,
+local_noisy) always share one lane, because their jobs are pure computation
+and overlapping them only contends for the interpreter lock. With parallel
+runs, every other backend (remote_http, mock_delay), whose lane waits on a
+network or a clock, gets a lane of its own; serial runs use one lane for all.
 Job k's seed is base_seed + ordinal(k), making serial and parallel runs of
 the same plan bit-identical on local simulators regardless of scheduling.
 """
@@ -21,6 +25,7 @@ from .collector import ResultCollector
 from .dispatch import Dispatch
 from .errors import (
     DispatchValidationError,
+    DuplicatePolicyError,
     ExperimentError,
     PolicyError,
     ProviderError,
@@ -87,11 +92,16 @@ class QuantumExecutor:
     ) -> None:
         """Register a split policy, a merge policy or both under one name:
         add_policy("spread", split_policy=fn), add_policy("median", merge_policy=fn)."""
-        if split_policy is None and merge_policy is None:
+        given = [(k, fn) for k, fn in (("split", split_policy), ("merge", merge_policy)) if fn]
+        if not given:
             raise PolicyError("add_policy needs split_policy=, merge_policy= or both")
-        for kind, fn in (("split", split_policy), ("merge", merge_policy)):
-            if fn is not None:
-                self.policies.register(name, kind, fn)
+        # Check both names first, so a duplicate leaves neither registered.
+        taken = {"split": self.policies.split_names(), "merge": self.policies.merge_names()}
+        for kind, _ in given:
+            if name in taken[kind]:
+                raise DuplicatePolicyError(f"{kind} policy {name!r} already registered")
+        for kind, fn in given:
+            self.policies.register(name, kind, fn)
 
     # -- runs -----------------------------------------------------------------
 
@@ -140,10 +150,13 @@ class QuantumExecutor:
     ) -> ResultCollector:
         """Submit every job of a validated dispatch and return the collector.
 
-        parallel=True runs one worker lane per distinct backend; wait=True
-        blocks until the run is terminal, wait=False returns a live collector
-        whose completion progresses in the background. merge_policy names a
-        registered merge policy; None or "" means no merge.
+        The in-process simulator backends share one lane, which handles them
+        one after another. parallel=True gives each other backend a lane of
+        its own, so only those overlap; parallel=False runs every backend in
+        that one lane. wait=True blocks until the run is terminal, wait=False
+        returns a live collector whose completion progresses in the
+        background. merge_policy names a registered merge policy; None or ""
+        means no merge.
         """
         merge_fn = self.policies.resolve_merge(merge_policy) if merge_policy else None
         if dispatch.total_jobs() > 0 and not self.virtual_provider.providers():
@@ -158,20 +171,18 @@ class QuantumExecutor:
             dispatch, merge_policy=merge_policy or None, merge_fn=merge_fn, policy_context=context
         )
 
-        lanes = dispatch.backends()
+        lanes: list[list[tuple]] = [[]]  # lanes[0] is the shared lane
+        for provider_id, backend_name in dispatch.backends():
+            backend = (provider_id, backend_name, dispatch.jobs_for(provider_id, backend_name))
+            if parallel and not self.virtual_provider.in_process(provider_id):
+                lanes.append([backend])
+            else:
+                lanes[0].append(backend)
+        lanes = [lane for lane in lanes if lane]
         if lanes:
-            pool = ThreadPoolExecutor(
-                max_workers=len(lanes) if parallel else 1, thread_name_prefix="qexec-lane"
-            )
-            for provider_id, backend_name in lanes:
-                pool.submit(
-                    self._run_lane,
-                    provider_id,
-                    backend_name,
-                    dispatch.jobs_for(provider_id, backend_name),
-                    base_seed,
-                    collector,
-                )
+            pool = ThreadPoolExecutor(max_workers=len(lanes), thread_name_prefix="qexec-lane")
+            for lane in lanes:
+                pool.submit(self._run_lane, lane, base_seed, collector)
             pool.shutdown(wait=False)
         if wait:
             collector.wait()
@@ -189,7 +200,12 @@ class QuantumExecutor:
                 }
         return info
 
-    def _run_lane(
+    def _run_lane(self, backends: list[tuple], base_seed: int, collector: ResultCollector) -> None:
+        """Run each backend's jobs to completion before the next backend's."""
+        for provider_id, backend_name, specs in backends:
+            self._run_backend(provider_id, backend_name, specs, base_seed, collector)
+
+    def _run_backend(
         self,
         provider_id: str,
         backend_name: str,

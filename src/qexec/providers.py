@@ -141,6 +141,10 @@ class ProviderConfig:
         online = data.get("online", True)
         if not isinstance(online, bool):
             raise ProviderConfigError(f"provider {provider_id!r}: online must be a boolean")
+        numbers = (("max_qubits", int, "an integer"), ("delay", (int, float), "a number"))
+        for key, types, what in numbers:
+            if key in data and (isinstance(data[key], bool) or not isinstance(data[key], types)):
+                raise ProviderConfigError(f"provider {provider_id!r}: {key} must be {what}")
         credentials = {}
         if "api_key" in data:
             credentials["api_key"] = str(data["api_key"])
@@ -151,7 +155,7 @@ class ProviderConfig:
             endpoint=data.get("endpoint"),
             noise=noise,
             delay=float(data["delay"]) if "delay" in data else None,
-            max_qubits=int(data.get("max_qubits", MAX_WIDTH_DEFAULT)),
+            max_qubits=data.get("max_qubits", MAX_WIDTH_DEFAULT),
             online=online,
         )
 
@@ -303,6 +307,9 @@ _LOCAL_BACKENDS = {
     "local_noisy": ("noisy_statevector", False),
     "mock_delay": ("delayed_statevector", False),
 }
+# Kinds whose jobs are pure in-process computation: they never wait on a
+# network or a clock, so overlapping them only contends for the interpreter lock.
+_IN_PROCESS_KINDS = frozenset({"local_ideal", "local_noisy"})
 
 
 class LocalSimulatorAdapter:
@@ -312,6 +319,7 @@ class LocalSimulatorAdapter:
     def __init__(self, config: ProviderConfig):
         self.provider_id = config.provider_id
         self._noise = config.noise
+        self.in_process = config.kind in _IN_PROCESS_KINDS
         backend_name, is_ideal = _LOCAL_BACKENDS[config.kind]
         self._descriptor = BackendDescriptor(
             provider_id=config.provider_id,
@@ -504,6 +512,12 @@ class VirtualProvider:
             adapter = self._adapters.get(provider_id)
         backends = adapter.backends() if adapter is not None else ()
         return next((d for d in backends if d.backend_name == backend_name), None)
+
+    def in_process(self, provider_id: str) -> bool:
+        """True for a local_ideal or local_noisy provider, False for any other."""
+        with self._lock:
+            adapter = self._adapters.get(provider_id)
+        return getattr(adapter, "in_process", False)
 
     def submit(
         self,

@@ -184,6 +184,17 @@ def test_run_bad_providers_file_exit1(tmp_path, store):
     assert not store.exists()
 
 
+def test_run_fractional_max_qubits_exit1(tmp_path, store):
+    providers = tmp_path / "providers.yaml"
+    providers.write_text("local_ideal: {kind: local_ideal, max_qubits: 3.7}\n")
+    payload = dict(INLINE_EXPERIMENT, backends={"local_ideal": ["statevector"]})
+    exp = write_experiment(tmp_path, payload)
+    result = run_cli("--store", str(store), "--providers", str(providers), "run", str(exp))
+    assert result.returncode == 1
+    assert "max_qubits must be an integer" in result.stderr
+    assert not store.exists()
+
+
 def test_run_unknown_key_exit1(tmp_path, store):
     payload = dict(INLINE_EXPERIMENT, frobnicate=True)
     exp = write_experiment(tmp_path, payload)

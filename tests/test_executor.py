@@ -8,6 +8,7 @@ import qexec.providers
 from qexec import (
     Dispatch,
     ExperimentSpec,
+    NoiseSpec,
     ProviderConfig,
     QuantumExecutor,
     VirtualProvider,
@@ -217,6 +218,69 @@ def test_lane_status_error_fails_only_that_job(local_executor, bell):
     assert [statuses[o].state for o in range(3)] == [JobState.DONE, JobState.FAILED, JobState.DONE]
     assert statuses[1].error_message == "status check exploded"
     assert collector.get_results()["flaky"]["device"] == [{"00": 8}, {"00": 8}]
+
+
+# --------------------------------------------------------------------------
+# lanes: which backends overlap
+# --------------------------------------------------------------------------
+
+
+def test_in_process_backends_run_one_at_a_time(bell, monkeypatch):
+    # The three in-process backends share one lane, which finishes one
+    # backend's jobs before it submits the next's: one kernel call at a time.
+    lock = threading.Lock()
+    in_flight = [0, 0]  # now, most seen
+
+    def counted(kernel):
+        def wrapper(*args, **kwargs):
+            with lock:
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight[1], in_flight[0])
+            try:
+                time.sleep(0.002)
+                return kernel(*args, **kwargs)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        return wrapper
+
+    monkeypatch.setattr(qexec.providers, "sample", counted(qexec.providers.sample))
+    monkeypatch.setattr(qexec.providers, "sample_noisy", counted(qexec.providers.sample_noisy))
+    targets = [("ideal_a", "statevector"), ("ideal_b", "statevector"), ("noisy", "noisy_statevector")]
+    executor = QuantumExecutor(
+        providers=[
+            ProviderConfig("ideal_a", "local_ideal"),
+            ProviderConfig("ideal_b", "local_ideal"),
+            ProviderConfig("noisy", "local_noisy", noise=NoiseSpec(0.05)),
+        ]
+    )
+    dispatch = Dispatch()
+    for provider_id, backend_name in targets:
+        for _ in range(10):
+            dispatch.add_job(provider_id, backend_name, bell, 16)
+    collector = executor.run_dispatch(dispatch, parallel=True, wait=True)
+    assert collector.failed_jobs() == []
+    assert in_flight[1] == 1
+
+
+def test_waiting_backends_keep_lanes_of_their_own(bell):
+    # Each mock_delay backend waits on its clock in its own lane, so the two
+    # overlap and the run takes about one delay, not two.
+    executor = QuantumExecutor(
+        providers=[
+            ProviderConfig("mock_a", "mock_delay", delay=0.4),
+            ProviderConfig("mock_b", "mock_delay", delay=0.4),
+        ]
+    )
+    dispatch = Dispatch()
+    for provider_id in ("mock_a", "mock_b"):
+        for _ in range(3):
+            dispatch.add_job(provider_id, "delayed_statevector", bell, 16)
+    start = time.monotonic()
+    collector = executor.run_dispatch(dispatch, parallel=True, wait=True)
+    assert time.monotonic() - start < 0.7
+    assert collector.failed_jobs() == []
 
 
 # --------------------------------------------------------------------------
@@ -487,6 +551,15 @@ def test_add_policy_duplicate(local_executor):
     local_executor.add_policy("mine", merge_policy=lambda r, c: ({}, {}))
     with pytest.raises(DuplicatePolicyError):
         local_executor.add_policy("mine", merge_policy=lambda r, c: ({}, {}))
+
+
+def test_add_policy_duplicate_registers_neither(local_executor):
+    # "sum" is a built-in merge policy, so the split half must not stay behind.
+    with pytest.raises(DuplicatePolicyError, match="merge policy 'sum'"):
+        local_executor.add_policy(
+            "sum", split_policy=lambda *args: Dispatch(), merge_policy=lambda r, c: ({}, {})
+        )
+    assert "sum" not in local_executor.policies.split_names()
 
 
 def test_add_policy_registers_split_and_merge_together(local_executor):

@@ -98,6 +98,32 @@ def test_provider_config_from_dict_online_must_be_boolean():
         ProviderConfig.from_dict("m", {"kind": "mock_delay", "online": "false"})
 
 
+@pytest.mark.parametrize(
+    "key, value", [("max_qubits", 3.7), ("max_qubits", True), ("delay", True), ("delay", "0.2")]
+)
+def test_provider_config_from_dict_rejects_loose_numbers(key, value):
+    with pytest.raises(ProviderConfigError, match=f"{key} must be"):
+        ProviderConfig.from_dict("m", {"kind": "mock_delay", key: value})
+
+
+def test_provider_config_from_dict_reads_numbers():
+    assert ProviderConfig.from_dict("m", {"kind": "mock_delay", "max_qubits": 5}).max_qubits == 5
+    for delay in (1, 0.2):
+        config = ProviderConfig.from_dict("m", {"kind": "mock_delay", "delay": delay})
+        assert config.delay == delay and isinstance(config.delay, float)
+
+
+def test_in_process_follows_provider_kind(remote_server):
+    registry = VirtualProvider()
+    registry.register_provider(ProviderConfig("ideal", "local_ideal"))
+    registry.register_provider(ProviderConfig("noisy", "local_noisy", noise=NoiseSpec(0.01)))
+    registry.register_provider(ProviderConfig("mock", "mock_delay", delay=0.1))
+    registry.register_provider(ProviderConfig("remote", "remote_http", endpoint=remote_server.endpoint))
+    assert [registry.in_process(p) for p in ("ideal", "noisy", "mock", "remote", "ghost")] == [
+        True, True, False, False, False
+    ]
+
+
 # --------------------------------------------------------------------------
 # get_backends
 # --------------------------------------------------------------------------

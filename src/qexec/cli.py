@@ -13,10 +13,10 @@ file, never in experiment files. Run records are JSON under the run store
 re-running never mutates a prior record. ``status`` and ``results`` replay
 from disk only and need no providers to be reachable.
 
-Exit codes for ``run``: 0 success, 1 schema error, 2 pre-flight validation
-failure (nothing submitted, no run directory) or a merge policy that raised
-after the run (the record then holds everything but ``merged.json``),
-3 at least one job FAILED.
+Exit codes for ``run``: 0 success, 1 schema error (in the experiment or the
+providers file), 2 pre-flight validation failure (nothing submitted, no run
+directory) or a merge policy that raised after the run (the record then
+holds everything but ``merged.json``), 3 at least one job FAILED.
 With ``--no-wait`` the run_id prints immediately and the process stays alive
 until the background run finalizes the record.
 """
@@ -37,7 +37,7 @@ import yaml
 
 from .circuit import Circuit, parse_qasm
 from .collector import ResultCollector, to_table, tree_to_json
-from .errors import QasmError, QExecError
+from .errors import ProviderConfigError, QasmError, QExecError
 from .executor import ExperimentSpec, QuantumExecutor
 from .providers import ProviderConfig
 from .simulator import NoiseSpec
@@ -99,7 +99,7 @@ def load_experiment_file(path: Path) -> dict[str, Any]:
         raise SchemaError(f"{path}: circuits must be a non-empty list")
     if not all(isinstance(c, str) for c in data["circuits"]):
         raise SchemaError(f"{path}: circuits entries must be strings (path or inline QASM)")
-    if not isinstance(data["shots"], int) or data["shots"] < 1:
+    if isinstance(data["shots"], bool) or not isinstance(data["shots"], int) or data["shots"] < 1:
         raise SchemaError(f"{path}: shots must be a positive integer")
     backends = data["backends"]
     if backends != "all_online" and not isinstance(backends, Mapping):
@@ -116,7 +116,7 @@ def load_experiment_file(path: Path) -> dict[str, Any]:
     for key in ("parallel", "wait"):
         if key in data and not isinstance(data[key], bool):
             raise SchemaError(f"{path}: {key} must be a boolean")
-    if "seed" in data and not isinstance(data["seed"], int):
+    if "seed" in data and (isinstance(data["seed"], bool) or not isinstance(data["seed"], int)):
         raise SchemaError(f"{path}: seed must be an integer")
     if "policy_context" in data and not isinstance(data["policy_context"], Mapping):
         raise SchemaError(f"{path}: policy_context must be a mapping")
@@ -378,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         logging.basicConfig(level=logging.DEBUG)
     try:
         return args.handler(args)
-    except (SchemaError, QasmError) as exc:
+    except (SchemaError, QasmError, ProviderConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except QExecError as exc:

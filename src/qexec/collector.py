@@ -87,7 +87,7 @@ class ResultCollector:
             self._table.set_running(ordinal)
 
     def record_result(self, ordinal: int, counts: dict[str, int]) -> None:
-        self._table.set_done(ordinal, dict(counts))
+        self._table.set_done(ordinal, counts)
 
     def record_failed(self, ordinal: int, message: str) -> None:
         self._table.set_failed(ordinal, message)
@@ -130,13 +130,12 @@ class ResultCollector:
         return self._build_tree()
 
     def _build_tree(self) -> dict:
-        done = self._table.done_counts()
+        statuses, _ = self._table.snapshot()
         tree: dict[str, dict[str, list[dict[str, int]]]] = {}
         for provider_id, backend_name, spec in self.dispatch.jobs():
-            if spec.ordinal in done:
-                tree.setdefault(provider_id, {}).setdefault(backend_name, []).append(
-                    done[spec.ordinal]
-                )
+            counts = statuses[spec.ordinal].counts
+            if counts is not None:
+                tree.setdefault(provider_id, {}).setdefault(backend_name, []).append(counts)
         return tree
 
     def failed_jobs(self) -> list[dict]:

@@ -214,8 +214,8 @@ class QuantumExecutor:
         collector: ResultCollector,
     ) -> None:
         """Submit this backend's jobs in order, then wait for each in turn:
-        poll it with a backoff that restarts per job and record it once
-        terminal. Each job has its own try, so whatever raises fails one job."""
+        poll it with a backoff that restarts per job and record its terminal
+        status, counts and all. Each job has its own try, so whatever raises fails one job."""
         submitted = []
         for spec in specs:
             try:
@@ -241,6 +241,6 @@ class QuantumExecutor:
                 if status.state is JobState.FAILED:
                     collector.record_failed(ordinal, status.error_message or "job failed")
                 else:
-                    collector.record_result(ordinal, self.virtual_provider.result(handle))
+                    collector.record_result(ordinal, status.counts)
             except Exception as exc:
                 collector.record_failed(ordinal, str(exc))

@@ -11,9 +11,12 @@ Four provider kinds ship built-in:
 * ``remote_http``   - client for the qexec remote job service wire protocol
 
 Submission is non-blocking for every kind: jobs enter QUEUED immediately and
-progress QUEUED -> RUNNING -> DONE/FAILED, observable through status().
+progress QUEUED -> RUNNING -> DONE/FAILED, observable through status(), the
+one way to read a job: a DONE status carries the job's counts.
 The registry holds only its adapters and is safe for concurrent use; a job
 is known by (provider_id, job_id), the id that provider's adapter issued.
+A provider's settings are checked when it is registered, so a providers file
+and a ProviderConfig built in Python meet the same checks.
 """
 
 from __future__ import annotations
@@ -75,8 +78,11 @@ _STATE_RANK = {JobState.QUEUED: 0, JobState.RUNNING: 1, JobState.DONE: 2, JobSta
 
 @dataclass(frozen=True)
 class JobStatus:
+    """A job's state; ``counts`` holds its histogram once DONE, else None."""
+
     state: JobState
     error_message: str | None = None
+    counts: dict[str, int] | None = field(default=None, hash=False)
 
 
 @dataclass(frozen=True)
@@ -137,14 +143,10 @@ class ProviderConfig:
                 )
             noise = noise["p_depolarizing"]
         if noise is not None:
-            noise = NoiseSpec(float(noise))
+            noise = NoiseSpec(noise)
         online = data.get("online", True)
         if not isinstance(online, bool):
             raise ProviderConfigError(f"provider {provider_id!r}: online must be a boolean")
-        numbers = (("max_qubits", int, "an integer"), ("delay", (int, float), "a number"))
-        for key, types, what in numbers:
-            if key in data and (isinstance(data[key], bool) or not isinstance(data[key], types)):
-                raise ProviderConfigError(f"provider {provider_id!r}: {key} must be {what}")
         credentials = {}
         if "api_key" in data:
             credentials["api_key"] = str(data["api_key"])
@@ -154,7 +156,7 @@ class ProviderConfig:
             credentials=credentials,
             endpoint=data.get("endpoint"),
             noise=noise,
-            delay=float(data["delay"]) if "delay" in data else None,
+            delay=data.get("delay"),
             max_qubits=data.get("max_qubits", MAX_WIDTH_DEFAULT),
             online=online,
         )
@@ -169,15 +171,15 @@ class JobTable:
     """Thread-safe job store enforcing QUEUED -> RUNNING -> DONE/FAILED.
 
     A transition that would move a job backwards, or out of a terminal
-    state, is ignored: the first terminal state recorded wins. The table
-    counts its pending (non-terminal) jobs. ``finished_at`` is the wall-clock
-    time at which the last pending job became terminal, and None exactly
-    while a job is pending; wait() blocks until no job is pending.
+    state, is ignored: the first terminal state recorded wins. A DONE
+    status holds the job's counts, and status() hands out a copy of them.
+    The table counts its pending (non-terminal) jobs. ``finished_at`` is the
+    wall-clock time at which the last pending job became terminal, and None
+    exactly while a job is pending; wait() blocks until no job is pending.
     """
 
     def __init__(self, keys: Iterable[Hashable] = ()):
         self._statuses: dict[Hashable, JobStatus] = {}
-        self._counts: dict[Hashable, dict[str, int]] = {}  # DONE jobs only
         self._pending = 0
         self._cond = threading.Condition()
         self.finished_at: float | None = time.time()
@@ -192,15 +194,11 @@ class JobTable:
             self._pending += 1
             self.finished_at = None
 
-    def _transition(
-        self, key: Hashable, status: JobStatus, counts: dict[str, int] | None = None
-    ) -> None:
+    def _transition(self, key: Hashable, status: JobStatus) -> None:
         with self._cond:
             if _STATE_RANK[status.state] <= _STATE_RANK[self._statuses[key].state]:
                 return
             self._statuses[key] = status
-            if status.state is JobState.DONE:
-                self._counts[key] = counts
             if status.state.terminal:
                 self._pending -= 1
                 if not self._pending:
@@ -211,7 +209,7 @@ class JobTable:
         self._transition(key, JobStatus(JobState.RUNNING))
 
     def set_done(self, key: Hashable, counts: dict[str, int]) -> None:
-        self._transition(key, JobStatus(JobState.DONE), counts)
+        self._transition(key, JobStatus(JobState.DONE, counts=dict(counts)))
 
     def set_failed(self, key: Hashable, message: str) -> None:
         self._transition(key, JobStatus(JobState.FAILED, message))
@@ -222,32 +220,31 @@ class JobTable:
             return self._cond.wait_for(lambda: not self._pending, timeout)
 
     def status(self, key: Hashable) -> JobStatus:
-        """The job's status; UnknownJobError if the table never saw the key."""
+        """The job's status, with a copy of its counts once DONE;
+        UnknownJobError if the table never saw the key."""
         with self._cond:
             if key not in self._statuses:
                 raise UnknownJobError(f"unknown job {key!r}")
-            return self._statuses[key]
+            status = self._statuses[key]
+        if status.counts is None:
+            return status
+        return replace(status, counts=dict(status.counts))
 
     def snapshot(self) -> tuple[dict[Hashable, JobStatus], float | None]:
         """Every job's status and ``finished_at``, read together."""
         with self._cond:
             return dict(self._statuses), self.finished_at
 
-    def done_counts(self) -> dict[Hashable, dict[str, int]]:
-        """Counts of every DONE job, by key."""
-        with self._cond:
-            return dict(self._counts)
-
     def result(self, key: Hashable) -> dict[str, int]:
         """Counts of a DONE job; JobNotReadyError / JobFailedError otherwise,
-        UnknownJobError if the table never saw the key."""
-        with self._cond:
-            status = self.status(key)  # the Condition's lock is reentrant
-            if status.state is JobState.FAILED:
-                raise JobFailedError(status.error_message or "job failed")
-            if status.state is not JobState.DONE:
-                raise JobNotReadyError(f"job is {status.state.value}")
-            return dict(self._counts[key])
+        UnknownJobError if the table never saw the key. Serves the job
+        service's /result route only."""
+        status = self.status(key)
+        if status.state is JobState.FAILED:
+            raise JobFailedError(status.error_message or "job failed")
+        if status.state is not JobState.DONE:
+            raise JobNotReadyError(f"job is {status.state.value}")
+        return status.counts
 
 
 class JobRunner:
@@ -345,9 +342,6 @@ class LocalSimulatorAdapter:
     def status(self, job_id: str) -> JobStatus:
         return self._runner.table.status(job_id)
 
-    def result(self, job_id: str) -> dict[str, int]:
-        return self._runner.table.result(job_id)
-
 
 class RemoteHttpAdapter:
     """Client for the qexec remote job service wire protocol."""
@@ -422,24 +416,20 @@ class RemoteHttpAdapter:
             return JobStatus(JobState.FAILED, "remote job not found")
         try:
             payload = response.json()
-            return JobStatus(JobState(payload["state"]), payload.get("error"))
-        except (ValueError, KeyError) as exc:
+            state = JobState(payload["state"])
+            counts = _wire_counts(payload["counts"]) if state is JobState.DONE else None
+            return JobStatus(state, payload.get("error"), counts)
+        except (ValueError, KeyError, TypeError) as exc:
             return JobStatus(JobState.FAILED, f"malformed status response: {exc}")
 
-    def result(self, job_id: str) -> dict[str, int]:
-        try:
-            response = self._session.get(
-                f"{self._endpoint}/jobs/{job_id}/result", timeout=self._timeout
-            )
-        except requests.RequestException as exc:
-            raise JobFailedError(f"remote result fetch failed: {exc}") from exc
-        if response.status_code == 200:
-            return {str(k): int(v) for k, v in response.json().items()}
-        if response.status_code == 409:
-            raise JobNotReadyError("remote job not ready")
-        if response.status_code == 410:
-            raise JobFailedError(response.json().get("error", "remote job failed"))
-        raise JobFailedError(f"remote job gone ({response.status_code})")
+
+def _wire_counts(counts: Any) -> dict[str, int]:
+    """A DONE job's counts as the service sent them: bitstring -> integer."""
+    if not isinstance(counts, dict) or not all(
+        isinstance(n, int) and not isinstance(n, bool) for n in counts.values()
+    ):
+        raise ValueError(f"counts must map bitstrings to integers, got {counts!r}")
+    return counts
 
 
 _ADAPTER_KINDS = {
@@ -464,6 +454,13 @@ def _build_adapter(config: ProviderConfig):
             raise ProviderConfigError(
                 f"provider {config.provider_id!r}: {setting} applies only to {kind}, not {config.kind}"
             )
+    for setting, types, what in (
+        ("max_qubits", int, "an integer"),
+        ("delay", (int, float, type(None)), "a number"),
+    ):
+        value = getattr(config, setting)
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ProviderConfigError(f"provider {config.provider_id!r}: {setting} must be {what}")
     return _ADAPTER_KINDS[config.kind](config)
 
 
@@ -546,8 +543,5 @@ class VirtualProvider:
         return adapter
 
     def status(self, handle: JobHandle) -> JobStatus:
+        """The job's status; once DONE it carries the job's counts."""
         return self._adapter_for(handle).status(handle.job_id)
-
-    def result(self, handle: JobHandle) -> dict[str, int]:
-        """Counts for a DONE job; raises JobNotReadyError / JobFailedError otherwise."""
-        return self._adapter_for(handle).result(handle.job_id)

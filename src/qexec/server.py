@@ -5,8 +5,8 @@ distributed and asynchronous paths are exercised across a real socket:
 
 * ``GET /backends``          -> [{name, online, max_qubits, is_ideal_simulator}]
 * ``POST /jobs``             -> 201 {job_id, state: "QUEUED"}
-* ``GET /jobs/{id}``         -> {job_id, state}
-* ``GET /jobs/{id}/result``  -> counts | 409 not ready | 410 failed
+* ``GET /jobs/{id}``         -> {job_id, state, error?, counts?}; counts once DONE
+* ``GET /jobs/{id}/result``  -> counts | 409 not ready | 410 failed (for old clients)
 
 JSON bodies, UTF-8, no auth unless an api_key is configured (then every
 request must carry a matching X-API-Key header). Jobs run on the same
@@ -172,6 +172,8 @@ class _Handler(BaseHTTPRequestHandler):
         payload = {"job_id": job_id, "state": status.state.value}
         if status.error_message is not None:
             payload["error"] = status.error_message
+        if status.counts is not None:
+            payload["counts"] = status.counts
         self._send(200, payload)
 
     def _job_result(self, job_id: str) -> None:

@@ -35,8 +35,11 @@ class NoiseSpec:
     p_depolarizing: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p_depolarizing <= 1.0:
-            raise ValueError(f"p_depolarizing must be in [0, 1], got {self.p_depolarizing}")
+        p = self.p_depolarizing
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise ValueError(f"p_depolarizing must be a number, got {p!r}")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p_depolarizing must be in [0, 1], got {p}")
 
 
 @dataclass(frozen=True)

@@ -303,9 +303,9 @@ def test_a8_remote_equivalence():
             ).state.terminal:
                 break
             time.sleep(0.01)
-        remote_counts = registry.result(remote_handle)
-        local_counts = registry.result(local_handle)
-        assert remote_counts == local_counts
+        remote_counts = registry.status(remote_handle).counts
+        local_counts = registry.status(local_handle).counts
+        assert remote_counts is not None and remote_counts == local_counts
 
     with RemoteServer(ServerConfig(delay=0.5)) as server:
         job_id = requests.post(

@@ -195,6 +195,15 @@ def test_run_fractional_max_qubits_exit1(tmp_path, store):
     assert not store.exists()
 
 
+@pytest.mark.parametrize("key, value", [("shots", True), ("seed", False)])
+def test_run_boolean_shots_or_seed_exit1(tmp_path, store, key, value):
+    exp = write_experiment(tmp_path, dict(INLINE_EXPERIMENT, **{key: value}))
+    result = run_cli("--store", str(store), "run", str(exp))
+    assert result.returncode == 1
+    assert f"{key} must be" in result.stderr
+    assert not store.exists()
+
+
 def test_run_unknown_key_exit1(tmp_path, store):
     payload = dict(INLINE_EXPERIMENT, frobnicate=True)
     exp = write_experiment(tmp_path, payload)

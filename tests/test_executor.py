@@ -5,6 +5,7 @@ import pytest
 import requests
 
 import qexec.providers
+import qexec.server
 from qexec import (
     Dispatch,
     ExperimentSpec,
@@ -59,9 +60,6 @@ class _BrokenAdapter:
     def status(self, job_id):
         return JobStatus(JobState.FAILED, "device melted")
 
-    def result(self, job_id):
-        raise AssertionError("result should never be fetched for a failed job")
-
 
 class _StatusRaisingAdapter(_BrokenAdapter):
     """Every job is DONE with all shots on "00", except that the status
@@ -70,10 +68,7 @@ class _StatusRaisingAdapter(_BrokenAdapter):
     def status(self, job_id):
         if job_id == f"{self.provider_id}-2":
             raise ProviderError("status check exploded")
-        return JobStatus(JobState.DONE)
-
-    def result(self, job_id):
-        return {"00": 8}
+        return JobStatus(JobState.DONE, counts={"00": 8})
 
 
 @pytest.fixture
@@ -373,6 +368,61 @@ def test_run_dispatch_rejects_wide_remote_job_before_posting(remote_server, monk
     with pytest.raises(DispatchValidationError, match="exceeds"):
         executor.run_dispatch(dispatch)
     assert posts == []
+
+
+def test_remote_run_reads_each_job_through_its_status_only(remote_server, bell, monkeypatch):
+    # A DONE status carries the counts, so a remote job costs its POST and
+    # its status polls, and /result is never asked for.
+    sent = []
+    original_request = requests.Session.request
+
+    def recording_request(session, method, url, *args, **kwargs):
+        sent.append((method, url[len(remote_server.endpoint):]))
+        return original_request(session, method, url, *args, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "request", recording_request)
+    executor = QuantumExecutor(
+        providers=[ProviderConfig("remote", "remote_http", endpoint=remote_server.endpoint)]
+    )
+    dispatch = Dispatch()
+    for _ in range(4):
+        dispatch.add_job("remote", "statevector", bell, 16)
+    collector = executor.run_dispatch(dispatch)
+    assert [s.state for s in collector.status().values()] == [JobState.DONE] * 4
+    assert [sum(c.values()) for c in collector.get_results()["remote"]["statevector"]] == [16] * 4
+    assert sent.count(("POST", "/jobs")) == 4
+    assert not [path for _, path in sent if path.endswith("/result")]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{}, {"counts": None}, {"counts": [8]}, {"counts": {"00": "8"}}, {"counts": {"00": True}}],
+    ids=["missing", "null", "list", "string", "boolean"],
+)
+def test_remote_done_without_counts_fails_only_that_job(remote_server, bell, monkeypatch, bad):
+    # The service answers DONE for the first job it is asked about, with
+    # missing or malformed counts; it answers the other jobs truthfully.
+    asked = []
+    original_job_status = qexec.server._Handler._job_status
+
+    def job_status(handler, job_id):
+        asked.append(job_id)
+        if job_id != asked[0]:
+            return original_job_status(handler, job_id)
+        handler._send(200, {"job_id": job_id, "state": "DONE", **bad})
+
+    monkeypatch.setattr(qexec.server._Handler, "_job_status", job_status)
+    executor = QuantumExecutor(
+        providers=[ProviderConfig("remote", "remote_http", endpoint=remote_server.endpoint)]
+    )
+    dispatch = Dispatch()
+    for _ in range(3):
+        dispatch.add_job("remote", "statevector", bell, 16)
+    collector = executor.run_dispatch(dispatch)
+    statuses = collector.status()
+    assert [statuses[o].state for o in range(3)] == [JobState.FAILED, JobState.DONE, JobState.DONE]
+    assert statuses[0].error_message.startswith("malformed status response")
+    assert [sum(c.values()) for c in collector.get_results()["remote"]["statevector"]] == [16, 16]
 
 
 def test_run_experiment_foreign_target_policy_bug_surfaced(local_executor, bell):

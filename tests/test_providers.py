@@ -8,14 +8,12 @@ from qexec.errors import (
     BackendOfflineError,
     CircuitError,
     DuplicateProviderError,
-    JobFailedError,
-    JobNotReadyError,
     ProviderConfigError,
     ProviderError,
     UnknownBackendError,
     UnknownJobError,
 )
-from qexec.providers import JobHandle, JobState
+from qexec.providers import JobHandle, JobState, JobTable
 
 
 def wait_terminal(registry, handle, timeout=5.0):
@@ -103,14 +101,39 @@ def test_provider_config_from_dict_online_must_be_boolean():
 )
 def test_provider_config_from_dict_rejects_loose_numbers(key, value):
     with pytest.raises(ProviderConfigError, match=f"{key} must be"):
-        ProviderConfig.from_dict("m", {"kind": "mock_delay", key: value})
+        VirtualProvider().register_provider(
+            ProviderConfig.from_dict("m", {"kind": "mock_delay", key: value})
+        )
 
 
 def test_provider_config_from_dict_reads_numbers():
     assert ProviderConfig.from_dict("m", {"kind": "mock_delay", "max_qubits": 5}).max_qubits == 5
     for delay in (1, 0.2):
         config = ProviderConfig.from_dict("m", {"kind": "mock_delay", "delay": delay})
-        assert config.delay == delay and isinstance(config.delay, float)
+        assert config.delay == delay
+        VirtualProvider().register_provider(config)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("max_qubits", 3.7), ("max_qubits", True), ("delay", True), ("delay", "0.2")]
+)
+def test_register_provider_rejects_loose_numbers(key, value):
+    # A ProviderConfig built in Python meets the same checks as a providers file.
+    with pytest.raises(ProviderConfigError, match=f"{key} must be"):
+        VirtualProvider().register_provider(ProviderConfig("m", "mock_delay", **{key: value}))
+
+
+@pytest.mark.parametrize("noise", [True, {"p_depolarizing": True}, "0.05"])
+def test_provider_config_from_dict_rejects_loose_noise(noise):
+    with pytest.raises(ValueError, match="p_depolarizing must be a number"):
+        ProviderConfig.from_dict("n", {"kind": "local_noisy", "noise": noise})
+
+
+@pytest.mark.parametrize("p", [True, False, "0.05", None])
+def test_noise_spec_rejects_non_numbers(p):
+    with pytest.raises(ValueError, match="p_depolarizing must be a number"):
+        NoiseSpec(p)
+    assert NoiseSpec(0).p_depolarizing == 0 and NoiseSpec(0.05).p_depolarizing == 0.05
 
 
 def test_in_process_follows_provider_kind(remote_server):
@@ -212,7 +235,7 @@ def test_local_job_completes(local_registry, bell):
     handle = local_registry.submit("local_ideal", "statevector", bell, 1024, {"seed": 3})
     status = wait_terminal(local_registry, handle)
     assert status.state is JobState.DONE
-    counts = local_registry.result(handle)
+    counts = local_registry.status(handle).counts
     assert sum(counts.values()) == 1024
     assert set(counts) <= {"00", "11"}
 
@@ -221,9 +244,9 @@ def test_mock_delay_polled_immediately(bell):
     registry = VirtualProvider()
     registry.register_provider(ProviderConfig("mock", "mock_delay", delay=0.5))
     handle = registry.submit("mock", "delayed_statevector", bell, 16)
-    assert registry.status(handle).state in (JobState.QUEUED, JobState.RUNNING)
-    with pytest.raises(JobNotReadyError):
-        registry.result(handle)
+    status = registry.status(handle)
+    assert status.state in (JobState.QUEUED, JobState.RUNNING)
+    assert status.counts is None
     assert wait_terminal(registry, handle).state is JobState.DONE
 
 
@@ -240,8 +263,6 @@ def test_foreign_handle_rejected(local_registry):
     foreign = JobHandle("job-999999", "local_ideal", "statevector", time.time())
     with pytest.raises(UnknownJobError):
         local_registry.status(foreign)
-    with pytest.raises(UnknownJobError):
-        local_registry.result(foreign)
     unregistered = JobHandle("job-1", "ghost", "statevector", time.time())
     with pytest.raises(UnknownJobError):
         local_registry.status(unregistered)
@@ -266,8 +287,23 @@ def test_failed_job_carries_message(local_registry):
     status = wait_terminal(local_registry, handle)
     assert status.state is JobState.FAILED
     assert "out of range" in (status.error_message or "")
-    with pytest.raises(JobFailedError, match="out of range"):
-        local_registry.result(handle)
+    assert status.counts is None
+
+
+def test_job_table_status_hands_out_a_copy_of_counts():
+    table = JobTable(["pending", "done", "failed"])
+    counts = {"00": 3, "11": 5}
+    table.set_done("done", counts)
+    table.set_failed("failed", "boom")
+    counts["00"] = 99  # the caller's dict is not the table's
+    read = table.status("done")
+    assert read.state is JobState.DONE and read.counts == {"00": 3, "11": 5}
+    read.counts["11"] = 0  # nor is the dict a reader gets back
+    assert table.status("done").counts == {"00": 3, "11": 5}
+    assert len({table.status("done"), table.status("done")}) == 1  # still hashable
+    assert table.result("done") == {"00": 3, "11": 5}
+    assert table.status("pending").counts is None
+    assert table.status("failed").counts is None
 
 
 def test_status_monotonic_sequence(bell):
@@ -298,7 +334,7 @@ def test_submission_isolation_distinct_ids(local_registry, bell):
 def test_noisy_backend_executes_with_noise(local_registry, bell):
     handle = local_registry.submit("local_noisy", "noisy_statevector", bell, 4096, {"seed": 7})
     wait_terminal(local_registry, handle)
-    counts = local_registry.result(handle)
+    counts = local_registry.status(handle).counts
     assert sum(counts.values()) == 4096
 
 

@@ -240,6 +240,8 @@ class QuantumExecutor:
                     status = self.virtual_provider.status(handle)
                 if status.state is JobState.FAILED:
                     collector.record_failed(ordinal, status.error_message or "job failed")
+                elif status.counts is None:
+                    collector.record_failed(ordinal, "adapter reported DONE without counts")
                 else:
                     collector.record_result(ordinal, status.counts)
             except Exception as exc:

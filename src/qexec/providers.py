@@ -31,6 +31,8 @@ from enum import Enum
 from typing import Any, Hashable, Iterable, Mapping
 
 import requests
+from requests.adapters import HTTPAdapter
+from urllib3.util import Retry
 
 from .circuit import Circuit, serialize_qasm
 from .errors import (
@@ -343,14 +345,33 @@ class LocalSimulatorAdapter:
         return self._runner.table.status(job_id)
 
 
+# A request that never reached the service (a connect error) is retried
+# whatever its method. Once a request may have arrived, only a GET is resent:
+# a resent POST /jobs could run its job twice.
+_RETRY = Retry(total=2, backoff_factor=0.05, allowed_methods={"GET"})
+
+
 class RemoteHttpAdapter:
-    """Client for the qexec remote job service wire protocol."""
+    """Client for the qexec remote job service wire protocol.
+
+    One session keeps its connections to the service open. The proxies for
+    the endpoint, the CA bundle and netrc auth are read from the environment
+    once, here, rather than by requests on every call.
+    """
 
     def __init__(self, config: ProviderConfig, timeout: float = 10.0):
         self.provider_id = config.provider_id
         self._endpoint = (config.endpoint or "").rstrip("/")
         self._timeout = timeout
         self._session = requests.Session()
+        retrying = HTTPAdapter(max_retries=_RETRY)
+        self._session.mount("http://", retrying)
+        self._session.mount("https://", retrying)
+        settings = self._session.merge_environment_settings(self._endpoint, {}, None, None, None)
+        self._session.proxies = settings["proxies"]
+        self._session.verify = settings["verify"]
+        self._session.auth = requests.utils.get_netrc_auth(self._endpoint)
+        self._session.trust_env = False
         api_key = config.credentials.get("api_key")
         if api_key:
             self._session.headers["X-API-Key"] = api_key

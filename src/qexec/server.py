@@ -9,7 +9,12 @@ distributed and asynchronous paths are exercised across a real socket:
 * ``GET /jobs/{id}/result``  -> counts | 409 not ready | 410 failed (for old clients)
 
 JSON bodies, UTF-8, no auth unless an api_key is configured (then every
-request must carry a matching X-API-Key header). Jobs run on the same
+request must carry a matching X-API-Key header). The service speaks
+HTTP/1.1 and keeps each connection open for the client's next request. It
+reads a request's whole body, framed by Content-Length, before it replies,
+so an early 401 or 404 leaves the connection in step; a Content-Length that
+is not an integer gets 400 and the connection is closed. stop() closes the
+kept connections too, so nothing is served after it. Jobs run on the same
 JobRunner as the in-process providers: ``workers`` threads, each job
 starting no earlier than ``delay`` seconds after its submission. Jobs live
 in memory only; a restart loses them and clients see 404.
@@ -22,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -69,18 +75,36 @@ class _Handler(BaseHTTPRequestHandler):
     backends: dict[str, ServerBackend]
     runner: JobRunner
 
+    # Keep connections open. The headers and the body go out in two sends, so
+    # with Nagle's algorithm on the body would wait for the client's delayed ACK.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
     # -- plumbing ------------------------------------------------------------
 
     def log_message(self, fmt, *args):
         logger.debug("%s - %s", self.address_string(), fmt % args)
 
-    def _send(self, code: int, payload) -> None:
+    def _send(self, code: int, payload, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")  # also ends the connection after this reply
         self.end_headers()
         self.wfile.write(body)
+
+    def _read_body(self) -> bytes | None:
+        """The whole request body, read before any reply so that a kept
+        connection is never left mid-request. None once a body framed other
+        than by an integer Content-Length has been answered with 400."""
+        length = self.headers.get("Content-Length", "0")
+        if "Transfer-Encoding" in self.headers or not (length.isascii() and length.isdigit()):
+            error = "the body must be framed by an integer Content-Length"
+            self._send(400, {"error": error}, close=True)
+            return None
+        return self.rfile.read(int(length))
 
     def _authorized(self) -> bool:
         expected = self.config.api_key
@@ -94,7 +118,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routes ----------------------------------------------------------------
 
     def do_GET(self):
-        if not self._authorized():
+        if self._read_body() is None or not self._authorized():
             return
         parts = [p for p in self.path.split("?")[0].split("/") if p]
         if parts == ["backends"]:
@@ -118,15 +142,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, {"error": "unknown path"})
 
     def do_POST(self):
-        if not self._authorized():
+        raw = self._read_body()
+        if raw is None or not self._authorized():
             return
         parts = [p for p in self.path.split("?")[0].split("/") if p]
         if parts != ["jobs"]:
             self._send(404, {"error": "unknown path"})
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            body = json.loads(self.rfile.read(length).decode("utf-8"))
+            body = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             self._send(400, {"error": "malformed JSON body"})
             return
@@ -189,6 +213,39 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, counts)
 
 
+class _Server(ThreadingHTTPServer):
+    """A threading HTTP server that records the connections it accepts, so
+    that close_connections() can end the kept ones that shutdown() leaves."""
+
+    daemon_threads = True
+
+    def __init__(self, address, handler):
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        # Under the lock, so no connection in the set has been closed yet:
+        # shutdown_request takes it out before closing it.
+        with self._connections_lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)  # its handler then reads EOF and ends
+                except OSError:
+                    pass  # the client has gone already
+            self._connections.clear()
+
+
 class RemoteServer:
     """Owns the HTTP server thread and the job worker pool."""
 
@@ -201,8 +258,7 @@ class RemoteServer:
             "runner": self._runner,
         }
         handler = type("BoundHandler", (_Handler,), bound)
-        self._httpd = ThreadingHTTPServer((self.config.host, self.config.port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _Server((self.config.host, self.config.port), handler)
         self._thread: threading.Thread | None = None
 
     @property
@@ -221,6 +277,7 @@ class RemoteServer:
 
     def stop(self) -> None:
         self._httpd.shutdown()
+        self._httpd.close_connections()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

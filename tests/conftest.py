@@ -1,7 +1,7 @@
 import pytest
 
 from qexec import NoiseSpec, ProviderConfig, QuantumExecutor, VirtualProvider, parse_qasm
-from qexec.server import RemoteServer, ServerConfig
+from qexec.server import RemoteServer, ServerConfig, _Handler
 
 BELL_QASM = """\
 OPENQASM 2.0;
@@ -66,3 +66,35 @@ def delayed_server():
     server = RemoteServer(ServerConfig(delay=0.5)).start()
     yield server
     server.stop()
+
+
+@pytest.fixture
+def accepted_connections(monkeypatch):
+    """The client address of every connection a job service accepts during
+    the test: _Handler.setup runs once per connection."""
+    accepted = []
+    original = _Handler.setup
+
+    def counting_setup(self):
+        accepted.append(self.client_address)
+        original(self)
+
+    monkeypatch.setattr(_Handler, "setup", counting_setup)
+    return accepted
+
+
+def drop_once(monkeypatch, route: str) -> list[str]:
+    """Make _Handler.<route> close its connection without replying the first
+    time it runs, then behave as before; returns the path of every call."""
+    seen = []
+    original = getattr(_Handler, route)
+
+    def dropping(self, *args):
+        seen.append(self.path)
+        if len(seen) == 1:
+            self.close_connection = True
+            return None
+        return original(self, *args)
+
+    monkeypatch.setattr(_Handler, route, dropping)
+    return seen

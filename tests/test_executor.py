@@ -71,6 +71,13 @@ class _StatusRaisingAdapter(_BrokenAdapter):
         return JobStatus(JobState.DONE, counts={"00": 8})
 
 
+class _CountlessAdapter(_BrokenAdapter):
+    """Every job reports DONE but carries no counts."""
+
+    def status(self, job_id):
+        return JobStatus(JobState.DONE)
+
+
 @pytest.fixture
 def submit_calls(monkeypatch):
     """The arguments of every VirtualProvider.submit call made in the test."""
@@ -213,6 +220,19 @@ def test_lane_status_error_fails_only_that_job(local_executor, bell):
     assert [statuses[o].state for o in range(3)] == [JobState.DONE, JobState.FAILED, JobState.DONE]
     assert statuses[1].error_message == "status check exploded"
     assert collector.get_results()["flaky"]["device"] == [{"00": 8}, {"00": 8}]
+
+
+def test_done_without_counts_fails_the_job_with_a_reason(local_executor, bell):
+    executor = executor_with_broken(_CountlessAdapter(), local_executor)
+    collector = executor.run_dispatch(Dispatch().add_job("flaky", "device", bell, 8), wait=True)
+    assert collector.failed_jobs() == [
+        {
+            "ordinal": 0,
+            "provider": "flaky",
+            "backend": "device",
+            "error": "adapter reported DONE without counts",
+        }
+    ]
 
 
 # --------------------------------------------------------------------------

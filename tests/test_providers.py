@@ -3,7 +3,15 @@ import time
 
 import pytest
 
-from qexec import Circuit, NoiseSpec, ProviderConfig, VirtualProvider
+from qexec import (
+    Circuit,
+    Dispatch,
+    NoiseSpec,
+    ProviderConfig,
+    QuantumExecutor,
+    VirtualProvider,
+    sample,
+)
 from qexec.errors import (
     BackendOfflineError,
     CircuitError,
@@ -14,6 +22,8 @@ from qexec.errors import (
     UnknownJobError,
 )
 from qexec.providers import JobHandle, JobState, JobTable
+
+from conftest import drop_once
 
 
 def wait_terminal(registry, handle, timeout=5.0):
@@ -364,3 +374,63 @@ def test_remote_discovery_failure_marks_known_backends_offline(remote_server, be
     after = registry.get_backends()
     assert all(not d.online for d in after["remote"])
     assert registry.get_backends(online_only=True) == {}
+
+
+# --------------------------------------------------------------------------
+# remote connections: kept open, retried, configured once
+# --------------------------------------------------------------------------
+
+
+def remote_registry(endpoint: str, provider_id: str = "remote") -> VirtualProvider:
+    registry = VirtualProvider()
+    registry.register_provider(ProviderConfig(provider_id, "remote_http", endpoint=endpoint))
+    return registry
+
+
+def test_remote_adapter_keeps_one_connection(remote_server, bell, accepted_connections):
+    registry = remote_registry(remote_server.endpoint)
+    assert registry.find_backend("remote", "statevector") is not None
+    handles = [registry.submit("remote", "statevector", bell, 16, {"seed": k}) for k in range(10)]
+    assert all(wait_terminal(registry, h).state is JobState.DONE for h in handles)
+    assert len(accepted_connections) == 1
+
+
+def test_remote_status_survives_a_dropped_connection(remote_server, bell, monkeypatch):
+    # The service closes the connection of the first GET /jobs/{id} without
+    # replying; the GET is resent on a new connection and the job still ends DONE.
+    polls = drop_once(monkeypatch, "_job_status")
+    executor = QuantumExecutor(
+        providers=[ProviderConfig("remote", "remote_http", endpoint=remote_server.endpoint)]
+    )
+    dispatch = Dispatch().add_job("remote", "statevector", bell, 64)
+    collector = executor.run_dispatch(dispatch, wait=True, base_seed=5)
+    assert collector.failed_jobs() == []
+    assert collector.get_results()["remote"]["statevector"] == [sample(bell, 64, seed=5)]
+    assert len(polls) >= 2
+
+
+def test_remote_submit_is_not_resent_after_a_dropped_connection(remote_server, bell, monkeypatch):
+    # The POST may have reached the service, so resending it could run the job twice.
+    posts = drop_once(monkeypatch, "do_POST")
+    registry = remote_registry(remote_server.endpoint)
+    with pytest.raises(ProviderError, match="remote submission failed"):
+        registry.submit("remote", "statevector", bell, 16)
+    assert posts == ["/jobs"]
+
+
+def test_remote_proxy_is_read_from_the_environment_at_registration(
+    remote_server, monkeypatch, accepted_connections
+):
+    for name in ("http_proxy", "ALL_PROXY", "all_proxy", "NO_PROXY", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:1")  # nothing listens there
+    proxied = remote_registry(remote_server.endpoint)
+    assert proxied.get_backends() == {}
+    assert accepted_connections == []
+    monkeypatch.delenv("HTTP_PROXY")
+    direct = remote_registry(remote_server.endpoint)
+    assert proxied.get_backends() == {}  # still through the proxy it read when registered
+    assert [d.backend_name for d in direct.get_backends()["remote"]] == [
+        "noisy_statevector",
+        "statevector",
+    ]

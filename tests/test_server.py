@@ -1,3 +1,4 @@
+import socket
 import time
 
 import pytest
@@ -211,3 +212,53 @@ def test_remote_counts_equal_local_seeded(remote_server, bell):
     wait_done(endpoint, job_id)
     remote_counts = requests.get(f"{endpoint}/jobs/{job_id}/result", timeout=5).json()
     assert remote_counts == sample(bell, 999, seed=4242)
+
+
+# --------------------------------------------------------------------------
+# kept connections
+# --------------------------------------------------------------------------
+
+
+def read_to_eof(sock: socket.socket) -> bytes:
+    """Everything the service sends until it closes the connection; a
+    connection it keeps open fails the test by the socket's timeout."""
+    data = b""
+    while chunk := sock.recv(4096):
+        data += chunk
+    return data
+
+
+@pytest.mark.parametrize(
+    "api_key, path, code",
+    [(None, "/jobs/extra", 404), ("sesame", "/jobs", 401)],
+)
+def test_early_reply_leaves_the_connection_in_step(api_key, path, code, accepted_connections):
+    # The reply comes before the body is used; the body must still be read, or
+    # it would be parsed as the next request on this connection.
+    headers = {"X-API-Key": api_key} if api_key else {}
+    with RemoteServer(ServerConfig(api_key=api_key)) as server, requests.Session() as session:
+        body = {"backend": "statevector", "qasm": BELL_QASM, "shots": 8}
+        assert session.post(f"{server.endpoint}{path}", json=body, timeout=5).status_code == code
+        listing = session.get(f"{server.endpoint}/backends", headers=headers, timeout=5)
+        assert listing.status_code == 200
+        assert [b["name"] for b in listing.json()] == ["noisy_statevector", "statevector"]
+    assert len(accepted_connections) == 1
+
+
+@pytest.mark.parametrize("length", ["abc", "-1", "1.5", ""])
+def test_content_length_not_an_integer_gets_400_and_closes(remote_server, length):
+    with socket.create_connection(("127.0.0.1", remote_server.port), timeout=5) as sock:
+        sock.sendall(
+            f"POST /jobs HTTP/1.1\r\nHost: qexec\r\nContent-Length: {length}\r\n\r\n".encode()
+        )
+        reply = read_to_eof(sock)
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in reply
+
+
+def test_stop_closes_kept_connections(remote_server):
+    with socket.create_connection(("127.0.0.1", remote_server.port), timeout=5) as sock:
+        sock.sendall(b"GET /backends HTTP/1.1\r\nHost: qexec\r\n\r\n")
+        assert sock.recv(4096).startswith(b"HTTP/1.1 200 ")
+        remote_server.stop()
+        read_to_eof(sock)  # returns only once the service has closed the connection

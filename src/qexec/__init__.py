@@ -6,7 +6,7 @@ simulators, mock devices, and remote services, and aggregates the results
 via pluggable merge policies behind one result interface.
 """
 
-from .circuit import Circuit, Gate, GateOp, parse_qasm, serialize_qasm, validate
+from .circuit import Circuit, Gate, GateOp, parse_qasm, serialize_qasm
 from .collector import ResultCollector, RunState, to_table, tree_to_json
 from .dispatch import Dispatch, JobSpec
 from .executor import ExperimentSpec, QuantumExecutor
@@ -36,7 +36,6 @@ __all__ = [
     "GateOp",
     "parse_qasm",
     "serialize_qasm",
-    "validate",
     "NoiseSpec",
     "Statevector",
     "statevector",

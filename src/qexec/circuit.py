@@ -4,10 +4,9 @@ The IR is the single exchange format between users, policies, and backends:
 a named, fixed-width, ordered gate list with an optional terminal
 measure-all. Supported gates: H, X, Y, Z, S, T, RX, RY, RZ, CX, CZ.
 
-Circuits are immutable after construction and safe to share across
-concurrent jobs. Construction does not validate; use :func:`validate` to
-collect invariant violations as values, or rely on the simulator/provider
-layers which refuse invalid circuits.
+A circuit is checked when it is built: construction raises CircuitError
+listing every invariant violation. Circuits are immutable, so every Circuit
+that exists is valid and safe to share across concurrent jobs.
 """
 
 from __future__ import annotations
@@ -17,9 +16,9 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import QasmError
+from .errors import CircuitError, QasmError
 
-__all__ = ["Gate", "GateOp", "Circuit", "parse_qasm", "serialize_qasm", "validate"]
+__all__ = ["Gate", "GateOp", "Circuit", "parse_qasm", "serialize_qasm"]
 
 
 class Gate(Enum):
@@ -63,7 +62,7 @@ class GateOp:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Validated-by-convention gate-list circuit.
+    """Gate-list circuit, checked when it is built.
 
     ``name`` is a label only and is excluded from structural equality, so
     QASM round-trips compare equal regardless of labelling.
@@ -75,34 +74,32 @@ class Circuit:
     name: str = field(default="circuit", compare=False)
 
     def __post_init__(self):
+        """Raise CircuitError listing every invariant violation."""
         object.__setattr__(self, "gates", tuple(self.gates))
-
-
-def validate(circuit: Circuit) -> list[str]:
-    """Collect human-readable invariant violations; empty list means valid."""
-    violations: list[str] = []
-    if circuit.width < 0:
-        violations.append(f"width {circuit.width} is negative")
-    if circuit.width == 0 and circuit.gates:
-        violations.append("width 0 circuit has gates")
-    for i, op in enumerate(circuit.gates):
-        label = f"gate {i} ({op.gate.value})"
-        if len(op.qubits) != op.gate.n_qubits:
-            violations.append(
-                f"{label}: expects {op.gate.n_qubits} qubit(s), got {len(op.qubits)}"
-            )
-        if len(set(op.qubits)) != len(op.qubits):
-            violations.append(f"{label}: duplicate qubit in gate")
-        for q in op.qubits:
-            if q < 0 or q >= circuit.width:
+        violations: list[str] = []
+        if self.width < 0:
+            violations.append(f"width {self.width} is negative")
+        if self.width == 0 and self.gates:
+            violations.append("width 0 circuit has gates")
+        for i, op in enumerate(self.gates):
+            label = f"gate {i} ({op.gate.value})"
+            if len(op.qubits) != op.gate.n_qubits:
                 violations.append(
-                    f"{label}: qubit index {q} out of range for width {circuit.width}"
+                    f"{label}: expects {op.gate.n_qubits} qubit(s), got {len(op.qubits)}"
                 )
-        if op.gate.takes_angle and op.angle is None:
-            violations.append(f"{label}: missing angle")
-        if not op.gate.takes_angle and op.angle is not None:
-            violations.append(f"{label}: unexpected angle")
-    return violations
+            if len(set(op.qubits)) != len(op.qubits):
+                violations.append(f"{label}: duplicate qubit in gate")
+            for q in op.qubits:
+                if q < 0 or q >= self.width:
+                    violations.append(
+                        f"{label}: qubit index {q} out of range for width {self.width}"
+                    )
+            if op.gate.takes_angle and op.angle is None:
+                violations.append(f"{label}: missing angle")
+            if not op.gate.takes_angle and op.angle is not None:
+                violations.append(f"{label}: unexpected angle")
+        if violations:
+            raise CircuitError(f"invalid circuit {self.name!r}: " + "; ".join(violations))
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +350,7 @@ def _parse_gate(ts: _TokenStream, tok: _Token, qreg_name: str | None, width: int
 
 
 def serialize_qasm(circuit: Circuit) -> str:
-    """Emit canonical subset text; parse_qasm(serialize_qasm(c)) == c for valid c."""
+    """Emit canonical subset text; parse_qasm(serialize_qasm(c)) == c for every c."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.width}];"]
     if circuit.measured:
         lines.append(f"creg c[{circuit.width}];")

@@ -1,19 +1,21 @@
-"""The dispatch plan: a validated, ordered assignment of circuits to targets.
+"""The dispatch plan: an ordered assignment of circuits to targets.
 
-A Dispatch is a value, not a live run: it separates planning from execution
-and serializes to JSON for the CLI run store. Canonical iteration order is
-providers lexicographic, backends lexicographic, jobs by insertion; every
-module that flattens a dispatch (seeding, result trees, tables) uses it.
+A Dispatch is a value, not a live run: it separates planning from execution,
+does no provider I/O and serializes to JSON for the CLI run store. Canonical
+iteration order is providers lexicographic, backends lexicographic, jobs by
+insertion; every module that flattens a dispatch (seeding, result trees,
+tables) uses it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping
 
-from .circuit import Circuit, parse_qasm, serialize_qasm, validate
+from .circuit import Circuit, parse_qasm, serialize_qasm
 from .errors import BackendOfflineError, CircuitError, DispatchError
+from .providers import BackendDescriptor
 
 __all__ = ["JobSpec", "Dispatch"]
 
@@ -51,9 +53,6 @@ class Dispatch:
         """Append a job to that backend's list; duplicates are legal (repeat runs)."""
         if shots < 1:
             raise DispatchError(f"shots must be >= 1, got {shots}")
-        violations = validate(circuit)
-        if violations:
-            raise DispatchError(f"invalid circuit {circuit.name!r}: " + "; ".join(violations))
         backend_jobs = self._assignments.setdefault(provider_id, {}).setdefault(backend_name, [])
         backend_jobs.append(JobSpec(circuit=circuit, shots=shots, options=dict(options or {})))
         self._numbered = False
@@ -92,15 +91,18 @@ class Dispatch:
     def total_shots(self) -> int:
         return sum(spec.shots for _, _, spec in self.jobs())
 
-    def validate_against(self, registry) -> list[str]:
-        """Pre-flight check against a provider registry; nothing is submitted.
+    def validate_against(
+        self, descriptors: Mapping[tuple[str, str], BackendDescriptor | None]
+    ) -> list[str]:
+        """Pre-flight check against the descriptors a run looked up, keyed by
+        (provider_id, backend_name); nothing is submitted.
 
-        Looks each distinct backend up once and reports it once if unknown,
-        else each job's BackendDescriptor.check failure, as readable strings.
+        Reports each distinct backend once if it has no descriptor, else each
+        job's BackendDescriptor.check failure, as readable strings.
         """
         violations: list[str] = []
         for provider_id, backend_name in self.backends():
-            descriptor = registry.find_backend(provider_id, backend_name)
+            descriptor = descriptors.get((provider_id, backend_name))
             if descriptor is None:
                 violations.append(f"unknown backend {provider_id}/{backend_name}")
                 continue

@@ -1,9 +1,9 @@
 """Exception hierarchy for qexec.
 
 Everything raised on purpose by this package derives from QExecError, so
-callers can catch one type at the orchestration boundary. Validation-style
-operations (circuit.validate, dispatch.validate_against) report violations
-as values instead of raising.
+callers can catch one type at the orchestration boundary. A Circuit raises
+CircuitError when it is built; the pre-flight check
+(dispatch.validate_against) reports violations as values instead of raising.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class MergeError(PolicyError):
 
 
 class DispatchError(QExecError):
-    """Invalid dispatch construction (shots < 1, invalid circuit, ...)."""
+    """Invalid dispatch construction: a job with shots < 1."""
 
 
 class DispatchValidationError(QExecError):

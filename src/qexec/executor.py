@@ -148,7 +148,8 @@ class QuantumExecutor:
         base_seed: int = 0,
         policy_context: Mapping[str, Any] | None = None,
     ) -> ResultCollector:
-        """Submit every job of a validated dispatch and return the collector.
+        """Submit every job of a dispatch that passes pre-flight and return the
+        collector. Pre-flight and ``backend_info`` share one look-up per backend.
 
         The in-process simulator backends share one lane, which handles them
         one after another. parallel=True gives each other backend a lane of
@@ -161,12 +162,23 @@ class QuantumExecutor:
         merge_fn = self.policies.resolve_merge(merge_policy) if merge_policy else None
         if dispatch.total_jobs() > 0 and not self.virtual_provider.providers():
             raise ProviderError("no providers registered")
-        violations = dispatch.validate_against(self.virtual_provider)
+        descriptors = {t: self.virtual_provider.find_backend(*t) for t in dispatch.backends()}
+        violations = dispatch.validate_against(descriptors)
         if violations:
             raise DispatchValidationError(violations)
 
+        # Pre-flight passed, so every backend has a descriptor.
         context = dict(policy_context or {})
-        context.setdefault("backend_info", {}).update(self._backend_info(dispatch))
+        context.setdefault("backend_info", {}).update(
+            {
+                f"{provider_id}/{backend_name}": {
+                    "is_ideal_simulator": d.is_ideal_simulator,
+                    "online": d.online,
+                    "max_qubits": d.max_qubits,
+                }
+                for (provider_id, backend_name), d in descriptors.items()
+            }
+        )
         collector = ResultCollector(
             dispatch, merge_policy=merge_policy or None, merge_fn=merge_fn, policy_context=context
         )
@@ -187,18 +199,6 @@ class QuantumExecutor:
         if wait:
             collector.wait()
         return collector
-
-    def _backend_info(self, dispatch: Dispatch) -> dict[str, dict]:
-        info: dict[str, dict] = {}
-        for provider_id, backend_name in dispatch.backends():
-            descriptor = self.virtual_provider.find_backend(provider_id, backend_name)
-            if descriptor is not None:
-                info[f"{provider_id}/{backend_name}"] = {
-                    "is_ideal_simulator": descriptor.is_ideal_simulator,
-                    "online": descriptor.online,
-                    "max_qubits": descriptor.max_qubits,
-                }
-        return info
 
     def _run_lane(self, backends: list[tuple], base_seed: int, collector: ResultCollector) -> None:
         """Run each backend's jobs to completion before the next backend's."""

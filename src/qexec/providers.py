@@ -382,23 +382,22 @@ class RemoteHttpAdapter:
         try:
             response = self._session.get(f"{self._endpoint}/backends", timeout=self._timeout)
             response.raise_for_status()
-            listing = response.json()
+            descriptors = [
+                BackendDescriptor(
+                    provider_id=self.provider_id,
+                    backend_name=entry["name"],
+                    online=bool(entry.get("online", True)),
+                    max_qubits=int(entry.get("max_qubits", MAX_WIDTH_DEFAULT)),
+                    is_ideal_simulator=bool(entry.get("is_ideal_simulator", False)),
+                )
+                for entry in response.json()
+            ]
         except Exception as exc:
-            # Discovery failure degrades to offline instead of raising, so one
-            # dead provider cannot break an all-backends sweep.
+            # A failed or malformed discovery degrades to offline instead of
+            # raising, so one dead provider cannot break an all-backends sweep.
             logger.debug("discovery failed for %s: %s", self.provider_id, exc)
             with self._lock:
                 return [replace(d, online=False) for d in self._last_known]
-        descriptors = [
-            BackendDescriptor(
-                provider_id=self.provider_id,
-                backend_name=entry["name"],
-                online=bool(entry.get("online", True)),
-                max_qubits=int(entry.get("max_qubits", MAX_WIDTH_DEFAULT)),
-                is_ideal_simulator=bool(entry.get("is_ideal_simulator", False)),
-            )
-            for entry in listing
-        ]
         with self._lock:
             self._last_known = descriptors
         return descriptors

@@ -162,10 +162,8 @@ class _Handler(BaseHTTPRequestHandler):
         if backend is None:
             self._send(404, {"error": f"unknown backend {body.get('backend')!r}"})
             return
-        try:
-            shots = int(body.get("shots", 0))
-            seed = int(body.get("seed", 0))
-        except (TypeError, ValueError):
+        shots, seed = body.get("shots", 0), body.get("seed", 0)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (shots, seed)):
             self._send(400, {"error": "shots and seed must be integers"})
             return
         if shots < 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateOp, validate
+from .circuit import Circuit, Gate, GateOp
 from .errors import CircuitError
 
 __all__ = ["MAX_WIDTH_DEFAULT", "NoiseSpec", "Statevector", "statevector", "sample", "sample_noisy"]
@@ -114,9 +114,6 @@ def _apply_gate(state: np.ndarray, op: GateOp, width: int) -> np.ndarray:
 
 
 def _require_runnable(circuit: Circuit, max_width: int) -> None:
-    violations = validate(circuit)
-    if violations:
-        raise CircuitError(f"invalid circuit {circuit.name!r}: " + "; ".join(violations))
     if circuit.width > max_width:
         raise CircuitError(
             f"circuit {circuit.name!r} width {circuit.width} exceeds limit {max_width}"

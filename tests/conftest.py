@@ -98,3 +98,25 @@ def drop_once(monkeypatch, route: str) -> list[str]:
 
     monkeypatch.setattr(_Handler, route, dropping)
     return seen
+
+
+# GET /backends bodies that no client can read as a backend listing
+MALFORMED_LISTINGS = [
+    [{"nom": "statevector"}],
+    {"name": "statevector"},
+    [{"name": "statevector", "max_qubits": "many"}],
+]
+
+
+def serve_listing(monkeypatch, listing) -> None:
+    """Make _Handler answer GET /backends with ``listing``, and every other
+    GET as before."""
+    original = _Handler.do_GET
+
+    def listing_get(self):
+        if self.path != "/backends":
+            return original(self)
+        self._read_body()
+        self._send(200, listing)
+
+    monkeypatch.setattr(_Handler, "do_GET", listing_get)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qexec import Circuit, Gate, GateOp, parse_qasm, serialize_qasm, validate
-from qexec.errors import QasmError
+from qexec import Circuit, Gate, GateOp, parse_qasm, serialize_qasm
+from qexec.errors import CircuitError, QasmError
 
 
 # --------------------------------------------------------------------------
@@ -123,41 +123,41 @@ def test_serialize_round_trip_bell(bell):
 
 
 # --------------------------------------------------------------------------
-# validate
+# construction checks
 # --------------------------------------------------------------------------
 
 
 def test_validate_bell_ok(bell):
-    assert validate(bell) == []
+    assert Circuit(width=bell.width, gates=bell.gates, measured=True, name="bell") == bell
 
 
 def test_validate_duplicate_qubit():
-    circuit = Circuit(width=2, gates=(GateOp(Gate.CX, (0, 0)),))
-    violations = validate(circuit)
-    assert len(violations) == 1
-    assert "duplicate qubit" in violations[0]
+    with pytest.raises(CircuitError) as err:
+        Circuit(width=2, gates=(GateOp(Gate.CX, (0, 0)),), name="dup")
+    assert str(err.value) == "invalid circuit 'dup': gate 0 (cx): duplicate qubit in gate"
 
 
 def test_validate_index_out_of_range():
-    circuit = Circuit(width=2, gates=(GateOp(Gate.H, (4,)),))
-    violations = validate(circuit)
-    assert len(violations) == 1
-    assert "out of range" in violations[0]
+    with pytest.raises(CircuitError) as err:
+        Circuit(width=2, gates=(GateOp(Gate.H, (4,)),))
+    assert str(err.value) == (
+        "invalid circuit 'circuit': gate 0 (h): qubit index 4 out of range for width 2"
+    )
 
 
 def test_validate_width_zero_with_gates():
-    circuit = Circuit(width=0, gates=(GateOp(Gate.H, (0,)),))
-    assert any("width 0" in v for v in validate(circuit))
+    with pytest.raises(CircuitError, match="width 0"):
+        Circuit(width=0, gates=(GateOp(Gate.H, (0,)),))
 
 
 def test_validate_arity_mismatch():
-    circuit = Circuit(width=2, gates=(GateOp(Gate.CX, (0,)),))
-    assert any("expects 2 qubit" in v for v in validate(circuit))
+    with pytest.raises(CircuitError, match="expects 2 qubit"):
+        Circuit(width=2, gates=(GateOp(Gate.CX, (0,)),))
 
 
 def test_validate_missing_angle():
-    circuit = Circuit(width=1, gates=(GateOp(Gate.RX, (0,)),))
-    assert any("missing angle" in v for v in validate(circuit))
+    with pytest.raises(CircuitError, match="missing angle"):
+        Circuit(width=1, gates=(GateOp(Gate.RX, (0,)),))
 
 
 # --------------------------------------------------------------------------
@@ -198,7 +198,6 @@ def circuits(draw):
 @given(circuits())
 @settings(max_examples=200)
 def test_round_trip_property(circuit):
-    assert validate(circuit) == []
     assert parse_qasm(serialize_qasm(circuit)) == circuit
 
 

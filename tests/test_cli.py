@@ -1,15 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qexec.policies
+import qexec.providers
+from qexec import cli
 from qexec.collector import to_table
-from conftest import BELL_QASM
+from conftest import BELL_QASM, MALFORMED_LISTINGS, serve_listing
 
 INLINE_EXPERIMENT = {
     "name": "inline-bell",
@@ -75,6 +83,22 @@ def test_backends_no_providers_empty_table(tmp_path):
     assert result.returncode == 0
     assert "PROVIDER" in result.stdout  # header only
     assert "local_ideal" not in result.stdout
+
+
+@pytest.mark.parametrize("listing", MALFORMED_LISTINGS)
+def test_backends_survives_a_malformed_listing(
+    tmp_path, remote_server, monkeypatch, capsys, listing
+):
+    serve_listing(monkeypatch, listing)
+    providers = tmp_path / "providers.yaml"
+    providers.write_text(
+        "local_ideal: {kind: local_ideal}\n"
+        f"remote: {{kind: remote_http, endpoint: '{remote_server.endpoint}'}}\n"
+    )
+    assert cli.main(["--providers", str(providers), "backends"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    # Never discovered, so the remote provider lists nothing.
+    assert [row.split()[0] for row in rows] == ["local_ideal"]
 
 
 def test_run_persists_record_and_results_replay(tmp_path, store):
@@ -157,6 +181,64 @@ def test_run_merge_failure_leaves_complete_record(tmp_path, store):
     assert json.loads((run_dir / "meta.json").read_text())["finished_at"] is not None
     assert (run_dir / "results.json").exists()
     assert not (run_dir / "merged.json").exists()
+
+
+@st.composite
+def run_outcomes(draw):
+    """A run of 1-2 Bell circuits on the default local pair (2-4 jobs): which
+    job ordinals fail, its base seed, its merge policy and whether that raises."""
+    n_circuits = draw(st.integers(1, 2))
+    failing = draw(st.sets(st.integers(0, 2 * n_circuits - 1)))
+    merge_policy = draw(st.sampled_from([None, "sum"]))
+    merge_raises = merge_policy is not None and draw(st.booleans())
+    return n_circuits, failing, draw(st.integers(0, 1000)), merge_policy, merge_raises
+
+
+@given(run_outcomes())
+@settings(max_examples=25, deadline=None)
+def test_run_exit_code_agrees_with_saved_record(outcome):
+    n_circuits, failing, seed, merge_policy, merge_raises = outcome
+    failing_seeds = {seed + ordinal for ordinal in failing}  # job k gets seed + k
+
+    def failing_kernel(kernel):
+        def run(*args):  # both kernels take (..., seed, max_width) last
+            if args[-2] in failing_seeds:
+                raise RuntimeError("injected kernel fault")
+            return kernel(*args)
+
+        return run
+
+    def raising_merge(results, context=None):
+        raise RuntimeError("injected merge fault")
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qexec.providers, "sample", failing_kernel(qexec.providers.sample))
+        mp.setattr(qexec.providers, "sample_noisy", failing_kernel(qexec.providers.sample_noisy))
+        if merge_raises:
+            mp.setattr(qexec.policies, "merge_sum", raising_merge)
+        payload = dict(
+            INLINE_EXPERIMENT, circuits=[BELL_QASM] * n_circuits, shots=8, seed=seed,
+            merge_policy=merge_policy,
+        )
+        exp = write_experiment(Path(tmp), payload)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["--store", f"{tmp}/runs", "run", str(exp)])
+
+        run_dir = Path(tmp) / "runs" / out.getvalue().splitlines()[0].strip()
+        statuses = json.loads((run_dir / "status.json").read_text())
+        failed = {int(k) for k, entry in statuses.items() if entry["state"] == "FAILED"}
+        merged_saved = (run_dir / "merged.json").exists()
+        assert (run_dir / "results.json").exists()
+
+    assert failed == failing
+    assert merged_saved == (merge_policy is not None and not merge_raises)
+    if merge_policy is not None and not merged_saved:
+        assert code == 2
+    elif failed:
+        assert code == 3
+    else:
+        assert code == 0
 
 
 def test_run_null_split_policy_exit1(tmp_path, store):
@@ -272,6 +354,8 @@ def test_run_no_wait_prints_run_id_immediately(tmp_path, store):
     finally:
         if proc.poll() is None:
             proc.kill()
+            proc.wait()
+        proc.stdout.close()
     final = run_cli("--store", str(store), "status", run_id)
     assert "DONE" in final.stdout
     assert (store / run_id / "results.json").exists()

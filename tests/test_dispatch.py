@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qexec import Circuit, Dispatch, Gate, GateOp
-from qexec.errors import DispatchError
+from qexec.errors import CircuitError, DispatchError
 
 
 def test_add_job_single(bell):
@@ -28,9 +28,9 @@ def test_add_job_rejects_zero_shots(bell):
 
 
 def test_add_job_rejects_invalid_circuit():
-    bad = Circuit(width=1, gates=(GateOp(Gate.H, (5,)),))
-    with pytest.raises(DispatchError, match="invalid circuit"):
-        Dispatch().add_job("p1", "b1", bad, 1)
+    # The circuit refuses to be built, so it never reaches a dispatch.
+    with pytest.raises(CircuitError, match="invalid circuit"):
+        Circuit(width=1, gates=(GateOp(Gate.H, (5,)),))
 
 
 def test_totals_scenario1_shape(bell, ghz3):
@@ -84,14 +84,19 @@ def test_ordinals_numbered_on_read_in_canonical_order(bell):
     assert [s.ordinal for _, _, s in dispatch.jobs()] == list(range(10))
 
 
+def looked_up(dispatch, registry):
+    """The descriptor map a run builds: one find_backend per distinct backend."""
+    return {target: registry.find_backend(*target) for target in dispatch.backends()}
+
+
 def test_validate_against_ok(bell, local_registry):
     dispatch = Dispatch().add_job("local_ideal", "statevector", bell, 10)
-    assert dispatch.validate_against(local_registry) == []
+    assert dispatch.validate_against(looked_up(dispatch, local_registry)) == []
 
 
 def test_validate_against_unknown_provider(bell, local_registry):
     dispatch = Dispatch().add_job("nope", "statevector", bell, 10)
-    violations = dispatch.validate_against(local_registry)
+    violations = dispatch.validate_against(looked_up(dispatch, local_registry))
     assert len(violations) == 1
     assert "unknown backend" in violations[0]
 
@@ -100,13 +105,16 @@ def test_validate_against_unknown_backend_reported_once(bell, local_registry):
     dispatch = Dispatch()
     for _ in range(5):
         dispatch.add_job("nope", "statevector", bell, 10)
-    assert dispatch.validate_against(local_registry) == ["unknown backend nope/statevector"]
+    descriptors = looked_up(dispatch, local_registry)
+    assert dispatch.validate_against(descriptors) == ["unknown backend nope/statevector"]
+    # A backend missing from the map is unknown too.
+    assert dispatch.validate_against({}) == ["unknown backend nope/statevector"]
 
 
 def test_validate_against_width_overflow(local_registry):
     wide = Circuit(width=25)
     dispatch = Dispatch().add_job("local_ideal", "statevector", wide, 10)
-    violations = dispatch.validate_against(local_registry)
+    violations = dispatch.validate_against(looked_up(dispatch, local_registry))
     assert len(violations) == 1
     assert "exceeds" in violations[0]
 

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import qexec.providers
 from qexec import (
     Circuit,
     Dispatch,
@@ -23,7 +24,7 @@ from qexec.errors import (
 )
 from qexec.providers import JobHandle, JobState, JobTable
 
-from conftest import drop_once
+from conftest import MALFORMED_LISTINGS, drop_once, serve_listing
 
 
 def wait_terminal(registry, handle, timeout=5.0):
@@ -287,13 +288,14 @@ def test_handle_carries_the_adapter_job_id(local_registry, bell):
         local_registry.status(moved)
 
 
-def test_failed_job_carries_message(local_registry):
-    # Valid-width but internally inconsistent circuit: passes submission
-    # checks, fails in the kernel, surfaces as FAILED with the reason.
-    from qexec import Gate, GateOp
+def test_failed_job_carries_message(local_registry, bell, monkeypatch):
+    # A job that passes submission checks but whose kernel raises surfaces
+    # as FAILED with the reason.
+    def broken_kernel(*args):
+        raise RuntimeError("kernel out of range")
 
-    bad = Circuit(width=2, gates=(GateOp(Gate.H, (7,)),), name="oob")
-    handle = local_registry.submit("local_ideal", "statevector", bad, 10)
+    monkeypatch.setattr(qexec.providers, "sample", broken_kernel)
+    handle = local_registry.submit("local_ideal", "statevector", bell, 10)
     status = wait_terminal(local_registry, handle)
     assert status.state is JobState.FAILED
     assert "out of range" in (status.error_message or "")
@@ -374,6 +376,19 @@ def test_remote_discovery_failure_marks_known_backends_offline(remote_server, be
     after = registry.get_backends()
     assert all(not d.online for d in after["remote"])
     assert registry.get_backends(online_only=True) == {}
+
+
+@pytest.mark.parametrize("listing", MALFORMED_LISTINGS)
+def test_remote_malformed_listing_marks_known_backends_offline(
+    remote_server, monkeypatch, listing
+):
+    registry = remote_registry(remote_server.endpoint)
+    assert len(registry.get_backends(online_only=True)["remote"]) == 2
+    serve_listing(monkeypatch, listing)
+    after = registry.get_backends()
+    assert [d.backend_name for d in after["remote"]] == ["noisy_statevector", "statevector"]
+    assert all(not d.online for d in after["remote"])
+    assert registry.find_backend("remote", "statevector").online is False
 
 
 # --------------------------------------------------------------------------

@@ -83,6 +83,19 @@ def test_submit_zero_shots(remote_server):
     assert response.status_code == 400
 
 
+@pytest.mark.parametrize("field", ["shots", "seed"])
+@pytest.mark.parametrize("value", [1.9, True, "12"])
+def test_submit_non_integer_shots_or_seed_400(remote_server, field, value):
+    body = {"backend": "statevector", "qasm": BELL_QASM, "shots": 3, "seed": 0}
+    response = requests.post(f"{remote_server.endpoint}/jobs", json=body, timeout=5)
+    assert response.status_code == 201
+    response = requests.post(
+        f"{remote_server.endpoint}/jobs", json=dict(body, **{field: value}), timeout=5
+    )
+    assert response.status_code == 400
+    assert response.json() == {"error": "shots and seed must be integers"}
+
+
 def test_submit_bad_qasm(remote_server):
     response = requests.post(
         f"{remote_server.endpoint}/jobs",

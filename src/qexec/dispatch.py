@@ -51,6 +51,8 @@ class Dispatch:
         options: dict[str, Any] | None = None,
     ) -> "Dispatch":
         """Append a job to that backend's list; duplicates are legal (repeat runs)."""
+        if not isinstance(shots, int) or isinstance(shots, bool):
+            raise DispatchError(f"shots must be an integer, got {shots!r}")
         if shots < 1:
             raise DispatchError(f"shots must be >= 1, got {shots}")
         backend_jobs = self._assignments.setdefault(provider_id, {}).setdefault(backend_name, [])

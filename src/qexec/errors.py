@@ -51,14 +51,6 @@ class UnknownJobError(ProviderError):
     """No adapter issued this job: unknown provider_id or job_id."""
 
 
-class JobNotReadyError(QExecError):
-    """result() was called while the job is still QUEUED or RUNNING."""
-
-
-class JobFailedError(QExecError):
-    """result() was called on a FAILED job; carries the failure message."""
-
-
 class PolicyError(QExecError):
     """Base for policy registry and policy execution errors."""
 
@@ -76,7 +68,7 @@ class MergeError(PolicyError):
 
 
 class DispatchError(QExecError):
-    """Invalid dispatch construction: a job with shots < 1."""
+    """Invalid dispatch construction: a job whose shots are not an integer >= 1."""
 
 
 class DispatchValidationError(QExecError):

@@ -23,14 +23,7 @@ from typing import Any, Callable, Iterable, Mapping
 from .circuit import Circuit
 from .collector import ResultCollector
 from .dispatch import Dispatch
-from .errors import (
-    DispatchValidationError,
-    DuplicatePolicyError,
-    ExperimentError,
-    PolicyError,
-    ProviderError,
-    UnknownBackendError,
-)
+from .errors import DispatchValidationError, ExperimentError, ProviderError, UnknownBackendError
 from .policies import PolicyRegistry
 from .providers import JobState, ProviderConfig, VirtualProvider
 
@@ -90,18 +83,9 @@ class QuantumExecutor:
         split_policy: Callable | None = None,
         merge_policy: Callable | None = None,
     ) -> None:
-        """Register a split policy, a merge policy or both under one name:
-        add_policy("spread", split_policy=fn), add_policy("median", merge_policy=fn)."""
-        given = [(k, fn) for k, fn in (("split", split_policy), ("merge", merge_policy)) if fn]
-        if not given:
-            raise PolicyError("add_policy needs split_policy=, merge_policy= or both")
-        # Check both names first, so a duplicate leaves neither registered.
-        taken = {"split": self.policies.split_names(), "merge": self.policies.merge_names()}
-        for kind, _ in given:
-            if name in taken[kind]:
-                raise DuplicatePolicyError(f"{kind} policy {name!r} already registered")
-        for kind, fn in given:
-            self.policies.register(name, kind, fn)
+        """Register a split policy, a merge policy or both under one name;
+        see PolicyRegistry.register, which takes the same keywords."""
+        self.policies.register(name, split_policy=split_policy, merge_policy=merge_policy)
 
     # -- runs -----------------------------------------------------------------
 

@@ -189,8 +189,11 @@ def _resolve_reference(results: dict, context: Mapping[str, Any]) -> tuple[str, 
 class PolicyRegistry:
     """Named split and merge policies; built-ins are pre-registered.
 
-    Reads are concurrent; registration takes the lock so duplicate checks
-    and inserts are atomic.
+    register(name, *, split_policy=None, merge_policy=None) is the one way
+    to add a policy, and QuantumExecutor.add_policy calls it. Reads are
+    concurrent. register checks the name against the table of each policy
+    given and inserts under one hold of the lock, so a name taken for either
+    leaves neither registered.
     """
 
     def __init__(self):
@@ -204,13 +207,25 @@ class PolicyRegistry:
             "tvd": merge_tvd,
         }
 
-    def register(self, name: str, kind: str, fn: Callable) -> "PolicyRegistry":
-        """Register a policy under (kind, name); duplicate names are rejected."""
-        table = self._table(kind)
+    def register(
+        self,
+        name: str,
+        *,
+        split_policy: SplitPolicyFn | None = None,
+        merge_policy: MergePolicyFn | None = None,
+    ) -> "PolicyRegistry":
+        """Register a split policy, a merge policy or both under one name:
+        register("spread", split_policy=fn), register("median", merge_policy=fn)."""
+        tables = (("split", self._split, split_policy), ("merge", self._merge, merge_policy))
+        given = [(label, table, fn) for label, table, fn in tables if fn is not None]
+        if not given:
+            raise PolicyError("register needs split_policy=, merge_policy= or both")
         with self._lock:
-            if name in table:
-                raise DuplicatePolicyError(f"{kind} policy {name!r} already registered")
-            table[name] = fn
+            for label, table, _ in given:
+                if name in table:
+                    raise DuplicatePolicyError(f"{label} policy {name!r} already registered")
+            for _, table, fn in given:
+                table[name] = fn
         return self
 
     def resolve_split(self, name: str) -> SplitPolicyFn:
@@ -230,10 +245,3 @@ class PolicyRegistry:
 
     def merge_names(self) -> list[str]:
         return sorted(self._merge)
-
-    def _table(self, kind: str) -> dict:
-        if kind == "split":
-            return self._split
-        if kind == "merge":
-            return self._merge
-        raise PolicyError(f"policy kind must be 'split' or 'merge', got {kind!r}")

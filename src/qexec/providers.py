@@ -39,8 +39,6 @@ from .errors import (
     BackendOfflineError,
     CircuitError,
     DuplicateProviderError,
-    JobFailedError,
-    JobNotReadyError,
     ProviderConfigError,
     ProviderError,
     UnknownBackendError,
@@ -118,7 +116,12 @@ class BackendDescriptor:
 
 @dataclass(frozen=True)
 class ProviderConfig:
-    """Declarative provider configuration, ingestible from the providers file."""
+    """Declarative provider configuration, ingestible from the providers file.
+
+    from_dict checks only the file's form: its keys and the noise mapping.
+    The settings themselves, read from a file or built in Python, are checked
+    when the provider is registered (_build_adapter).
+    """
 
     provider_id: str
     kind: str
@@ -146,9 +149,6 @@ class ProviderConfig:
             noise = noise["p_depolarizing"]
         if noise is not None:
             noise = NoiseSpec(noise)
-        online = data.get("online", True)
-        if not isinstance(online, bool):
-            raise ProviderConfigError(f"provider {provider_id!r}: online must be a boolean")
         credentials = {}
         if "api_key" in data:
             credentials["api_key"] = str(data["api_key"])
@@ -160,7 +160,7 @@ class ProviderConfig:
             noise=noise,
             delay=data.get("delay"),
             max_qubits=data.get("max_qubits", MAX_WIDTH_DEFAULT),
-            online=online,
+            online=data.get("online", True),
         )
 
 
@@ -236,17 +236,6 @@ class JobTable:
         """Every job's status and ``finished_at``, read together."""
         with self._cond:
             return dict(self._statuses), self.finished_at
-
-    def result(self, key: Hashable) -> dict[str, int]:
-        """Counts of a DONE job; JobNotReadyError / JobFailedError otherwise,
-        UnknownJobError if the table never saw the key. Serves the job
-        service's /result route only."""
-        status = self.status(key)
-        if status.state is JobState.FAILED:
-            raise JobFailedError(status.error_message or "job failed")
-        if status.state is not JobState.DONE:
-            raise JobNotReadyError(f"job is {status.state.value}")
-        return status.counts
 
 
 class JobRunner:
@@ -382,16 +371,7 @@ class RemoteHttpAdapter:
         try:
             response = self._session.get(f"{self._endpoint}/backends", timeout=self._timeout)
             response.raise_for_status()
-            descriptors = [
-                BackendDescriptor(
-                    provider_id=self.provider_id,
-                    backend_name=entry["name"],
-                    online=bool(entry.get("online", True)),
-                    max_qubits=int(entry.get("max_qubits", MAX_WIDTH_DEFAULT)),
-                    is_ideal_simulator=bool(entry.get("is_ideal_simulator", False)),
-                )
-                for entry in response.json()
-            ]
+            descriptors = [_wire_descriptor(self.provider_id, entry) for entry in response.json()]
         except Exception as exc:
             # A failed or malformed discovery degrades to offline instead of
             # raising, so one dead provider cannot break an all-backends sweep.
@@ -452,6 +432,17 @@ def _wire_counts(counts: Any) -> dict[str, int]:
     return counts
 
 
+def _wire_descriptor(provider_id: str, entry: Any) -> BackendDescriptor:
+    """One GET /backends entry; a field of the wrong JSON type makes it malformed."""
+    name, online = entry["name"], entry.get("online", True)
+    max_qubits = entry.get("max_qubits", MAX_WIDTH_DEFAULT)
+    is_ideal = entry.get("is_ideal_simulator", False)
+    # type(), not isinstance(): a JSON true decodes to a bool, and a bool is an int.
+    if (type(name), type(online), type(max_qubits), type(is_ideal)) != (str, bool, int, bool):
+        raise ValueError(f"listing entry has a field of the wrong type: {entry!r}")
+    return BackendDescriptor(provider_id, name, online, max_qubits, is_ideal)
+
+
 _ADAPTER_KINDS = {
     "local_ideal": LocalSimulatorAdapter,
     "local_noisy": LocalSimulatorAdapter,
@@ -461,6 +452,9 @@ _ADAPTER_KINDS = {
 
 
 def _build_adapter(config: ProviderConfig):
+    """The adapter for a provider, once its settings pass the checks that every
+    ProviderConfig meets: a known kind, the settings that kind needs and only
+    those, and max_qubits, delay and online of their types."""
     if config.kind not in _ADAPTER_KINDS:
         raise ProviderConfigError(
             f"unknown provider kind {config.kind!r} (expected one of {sorted(_ADAPTER_KINDS)})"
@@ -477,9 +471,11 @@ def _build_adapter(config: ProviderConfig):
     for setting, types, what in (
         ("max_qubits", int, "an integer"),
         ("delay", (int, float, type(None)), "a number"),
+        ("online", bool, "a boolean"),
     ):
         value = getattr(config, setting)
-        if isinstance(value, bool) or not isinstance(value, types):
+        # A bool is an int to Python, but only online may be one.
+        if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
             raise ProviderConfigError(f"provider {config.provider_id!r}: {setting} must be {what}")
     return _ADAPTER_KINDS[config.kind](config)
 

@@ -3,10 +3,10 @@
 This is the network leg the remote_http provider speaks against, so the
 distributed and asynchronous paths are exercised across a real socket:
 
-* ``GET /backends``          -> [{name, online, max_qubits, is_ideal_simulator}]
-* ``POST /jobs``             -> 201 {job_id, state: "QUEUED"}
-* ``GET /jobs/{id}``         -> {job_id, state, error?, counts?}; counts once DONE
-* ``GET /jobs/{id}/result``  -> counts | 409 not ready | 410 failed (for old clients)
+* ``GET /backends``   -> [{name, online, max_qubits, is_ideal_simulator}]
+* ``POST /jobs``      -> 201 {job_id, state: "QUEUED"}
+* ``GET /jobs/{id}``  -> {job_id, state, error?, counts?}; error once FAILED,
+  counts once DONE. This is the one way to read a job.
 
 JSON bodies, UTF-8, no auth unless an api_key is configured (then every
 request must carry a matching X-API-Key header). The service speaks
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .circuit import parse_qasm
-from .errors import JobFailedError, JobNotReadyError, QExecError, UnknownJobError
+from .errors import QExecError, UnknownJobError
 from .providers import JobRunner
 from .simulator import MAX_WIDTH_DEFAULT, NoiseSpec
 
@@ -136,8 +136,6 @@ class _Handler(BaseHTTPRequestHandler):
             )
         elif len(parts) == 2 and parts[0] == "jobs":
             self._job_status(parts[1])
-        elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
-            self._job_result(parts[1])
         else:
             self._send(404, {"error": "unknown path"})
 
@@ -197,18 +195,6 @@ class _Handler(BaseHTTPRequestHandler):
         if status.counts is not None:
             payload["counts"] = status.counts
         self._send(200, payload)
-
-    def _job_result(self, job_id: str) -> None:
-        try:
-            counts = self.runner.table.result(job_id)
-        except UnknownJobError:
-            self._send(404, {"error": "unknown job"})
-        except JobNotReadyError:
-            self._send(409, {"error": "not ready"})
-        except JobFailedError as exc:
-            self._send(410, {"error": str(exc)})
-        else:
-            self._send(200, counts)
 
 
 class _Server(ThreadingHTTPServer):

@@ -105,6 +105,8 @@ MALFORMED_LISTINGS = [
     [{"nom": "statevector"}],
     {"name": "statevector"},
     [{"name": "statevector", "max_qubits": "many"}],
+    [{"name": "statevector", "online": "false", "max_qubits": "12", "is_ideal_simulator": "no"}],
+    [{"name": "statevector", "max_qubits": True}],
 ]
 
 

@@ -313,16 +313,16 @@ def test_a8_remote_equivalence():
             json={"backend": "statevector", "qasm": BELL_QASM, "shots": 32, "seed": 0},
             timeout=5,
         ).json()["job_id"]
-        early = requests.get(f"{server.endpoint}/jobs/{job_id}/result", timeout=5)
-        assert early.status_code == 409
+        early = requests.get(f"{server.endpoint}/jobs/{job_id}", timeout=5).json()
+        assert early["state"] == "QUEUED" and "counts" not in early
         deadline = time.time() + 10
         while time.time() < deadline:
-            late = requests.get(f"{server.endpoint}/jobs/{job_id}/result", timeout=5)
-            if late.status_code == 200:
+            late = requests.get(f"{server.endpoint}/jobs/{job_id}", timeout=5).json()
+            if late["state"] == "DONE":
                 break
             time.sleep(0.02)
-        assert late.status_code == 200
-    _pass("A8", f"remote counts == local counts for seed {seed}; delayed poll went 409 -> 200")
+        assert late["state"] == "DONE" and sum(late["counts"].values()) == 32
+    _pass("A8", f"remote == local counts for seed {seed}; delayed job showed counts only once DONE")
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,13 @@ def test_add_job_rejects_zero_shots(bell):
         Dispatch().add_job("p1", "b1", bell, 0)
 
 
+@pytest.mark.parametrize("shots", [2.5, 3.0, True, "8"])
+def test_add_job_rejects_non_integer_shots(bell, shots):
+    # A bool is an int to Python, but True is not a shot count.
+    with pytest.raises(DispatchError, match="shots must be an integer"):
+        Dispatch().add_job("p1", "b1", bell, shots)
+
+
 def test_add_job_rejects_invalid_circuit():
     # The circuit refuses to be built, so it never reaches a dispatch.
     with pytest.raises(CircuitError, match="invalid circuit"):

@@ -294,21 +294,21 @@ def test_registry_register_and_resolve():
     def median_merge(results, context):
         return {}, {}
 
-    registry.register("median", "merge", median_merge)
+    registry.register("median", merge_policy=median_merge)
     assert registry.resolve_merge("median") is median_merge
 
 
 def test_registry_duplicate_rejected():
     registry = PolicyRegistry()
-    registry.register("mine", "split", lambda *a: None)
+    registry.register("mine", split_policy=lambda *a: None)
     with pytest.raises(DuplicatePolicyError):
-        registry.register("mine", "split", lambda *a: None)
+        registry.register("mine", split_policy=lambda *a: None)
 
 
 def test_registry_builtin_name_collision_rejected():
     registry = PolicyRegistry()
     with pytest.raises(DuplicatePolicyError):
-        registry.register("multiplier", "split", lambda *a: None)
+        registry.register("multiplier", split_policy=lambda *a: None)
 
 
 def test_registry_unknown_name():
@@ -321,5 +321,13 @@ def test_registry_unknown_name():
 
 def test_registry_bad_kind():
     registry = PolicyRegistry()
-    with pytest.raises(PolicyError, match="kind"):
-        registry.register("x", "reduce", lambda *a: None)
+    with pytest.raises(PolicyError, match="split_policy=, merge_policy= or both"):
+        registry.register("x")
+    assert "x" not in registry.split_names() + registry.merge_names()
+
+
+def test_registry_name_taken_for_merge_leaves_split_unregistered():
+    registry = PolicyRegistry()
+    with pytest.raises(DuplicatePolicyError, match="merge policy 'tvd'"):
+        registry.register("tvd", split_policy=lambda *a: None, merge_policy=lambda r, c: ({}, {}))
+    assert "tvd" not in registry.split_names()

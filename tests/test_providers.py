@@ -104,7 +104,16 @@ def test_provider_config_from_dict_rejects_other_noise_mappings(noise):
 def test_provider_config_from_dict_online_must_be_boolean():
     assert ProviderConfig.from_dict("m", {"kind": "mock_delay", "online": False}).online is False
     with pytest.raises(ProviderConfigError, match="online must be a boolean"):
-        ProviderConfig.from_dict("m", {"kind": "mock_delay", "online": "false"})
+        VirtualProvider().register_provider(
+            ProviderConfig.from_dict("m", {"kind": "mock_delay", "online": "false"})
+        )
+
+
+@pytest.mark.parametrize("online", ["false", 0, None])
+def test_provider_config_built_in_python_online_must_be_boolean(online):
+    # Truthy or not, a non-boolean online never reaches a descriptor.
+    with pytest.raises(ProviderConfigError, match="online must be a boolean"):
+        VirtualProvider().register_provider(ProviderConfig("x", "local_ideal", online=online))
 
 
 @pytest.mark.parametrize(
@@ -313,7 +322,6 @@ def test_job_table_status_hands_out_a_copy_of_counts():
     read.counts["11"] = 0  # nor is the dict a reader gets back
     assert table.status("done").counts == {"00": 3, "11": 5}
     assert len({table.status("done"), table.status("done")}) == 1  # still hashable
-    assert table.result("done") == {"00": 3, "11": 5}
     assert table.status("pending").counts is None
     assert table.status("failed").counts is None
 

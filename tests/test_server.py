@@ -151,27 +151,30 @@ def test_job_lifecycle_and_result(remote_server):
         timeout=5,
     ).json()["job_id"]
     assert wait_done(endpoint, job_id) == "DONE"
-    counts = requests.get(f"{endpoint}/jobs/{job_id}/result", timeout=5).json()
+    counts = requests.get(f"{endpoint}/jobs/{job_id}", timeout=5).json()["counts"]
     assert sum(counts.values()) == 512
     assert set(counts) <= {"00", "11"}
 
 
 def test_delayed_job_409_then_200(delayed_server, bell):
+    # A delayed job shows no counts until it is DONE.
     endpoint = delayed_server.endpoint
     job_id = requests.post(
         f"{endpoint}/jobs",
         json={"backend": "statevector", "qasm": BELL_QASM, "shots": 64, "seed": 1},
         timeout=5,
     ).json()["job_id"]
-    early = requests.get(f"{endpoint}/jobs/{job_id}/result", timeout=5)
-    assert early.status_code == 409
-    wait_done(endpoint, job_id)
-    late = requests.get(f"{endpoint}/jobs/{job_id}/result", timeout=5)
+    early = requests.get(f"{endpoint}/jobs/{job_id}", timeout=5)
+    assert early.status_code == 200
+    assert early.json() == {"job_id": job_id, "state": "QUEUED"}
+    assert wait_done(endpoint, job_id) == "DONE"
+    late = requests.get(f"{endpoint}/jobs/{job_id}", timeout=5)
     assert late.status_code == 200
-    assert sum(late.json().values()) == 64
+    assert sum(late.json()["counts"].values()) == 64
 
 
 def test_unknown_job_404(remote_server):
+    # /result is no route: it gets the same 404 as any unknown path.
     assert requests.get(f"{remote_server.endpoint}/jobs/rjob-404", timeout=5).status_code == 404
     assert (
         requests.get(f"{remote_server.endpoint}/jobs/rjob-404/result", timeout=5).status_code
@@ -195,9 +198,6 @@ def test_failed_job_410(remote_server, monkeypatch):
     assert wait_done(endpoint, job_id) == "FAILED"
     status = requests.get(f"{endpoint}/jobs/{job_id}", timeout=5).json()
     assert status == {"job_id": job_id, "state": "FAILED", "error": "induced failure"}
-    response = requests.get(f"{endpoint}/jobs/{job_id}/result", timeout=5)
-    assert response.status_code == 410
-    assert response.json()["error"] == "induced failure"
 
 
 # --------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def test_remote_counts_equal_local_seeded(remote_server, bell):
         timeout=5,
     ).json()["job_id"]
     wait_done(endpoint, job_id)
-    remote_counts = requests.get(f"{endpoint}/jobs/{job_id}/result", timeout=5).json()
+    remote_counts = requests.get(f"{endpoint}/jobs/{job_id}", timeout=5).json()["counts"]
     assert remote_counts == sample(bell, 999, seed=4242)
 
 

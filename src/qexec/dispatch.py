@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 from .circuit import Circuit, parse_qasm, serialize_qasm
-from .errors import BackendOfflineError, CircuitError, DispatchError
-from .providers import BackendDescriptor
+from .errors import BackendOfflineError, CircuitError
+from .providers import BackendDescriptor, check_shots
 
 __all__ = ["JobSpec", "Dispatch"]
 
@@ -51,10 +51,7 @@ class Dispatch:
         options: dict[str, Any] | None = None,
     ) -> "Dispatch":
         """Append a job to that backend's list; duplicates are legal (repeat runs)."""
-        if not isinstance(shots, int) or isinstance(shots, bool):
-            raise DispatchError(f"shots must be an integer, got {shots!r}")
-        if shots < 1:
-            raise DispatchError(f"shots must be >= 1, got {shots}")
+        check_shots(shots)
         backend_jobs = self._assignments.setdefault(provider_id, {}).setdefault(backend_name, [])
         backend_jobs.append(JobSpec(circuit=circuit, shots=shots, options=dict(options or {})))
         self._numbered = False

@@ -68,7 +68,7 @@ class MergeError(PolicyError):
 
 
 class DispatchError(QExecError):
-    """Invalid dispatch construction: a job whose shots are not an integer >= 1."""
+    """A job whose shots are not an integer >= 1, added to a dispatch or submitted."""
 
 
 class DispatchValidationError(QExecError):

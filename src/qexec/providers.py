@@ -10,11 +10,14 @@ Four provider kinds ship built-in:
   than ``delay`` seconds after submission (async testing)
 * ``remote_http``   - client for the qexec remote job service wire protocol
 
-Submission is non-blocking for every kind: jobs enter QUEUED immediately and
-progress QUEUED -> RUNNING -> DONE/FAILED, observable through status(), the
-one way to read a job: a DONE status carries the job's counts.
-The registry holds only its adapters and is safe for concurrent use; a job
-is known by (provider_id, job_id), the id that provider's adapter issued.
+Each local kind is a JobRunner hosting its one backend, the same runner
+that hosts the job service's backends: one worker runs its jobs, in
+submission order. Submission is non-blocking for every kind: jobs enter
+QUEUED immediately and progress QUEUED -> RUNNING -> DONE/FAILED, observable
+through status(), the one way to read a job: a DONE status carries the job's
+counts. The registry holds its adapters and each provider's kind, and is
+safe for concurrent use; a job is known by (provider_id, job_id), the id that
+provider's adapter issued.
 A provider's settings are checked when it is registered, so a providers file
 and a ProviderConfig built in Python meet the same checks.
 """
@@ -31,13 +34,13 @@ from enum import Enum
 from typing import Any, Hashable, Iterable, Mapping
 
 import requests
-from requests.adapters import HTTPAdapter
-from urllib3.util import Retry
+from requests.adapters import HTTPAdapter, Retry
 
 from .circuit import Circuit, serialize_qasm
 from .errors import (
     BackendOfflineError,
     CircuitError,
+    DispatchError,
     DuplicateProviderError,
     ProviderConfigError,
     ProviderError,
@@ -165,7 +168,7 @@ class ProviderConfig:
 
 
 # --------------------------------------------------------------------------
-# Job table and job runner (local adapters, job service, collector)
+# Job table and job runner (local providers, job service, collector)
 # --------------------------------------------------------------------------
 
 
@@ -222,63 +225,89 @@ class JobTable:
             return self._cond.wait_for(lambda: not self._pending, timeout)
 
     def status(self, key: Hashable) -> JobStatus:
-        """The job's status, with a copy of its counts once DONE;
-        UnknownJobError if the table never saw the key."""
+        """The job's status; UnknownJobError if the table never saw the key."""
         with self._cond:
             if key not in self._statuses:
                 raise UnknownJobError(f"unknown job {key!r}")
             status = self._statuses[key]
-        if status.counts is None:
-            return status
-        return replace(status, counts=dict(status.counts))
+        return _copied(status)
 
     def snapshot(self) -> tuple[dict[Hashable, JobStatus], float | None]:
         """Every job's status and ``finished_at``, read together."""
         with self._cond:
-            return dict(self._statuses), self.finished_at
+            statuses, finished_at = dict(self._statuses), self.finished_at
+        return {key: _copied(status) for key, status in statuses.items()}, finished_at
+
+
+def _copied(status: JobStatus) -> JobStatus:
+    """A status to hand a reader: its counts are a copy, never the table's own,
+    so a reader that edits them cannot change what the table holds."""
+    if status.counts is None:
+        return status
+    return JobStatus(status.state, status.error_message, dict(status.counts))
 
 
 class JobRunner:
-    """Runs simulator jobs on a bounded thread pool, tracked in a JobTable.
+    """Hosts simulator backends and runs their jobs, tracked in a JobTable.
 
-    A job runs no earlier than ``delay`` seconds after its submission: the
-    worker that takes it sleeps until it is due. Workers take jobs in
-    submission order and every job gets the same delay, so due times never
-    decrease along the queue and N jobs submitted together finish about one
-    delay later, not N delays.
+    Each local provider is one runner with one backend, and the job service
+    is one runner with all of its backends. One worker runs every job, in
+    submission order: CPU-bound jobs that overlap in threads only contend for
+    the interpreter lock. A job runs no earlier than ``delay`` seconds after
+    its submission: the worker sleeps until it is due. Every job gets the same
+    delay, so due times never decrease along the queue and N jobs submitted
+    together finish about one delay later, not N delays.
     """
 
-    def __init__(self, name: str, workers: int, delay: float = 0.0):
-        self.table = JobTable()
+    def __init__(
+        self,
+        name: str,
+        backends: Iterable[tuple[BackendDescriptor, NoiseSpec | None]],
+        delay: float = 0.0,
+    ):
+        self._table = JobTable()
         self._name = name
         self._delay = delay
-        self._pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix=f"{name}-worker")
+        self._backends = {d.backend_name: (d, noise) for d, noise in backends}
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"{name}-worker")
+
+    def backends(self) -> list[BackendDescriptor]:
+        return [descriptor for descriptor, _ in self._backends.values()]
 
     def submit(
-        self, circuit: Circuit, shots: int, seed: int, noise: NoiseSpec | None, max_qubits: int
+        self, backend_name: str, circuit: Circuit, shots: int, options: Mapping[str, Any]
     ) -> str:
-        """Queue one job and return its id; sample_noisy runs when noise is set."""
+        """Queue one job and return its id; sample_noisy runs when the backend
+        has noise. UnknownBackendError for a backend this runner does not host."""
+        if backend_name not in self._backends:
+            raise UnknownBackendError(f"unknown backend {self._name}/{backend_name}")
+        descriptor, noise = self._backends[backend_name]
+        descriptor.check(circuit)
+        seed = int(options.get("seed", 0))
         job_id = f"{self._name}-{next(_JOB_COUNTER)}"
-        self.table.create(job_id)
+        self._table.create(job_id)
         due = time.monotonic() + self._delay
-        self._pool.submit(self._run, job_id, due, circuit, shots, seed, noise, max_qubits)
+        self._pool.submit(self._run, job_id, due, descriptor, noise, circuit, shots, seed)
         return job_id
 
-    def _run(self, job_id, due, circuit, shots, seed, noise, max_qubits) -> None:
+    def _run(self, job_id, due, descriptor, noise, circuit, shots, seed) -> None:
         wait = due - time.monotonic()
         if wait > 0:
             time.sleep(wait)
-        self.table.set_running(job_id)
+        self._table.set_running(job_id)
         try:
             if noise is not None:
-                counts = sample_noisy(circuit, shots, noise, seed, max_qubits)
+                counts = sample_noisy(circuit, shots, noise, seed, descriptor.max_qubits)
             else:
-                counts = sample(circuit, shots, seed, max_qubits)
+                counts = sample(circuit, shots, seed, descriptor.max_qubits)
         except Exception as exc:
             logger.debug("job %s failed", job_id, exc_info=True)
-            self.table.set_failed(job_id, str(exc))
+            self._table.set_failed(job_id, str(exc))
         else:
-            self.table.set_done(job_id, counts)
+            self._table.set_done(job_id, counts)
+
+    def status(self, job_id: str) -> JobStatus:
+        return self._table.status(job_id)
 
     def shutdown(self) -> None:
         """Stop taking jobs; jobs not yet started stay QUEUED."""
@@ -298,46 +327,13 @@ _LOCAL_BACKENDS = {
 # Kinds whose jobs are pure in-process computation: they never wait on a
 # network or a clock, so overlapping them only contends for the interpreter lock.
 _IN_PROCESS_KINDS = frozenset({"local_ideal", "local_noisy"})
-
-
-class LocalSimulatorAdapter:
-    """In-process simulator provider for the local_ideal, local_noisy and
-    mock_delay kinds; one worker, so jobs run in submission order."""
-
-    def __init__(self, config: ProviderConfig):
-        self.provider_id = config.provider_id
-        self._noise = config.noise
-        self.in_process = config.kind in _IN_PROCESS_KINDS
-        backend_name, is_ideal = _LOCAL_BACKENDS[config.kind]
-        self._descriptor = BackendDescriptor(
-            provider_id=config.provider_id,
-            backend_name=backend_name,
-            online=config.online,
-            max_qubits=config.max_qubits,
-            is_ideal_simulator=is_ideal,
-        )
-        self._runner = JobRunner(config.provider_id, workers=1, delay=config.delay or 0.0)
-
-    def backends(self) -> list[BackendDescriptor]:
-        return [self._descriptor]
-
-    def submit(
-        self, backend_name: str, circuit: Circuit, shots: int, options: Mapping[str, Any]
-    ) -> str:
-        if backend_name != self._descriptor.backend_name:
-            raise UnknownBackendError(f"unknown backend {self.provider_id}/{backend_name}")
-        self._descriptor.check(circuit)
-        seed = int(options.get("seed", 0))
-        return self._runner.submit(circuit, shots, seed, self._noise, self._descriptor.max_qubits)
-
-    def status(self, job_id: str) -> JobStatus:
-        return self._runner.table.status(job_id)
-
+_KINDS = frozenset({*_LOCAL_BACKENDS, "remote_http"})
 
 # A request that never reached the service (a connect error) is retried
 # whatever its method. Once a request may have arrived, only a GET is resent:
 # a resent POST /jobs could run its job twice.
 _RETRY = Retry(total=2, backoff_factor=0.05, allowed_methods={"GET"})
+_TIMEOUT = 10.0  # seconds, for each request to the service
 
 
 class RemoteHttpAdapter:
@@ -348,10 +344,9 @@ class RemoteHttpAdapter:
     once, here, rather than by requests on every call.
     """
 
-    def __init__(self, config: ProviderConfig, timeout: float = 10.0):
+    def __init__(self, config: ProviderConfig):
         self.provider_id = config.provider_id
         self._endpoint = (config.endpoint or "").rstrip("/")
-        self._timeout = timeout
         self._session = requests.Session()
         retrying = HTTPAdapter(max_retries=_RETRY)
         self._session.mount("http://", retrying)
@@ -369,7 +364,7 @@ class RemoteHttpAdapter:
 
     def backends(self) -> list[BackendDescriptor]:
         try:
-            response = self._session.get(f"{self._endpoint}/backends", timeout=self._timeout)
+            response = self._session.get(f"{self._endpoint}/backends", timeout=_TIMEOUT)
             response.raise_for_status()
             descriptors = [_wire_descriptor(self.provider_id, entry) for entry in response.json()]
         except Exception as exc:
@@ -392,9 +387,7 @@ class RemoteHttpAdapter:
             "seed": int(options.get("seed", 0)),
         }
         try:
-            response = self._session.post(
-                f"{self._endpoint}/jobs", json=body, timeout=self._timeout
-            )
+            response = self._session.post(f"{self._endpoint}/jobs", json=body, timeout=_TIMEOUT)
         except requests.RequestException as exc:
             raise ProviderError(f"remote submission failed: {exc}") from exc
         if response.status_code == 404:
@@ -408,7 +401,7 @@ class RemoteHttpAdapter:
 
     def status(self, job_id: str) -> JobStatus:
         try:
-            response = self._session.get(f"{self._endpoint}/jobs/{job_id}", timeout=self._timeout)
+            response = self._session.get(f"{self._endpoint}/jobs/{job_id}", timeout=_TIMEOUT)
         except requests.RequestException as exc:
             return JobStatus(JobState.FAILED, f"remote status check failed: {exc}")
         if response.status_code == 404:
@@ -443,21 +436,13 @@ def _wire_descriptor(provider_id: str, entry: Any) -> BackendDescriptor:
     return BackendDescriptor(provider_id, name, online, max_qubits, is_ideal)
 
 
-_ADAPTER_KINDS = {
-    "local_ideal": LocalSimulatorAdapter,
-    "local_noisy": LocalSimulatorAdapter,
-    "mock_delay": LocalSimulatorAdapter,
-    "remote_http": RemoteHttpAdapter,
-}
-
-
 def _build_adapter(config: ProviderConfig):
     """The adapter for a provider, once its settings pass the checks that every
     ProviderConfig meets: a known kind, the settings that kind needs and only
     those, and max_qubits, delay and online of their types."""
-    if config.kind not in _ADAPTER_KINDS:
+    if config.kind not in _KINDS:
         raise ProviderConfigError(
-            f"unknown provider kind {config.kind!r} (expected one of {sorted(_ADAPTER_KINDS)})"
+            f"unknown provider kind {config.kind!r} (expected one of {sorted(_KINDS)})"
         )
     if config.kind == "remote_http" and not config.endpoint:
         raise ProviderConfigError(f"provider {config.provider_id!r}: remote_http requires endpoint")
@@ -477,7 +462,13 @@ def _build_adapter(config: ProviderConfig):
         # A bool is an int to Python, but only online may be one.
         if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
             raise ProviderConfigError(f"provider {config.provider_id!r}: {setting} must be {what}")
-    return _ADAPTER_KINDS[config.kind](config)
+    if config.kind == "remote_http":
+        return RemoteHttpAdapter(config)
+    backend_name, is_ideal = _LOCAL_BACKENDS[config.kind]
+    descriptor = BackendDescriptor(
+        config.provider_id, backend_name, config.online, config.max_qubits, is_ideal
+    )
+    return JobRunner(config.provider_id, [(descriptor, config.noise)], config.delay or 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -485,11 +476,21 @@ def _build_adapter(config: ProviderConfig):
 # --------------------------------------------------------------------------
 
 
+def check_shots(shots: int) -> None:
+    """Raise DispatchError unless shots is an integer >= 1; a bool is an int
+    to Python, but True is not a shot count."""
+    if not isinstance(shots, int) or isinstance(shots, bool):
+        raise DispatchError(f"shots must be an integer, got {shots!r}")
+    if shots < 1:
+        raise DispatchError(f"shots must be >= 1, got {shots}")
+
+
 class VirtualProvider:
     """Registry of provider adapters; routes each job handle to its adapter."""
 
     def __init__(self):
         self._adapters: dict[str, Any] = {}
+        self._kinds: dict[str, str] = {}
         self._lock = threading.Lock()
 
     def register_provider(self, config: ProviderConfig) -> str:
@@ -498,6 +499,7 @@ class VirtualProvider:
             if config.provider_id in self._adapters:
                 raise DuplicateProviderError(f"provider {config.provider_id!r} already registered")
             self._adapters[config.provider_id] = _build_adapter(config)
+            self._kinds[config.provider_id] = config.kind
         return config.provider_id
 
     def providers(self) -> list[str]:
@@ -529,8 +531,7 @@ class VirtualProvider:
     def in_process(self, provider_id: str) -> bool:
         """True for a local_ideal or local_noisy provider, False for any other."""
         with self._lock:
-            adapter = self._adapters.get(provider_id)
-        return getattr(adapter, "in_process", False)
+            return self._kinds.get(provider_id) in _IN_PROCESS_KINDS
 
     def submit(
         self,
@@ -542,8 +543,7 @@ class VirtualProvider:
     ) -> JobHandle:
         """Non-blocking submission, with no discovery call: the adapter rejects
         a backend it does not host or a circuit that cannot run there."""
-        if shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
+        check_shots(shots)
         with self._lock:
             adapter = self._adapters.get(provider_id)
         if adapter is None:

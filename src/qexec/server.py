@@ -14,8 +14,9 @@ HTTP/1.1 and keeps each connection open for the client's next request. It
 reads a request's whole body, framed by Content-Length, before it replies,
 so an early 401 or 404 leaves the connection in step; a Content-Length that
 is not an integer gets 400 and the connection is closed. stop() closes the
-kept connections too, so nothing is served after it. Jobs run on the same
-JobRunner as the in-process providers: ``workers`` threads, each job
+kept connections too, so nothing is served after it. The service's backends
+are one JobRunner, the runner each in-process provider uses: it checks a job
+against its backend and runs one job at a time, in submission order, each
 starting no earlier than ``delay`` seconds after its submission. Jobs live
 in memory only; a restart loses them and clients see 404.
 
@@ -34,8 +35,8 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .circuit import parse_qasm
-from .errors import QExecError, UnknownJobError
-from .providers import JobRunner
+from .errors import QExecError, UnknownBackendError, UnknownJobError
+from .providers import BackendDescriptor, JobRunner
 from .simulator import MAX_WIDTH_DEFAULT, NoiseSpec
 
 __all__ = ["ServerBackend", "ServerConfig", "RemoteServer", "main"]
@@ -45,11 +46,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ServerBackend:
-    """One backend hosted by the service; noise=None means ideal."""
+    """One backend hosted by the service, MAX_WIDTH_DEFAULT qubits wide;
+    noise=None means ideal."""
 
     name: str
     noise: NoiseSpec | None = None
-    max_qubits: int = MAX_WIDTH_DEFAULT
 
 
 def _default_backends() -> list[ServerBackend]:
@@ -66,13 +67,11 @@ class ServerConfig:
     delay: float = 0.0  # each job starts no earlier than this many seconds after submission
     api_key: str | None = None
     backends: list[ServerBackend] = field(default_factory=_default_backends)
-    workers: int = 4
 
 
 class _Handler(BaseHTTPRequestHandler):
     # bound per server via type()
     config: ServerConfig
-    backends: dict[str, ServerBackend]
     runner: JobRunner
 
     # Keep connections open. The headers and the body go out in two sends, so
@@ -126,12 +125,12 @@ class _Handler(BaseHTTPRequestHandler):
                 200,
                 [
                     {
-                        "name": b.name,
-                        "online": True,
-                        "max_qubits": b.max_qubits,
-                        "is_ideal_simulator": b.noise is None,
+                        "name": d.backend_name,
+                        "online": d.online,
+                        "max_qubits": d.max_qubits,
+                        "is_ideal_simulator": d.is_ideal_simulator,
                     }
-                    for b in sorted(self.backends.values(), key=lambda b: b.name)
+                    for d in sorted(self.runner.backends(), key=lambda d: d.backend_name)
                 ],
             )
         elif len(parts) == 2 and parts[0] == "jobs":
@@ -156,10 +155,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(400, {"error": "body must be a JSON object"})
             return
 
-        backend = self.backends.get(str(body.get("backend", "")))
-        if backend is None:
-            self._send(404, {"error": f"unknown backend {body.get('backend')!r}"})
-            return
         shots, seed = body.get("shots", 0), body.get("seed", 0)
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in (shots, seed)):
             self._send(400, {"error": "shots and seed must be integers"})
@@ -176,16 +171,19 @@ class _Handler(BaseHTTPRequestHandler):
         except QExecError as exc:
             self._send(400, {"error": f"bad qasm: {exc}"})
             return
-        if circuit.width > backend.max_qubits:
-            self._send(400, {"error": f"circuit width {circuit.width} exceeds {backend.max_qubits}"})
-            return
 
-        job_id = self.runner.submit(circuit, shots, seed, backend.noise, backend.max_qubits)
-        self._send(201, {"job_id": job_id, "state": "QUEUED"})
+        try:
+            job_id = self.runner.submit(str(body.get("backend", "")), circuit, shots, {"seed": seed})
+        except UnknownBackendError:
+            self._send(404, {"error": f"unknown backend {body.get('backend')!r}"})
+        except QExecError as exc:
+            self._send(400, {"error": str(exc)})  # a circuit wider than the backend's limit
+        else:
+            self._send(201, {"job_id": job_id, "state": "QUEUED"})
 
     def _job_status(self, job_id: str) -> None:
         try:
-            status = self.runner.table.status(job_id)
+            status = self.runner.status(job_id)
         except UnknownJobError:
             self._send(404, {"error": "unknown job"})
             return
@@ -231,17 +229,19 @@ class _Server(ThreadingHTTPServer):
 
 
 class RemoteServer:
-    """Owns the HTTP server thread and the job worker pool."""
+    """Owns the HTTP server thread and the JobRunner of the hosted backends."""
 
     def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig()
-        self._runner = JobRunner("rjob", self.config.workers, self.config.delay)
-        bound = {
-            "config": self.config,
-            "backends": {b.name: b for b in self.config.backends},
-            "runner": self._runner,
-        }
-        handler = type("BoundHandler", (_Handler,), bound)
+        self._runner = JobRunner(
+            "rjob",
+            [
+                (BackendDescriptor("rjob", b.name, True, MAX_WIDTH_DEFAULT, b.noise is None), b.noise)
+                for b in self.config.backends
+            ],
+            self.config.delay,
+        )
+        handler = type("BoundHandler", (_Handler,), {"config": self.config, "runner": self._runner})
         self._httpd = _Server((self.config.host, self.config.port), handler)
         self._thread: threading.Thread | None = None
 

@@ -1,5 +1,9 @@
+import threading
+import time
+
 import pytest
 
+import qexec.providers
 from qexec import NoiseSpec, ProviderConfig, QuantumExecutor, VirtualProvider, parse_qasm
 from qexec.server import RemoteServer, ServerConfig, _Handler
 
@@ -81,6 +85,31 @@ def accepted_connections(monkeypatch):
 
     monkeypatch.setattr(_Handler, "setup", counting_setup)
     return accepted
+
+
+def count_kernels_in_flight(monkeypatch) -> list[int]:
+    """Wrap the simulator kernels that job runners call so that each call
+    lasts at least 2 ms and is counted while it runs; returns [now, most seen]."""
+    lock = threading.Lock()
+    in_flight = [0, 0]
+
+    def counted(kernel):
+        def wrapper(*args, **kwargs):
+            with lock:
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight[1], in_flight[0])
+            try:
+                time.sleep(0.002)
+                return kernel(*args, **kwargs)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        return wrapper
+
+    monkeypatch.setattr(qexec.providers, "sample", counted(qexec.providers.sample))
+    monkeypatch.setattr(qexec.providers, "sample_noisy", counted(qexec.providers.sample_noisy))
+    return in_flight
 
 
 def drop_once(monkeypatch, route: str) -> list[str]:

@@ -151,6 +151,21 @@ def test_merged_requires_policy(bell):
         collector.get_merged_results()
 
 
+def test_readers_get_copies_of_the_counts(bell):
+    # Editing what a reader returned leaves the run's own counts as they were.
+    collector = ResultCollector(
+        two_backend_dispatch(bell), merge_policy="sum", merge_fn=merge_sum
+    )
+    collector.record_result(0, {"00": 6, "11": 4})
+    collector.record_result(1, {"00": 10})
+    tree = collector.get_results()
+    tree["p1"]["b1"][0]["00"] = 999
+    collector.status()[1].counts["00"] = 999
+    collector.run_state().jobs[0][2].counts["11"] = 999
+    assert collector.get_results() == {"p1": {"b1": [{"00": 6, "11": 4}]}, "p2": {"b1": [{"00": 10}]}}
+    assert collector.get_merged_results()[0] == {"00": 16, "11": 4}
+
+
 def test_merged_memoized(bell):
     calls = []
 

@@ -27,6 +27,8 @@ from qexec.errors import (
 )
 from qexec.providers import JobState, JobStatus
 
+from conftest import count_kernels_in_flight
+
 LOCAL_PAIR = {"local_ideal": ["statevector"], "local_noisy": ["noisy_statevector"]}
 
 
@@ -243,25 +245,7 @@ def test_done_without_counts_fails_the_job_with_a_reason(local_executor, bell):
 def test_in_process_backends_run_one_at_a_time(bell, monkeypatch):
     # The three in-process backends share one lane, which finishes one
     # backend's jobs before it submits the next's: one kernel call at a time.
-    lock = threading.Lock()
-    in_flight = [0, 0]  # now, most seen
-
-    def counted(kernel):
-        def wrapper(*args, **kwargs):
-            with lock:
-                in_flight[0] += 1
-                in_flight[1] = max(in_flight[1], in_flight[0])
-            try:
-                time.sleep(0.002)
-                return kernel(*args, **kwargs)
-            finally:
-                with lock:
-                    in_flight[0] -= 1
-
-        return wrapper
-
-    monkeypatch.setattr(qexec.providers, "sample", counted(qexec.providers.sample))
-    monkeypatch.setattr(qexec.providers, "sample_noisy", counted(qexec.providers.sample_noisy))
+    in_flight = count_kernels_in_flight(monkeypatch)
     targets = [("ideal_a", "statevector"), ("ideal_b", "statevector"), ("noisy", "noisy_statevector")]
     executor = QuantumExecutor(
         providers=[

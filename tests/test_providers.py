@@ -16,6 +16,7 @@ from qexec import (
 from qexec.errors import (
     BackendOfflineError,
     CircuitError,
+    DispatchError,
     DuplicateProviderError,
     ProviderConfigError,
     ProviderError,
@@ -247,8 +248,15 @@ def test_submit_offline_backend_rejected(bell):
 
 
 def test_submit_zero_shots(local_registry, bell):
-    with pytest.raises(ValueError, match="shots"):
+    with pytest.raises(DispatchError, match="shots must be >= 1"):
         local_registry.submit("local_ideal", "statevector", bell, 0)
+
+
+@pytest.mark.parametrize("shots", [2.5, 3.0, True, "8"])
+def test_submit_rejects_non_integer_shots(local_registry, bell, shots):
+    # Rejected before a job is queued, as Dispatch.add_job rejects it.
+    with pytest.raises(DispatchError, match="shots must be an integer"):
+        local_registry.submit("local_ideal", "statevector", bell, shots)
 
 
 def test_local_job_completes(local_registry, bell):

@@ -1,4 +1,5 @@
 import socket
+import threading
 import time
 
 import pytest
@@ -8,7 +9,7 @@ import qexec.providers
 from qexec import sample
 from qexec.server import RemoteServer, ServerBackend, ServerConfig
 
-from conftest import BELL_QASM
+from conftest import BELL_QASM, count_kernels_in_flight
 
 
 def wait_done(endpoint: str, job_id: str, headers=None, timeout=5.0) -> str:
@@ -66,12 +67,13 @@ def test_submit_bell(remote_server):
 
 
 def test_submit_unknown_backend(remote_server):
-    response = requests.post(
-        f"{remote_server.endpoint}/jobs",
-        json={"backend": "warp_core", "qasm": BELL_QASM, "shots": 8, "seed": 0},
-        timeout=5,
-    )
+    body = {"backend": "warp_core", "qasm": BELL_QASM, "shots": 8, "seed": 0}
+    response = requests.post(f"{remote_server.endpoint}/jobs", json=body, timeout=5)
     assert response.status_code == 404
+    assert response.json() == {"error": "unknown backend 'warp_core'"}
+    # The body is checked before the backend is looked up.
+    response = requests.post(f"{remote_server.endpoint}/jobs", json=dict(body, shots=0), timeout=5)
+    assert response.status_code == 400
 
 
 def test_submit_zero_shots(remote_server):
@@ -136,6 +138,8 @@ def test_submit_width_overflow(remote_server):
         timeout=5,
     )
     assert response.status_code == 400
+    assert "width 25 exceeds" in response.json()["error"]
+    assert "limit 20" in response.json()["error"]
 
 
 # --------------------------------------------------------------------------
@@ -154,6 +158,30 @@ def test_job_lifecycle_and_result(remote_server):
     counts = requests.get(f"{endpoint}/jobs/{job_id}", timeout=5).json()["counts"]
     assert sum(counts.values()) == 512
     assert set(counts) <= {"00", "11"}
+
+
+def test_jobs_run_one_at_a_time(remote_server, monkeypatch):
+    # Two clients post to both backends at once; one worker runs every job.
+    in_flight = count_kernels_in_flight(monkeypatch)
+    endpoint = remote_server.endpoint
+    job_ids = []
+
+    def client():
+        with requests.Session() as session:
+            for seed in range(10):
+                for backend in ("statevector", "noisy_statevector"):
+                    body = {"backend": backend, "qasm": BELL_QASM, "shots": 16, "seed": seed}
+                    response = session.post(f"{endpoint}/jobs", json=body, timeout=5)
+                    job_ids.append(response.json()["job_id"])
+
+    clients = [threading.Thread(target=client) for _ in range(2)]
+    for thread in clients:
+        thread.start()
+    for thread in clients:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert [wait_done(endpoint, job_id) for job_id in job_ids] == ["DONE"] * 40
+    assert in_flight[1] == 1
 
 
 def test_delayed_job_409_then_200(delayed_server, bell):

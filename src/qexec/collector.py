@@ -130,10 +130,10 @@ class ResultCollector:
         return self._build_tree()
 
     def _build_tree(self) -> dict:
-        statuses, _ = self._table.snapshot()
+        done = self._table.counts()
         tree: dict[str, dict[str, list[dict[str, int]]]] = {}
         for provider_id, backend_name, spec in self.dispatch.jobs():
-            counts = statuses[spec.ordinal].counts
+            counts = done.get(spec.ordinal)
             if counts is not None:
                 tree.setdefault(provider_id, {}).setdefault(backend_name, []).append(counts)
         return tree

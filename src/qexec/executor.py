@@ -3,8 +3,8 @@
 Runs are declarative (run_experiment with an ExperimentSpec) or explicit
 (run_dispatch with a pre-built Dispatch). Either way, execution runs in
 lanes. A lane is a worker thread that takes its backends in canonical order
-and, for each, submits its jobs in order and then waits for them one at a
-time, in that same order. In-process simulator backends (local_ideal,
+and, for each, submits all its jobs in one batch call and then reads all its
+pending jobs in one call per poll until none is pending. In-process simulator backends (local_ideal,
 local_noisy) always share one lane, because their jobs are pure computation
 and overlapping them only contends for the interpreter lock. With parallel
 runs, every other backend (remote_http, mock_delay), whose lane waits on a
@@ -25,7 +25,7 @@ from .collector import ResultCollector
 from .dispatch import Dispatch
 from .errors import DispatchValidationError, ExperimentError, ProviderError, UnknownBackendError
 from .policies import PolicyRegistry
-from .providers import JobState, ProviderConfig, VirtualProvider
+from .providers import JobState, JobStatus, ProviderConfig, VirtualProvider
 
 __all__ = ["ExperimentSpec", "QuantumExecutor"]
 
@@ -197,36 +197,56 @@ class QuantumExecutor:
         base_seed: int,
         collector: ResultCollector,
     ) -> None:
-        """Submit this backend's jobs in order, then wait for each in turn:
-        poll it with a backoff that restarts per job and record its terminal
-        status, counts and all. Each job has its own try, so whatever raises fails one job."""
-        submitted = []
+        """Submit this backend's jobs in one batch, then read every pending job
+        in one call per poll and record each job's terminal status, counts and
+        all, once. The poll interval restarts whenever a poll finds a job newly
+        terminal, and otherwise grows. A fault fails only the jobs it touched."""
+        ordinals, jobs = [], []
         for spec in specs:
             try:
-                options = dict(spec.options)
-                options["seed"] = base_seed + spec.ordinal
-                handle = self.virtual_provider.submit(
-                    provider_id, backend_name, spec.circuit, spec.shots, options
-                )
-                collector.record_submitted(spec.ordinal, handle)
-                submitted.append((spec.ordinal, handle))
+                options = {**spec.options, "seed": base_seed + spec.ordinal}
             except Exception as exc:
                 collector.record_failed(spec.ordinal, str(exc))
+                continue
+            jobs.append((spec.circuit, spec.shots, options))
+            ordinals.append(spec.ordinal)
+        try:
+            outcomes = self.virtual_provider.submit_batch(provider_id, backend_name, jobs)
+        except Exception as exc:
+            outcomes = [exc] * len(jobs)
+        pending: dict[int, str] = {}
+        for ordinal, outcome in zip(ordinals, outcomes):
+            if isinstance(outcome, Exception):
+                collector.record_failed(ordinal, str(outcome))
+            else:
+                collector.record_submitted(ordinal, outcome)
+                pending[ordinal] = outcome.job_id
 
-        for ordinal, handle in submitted:
+        interval = _POLL_INITIAL
+        while pending:
             try:
-                interval = _POLL_INITIAL
-                status = self.virtual_provider.status(handle)
-                while not status.state.terminal:
-                    collector.record_status(ordinal, status)
-                    time.sleep(interval)
-                    interval = min(interval * 1.5, _POLL_MAX)
-                    status = self.virtual_provider.status(handle)
-                if status.state is JobState.FAILED:
-                    collector.record_failed(ordinal, status.error_message or "job failed")
-                elif status.counts is None:
-                    collector.record_failed(ordinal, "adapter reported DONE without counts")
-                else:
-                    collector.record_result(ordinal, status.counts)
+                statuses = self.virtual_provider.status_batch(provider_id, list(pending.values()))
             except Exception as exc:
-                collector.record_failed(ordinal, str(exc))
+                statuses = [JobStatus(JobState.FAILED, str(exc))] * len(pending)
+            finished = False
+            for ordinal, status in zip(list(pending), statuses):
+                if status.state.terminal:
+                    del pending[ordinal]
+                    finished = True
+                    _record_terminal(collector, ordinal, status)
+                else:
+                    collector.record_status(ordinal, status)
+            if pending:
+                if finished:
+                    interval = _POLL_INITIAL
+                time.sleep(interval)
+                interval = min(interval * 1.5, _POLL_MAX)
+
+
+def _record_terminal(collector: ResultCollector, ordinal: int, status: JobStatus) -> None:
+    if status.state is JobState.FAILED:
+        collector.record_failed(ordinal, status.error_message or "job failed")
+    elif status.counts is None:
+        collector.record_failed(ordinal, "adapter reported DONE without counts")
+    else:
+        collector.record_result(ordinal, status.counts)

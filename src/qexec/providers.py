@@ -12,12 +12,16 @@ Four provider kinds ship built-in:
 
 Each local kind is a JobRunner hosting its one backend, the same runner
 that hosts the job service's backends: one worker runs its jobs, in
-submission order. Submission is non-blocking for every kind: jobs enter
-QUEUED immediately and progress QUEUED -> RUNNING -> DONE/FAILED, observable
-through status(), the one way to read a job: a DONE status carries the job's
-counts. The registry holds its adapters and each provider's kind, and is
-safe for concurrent use; a job is known by (provider_id, job_id), the id that
-provider's adapter issued.
+submission order. Every adapter takes a backend's jobs as one list and reads
+a list of job ids in one call; the registry's submit_batch and status_batch
+are those calls, and submit and status are their one-job cases. Submission
+is non-blocking for every kind: jobs enter QUEUED immediately and progress
+QUEUED -> RUNNING -> DONE/FAILED, observable through the status calls, the
+one way to read a job: a DONE status carries the job's counts. A job that
+cannot be submitted gets its error in place of an id, so one bad job never
+fails the jobs submitted with it. The registry holds its adapters and each
+provider's kind, and is safe for concurrent use; a job is known by
+(provider_id, job_id), the id that provider's adapter issued.
 A provider's settings are checked when it is registered, so a providers file
 and a ProviderConfig built in Python meet the same checks.
 """
@@ -31,7 +35,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Hashable, Iterable, Mapping
+from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 import requests
 from requests.adapters import HTTPAdapter, Retry
@@ -44,12 +48,14 @@ from .errors import (
     DuplicateProviderError,
     ProviderConfigError,
     ProviderError,
+    QExecError,
     UnknownBackendError,
     UnknownJobError,
 )
 from .simulator import MAX_WIDTH_DEFAULT, NoiseSpec, sample, sample_noisy
 
 __all__ = [
+    "MAX_BATCH_JOBS",
     "JobState",
     "JobStatus",
     "JobHandle",
@@ -63,6 +69,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _JOB_COUNTER = itertools.count(1)  # never reused within the process
+
+# The most jobs one request to the job service may submit or read; a client
+# splits a longer list into requests of at most this many.
+MAX_BATCH_JOBS = 256
 
 
 class JobState(str, Enum):
@@ -177,7 +187,7 @@ class JobTable:
 
     A transition that would move a job backwards, or out of a terminal
     state, is ignored: the first terminal state recorded wins. A DONE
-    status holds the job's counts, and status() hands out a copy of them.
+    status holds the job's counts, and every reader gets a copy of them.
     The table counts its pending (non-terminal) jobs. ``finished_at`` is the
     wall-clock time at which the last pending job became terminal, and None
     exactly while a job is pending; wait() blocks until no job is pending.
@@ -224,13 +234,20 @@ class JobTable:
         with self._cond:
             return self._cond.wait_for(lambda: not self._pending, timeout)
 
-    def status(self, key: Hashable) -> JobStatus:
-        """The job's status; UnknownJobError if the table never saw the key."""
+    def statuses(self, keys: Iterable[Hashable]) -> list[JobStatus | None]:
+        """Each key's status, read under one hold of the lock; None for a key
+        the table never saw."""
         with self._cond:
-            if key not in self._statuses:
-                raise UnknownJobError(f"unknown job {key!r}")
-            status = self._statuses[key]
-        return _copied(status)
+            statuses = [self._statuses.get(key) for key in keys]
+        return [None if status is None else _copied(status) for status in statuses]
+
+    def counts(self) -> dict[Hashable, dict[str, int]]:
+        """A copy of the counts of every DONE job, and nothing else."""
+        with self._cond:
+            done = [(key, s.counts) for key, s in self._statuses.items() if s.counts is not None]
+        # The table's counts are never edited once recorded, so they are
+        # copied outside the lock.
+        return {key: dict(counts) for key, counts in done}
 
     def snapshot(self) -> tuple[dict[Hashable, JobStatus], float | None]:
         """Every job's status and ``finished_at``, read together."""
@@ -274,21 +291,28 @@ class JobRunner:
     def backends(self) -> list[BackendDescriptor]:
         return [descriptor for descriptor, _ in self._backends.values()]
 
-    def submit(
-        self, backend_name: str, circuit: Circuit, shots: int, options: Mapping[str, Any]
-    ) -> str:
-        """Queue one job and return its id; sample_noisy runs when the backend
-        has noise. UnknownBackendError for a backend this runner does not host."""
+    def submit(self, backend_name: str, jobs: Sequence[tuple]) -> list[str | QExecError]:
+        """Queue each ``(circuit, shots, options)`` job and return its id, or
+        the error that kept it from the queue; sample_noisy runs when the
+        backend has noise. Every job of a backend this runner does not host
+        gets UnknownBackendError."""
         if backend_name not in self._backends:
-            raise UnknownBackendError(f"unknown backend {self._name}/{backend_name}")
+            return [UnknownBackendError(f"unknown backend {self._name}/{backend_name}")] * len(jobs)
         descriptor, noise = self._backends[backend_name]
-        descriptor.check(circuit)
-        seed = int(options.get("seed", 0))
-        job_id = f"{self._name}-{next(_JOB_COUNTER)}"
-        self._table.create(job_id)
         due = time.monotonic() + self._delay
-        self._pool.submit(self._run, job_id, due, descriptor, noise, circuit, shots, seed)
-        return job_id
+        job_ids: list[str | QExecError] = []
+        for circuit, shots, options in jobs:
+            try:
+                descriptor.check(circuit)
+            except QExecError as exc:
+                job_ids.append(exc)
+                continue
+            seed = options.get("seed", 0)
+            job_id = f"{self._name}-{next(_JOB_COUNTER)}"
+            self._table.create(job_id)
+            self._pool.submit(self._run, job_id, due, descriptor, noise, circuit, shots, seed)
+            job_ids.append(job_id)
+        return job_ids
 
     def _run(self, job_id, due, descriptor, noise, circuit, shots, seed) -> None:
         wait = due - time.monotonic()
@@ -306,8 +330,9 @@ class JobRunner:
         else:
             self._table.set_done(job_id, counts)
 
-    def status(self, job_id: str) -> JobStatus:
-        return self._table.status(job_id)
+    def status(self, job_ids: Sequence[str]) -> list[JobStatus | None]:
+        """Each job's status; None for an id this runner never issued."""
+        return self._table.statuses(job_ids)
 
     def shutdown(self) -> None:
         """Stop taking jobs; jobs not yet started stay QUEUED."""
@@ -377,43 +402,87 @@ class RemoteHttpAdapter:
             self._last_known = descriptors
         return descriptors
 
-    def submit(
-        self, backend_name: str, circuit: Circuit, shots: int, options: Mapping[str, Any]
-    ) -> str:
+    def submit(self, backend_name: str, jobs: Sequence[tuple]) -> list[str | QExecError]:
+        """Post the ``(circuit, shots, options)`` jobs, at most MAX_BATCH_JOBS a
+        request, and return each job's id or the error that refused it. A
+        fault of a whole request fails each of its jobs once, with its message."""
+        job_ids: list[str | QExecError] = []
+        for start in range(0, len(jobs), MAX_BATCH_JOBS):
+            job_ids += self._post_jobs(backend_name, jobs[start : start + MAX_BATCH_JOBS])
+        return job_ids
+
+    def _post_jobs(self, backend_name: str, jobs: Sequence[tuple]) -> list[str | QExecError]:
         body = {
             "backend": backend_name,
-            "qasm": serialize_qasm(circuit),
-            "shots": shots,
-            "seed": int(options.get("seed", 0)),
+            "jobs": [
+                {"qasm": serialize_qasm(circuit), "shots": shots, "seed": options.get("seed", 0)}
+                for circuit, shots, options in jobs
+            ],
         }
         try:
             response = self._session.post(f"{self._endpoint}/jobs", json=body, timeout=_TIMEOUT)
         except requests.RequestException as exc:
-            raise ProviderError(f"remote submission failed: {exc}") from exc
+            return [ProviderError(f"remote submission failed: {exc}")] * len(jobs)
         if response.status_code == 404:
-            raise UnknownBackendError(f"remote backend {backend_name!r} not found")
+            return [UnknownBackendError(f"remote backend {backend_name!r} not found")] * len(jobs)
         if response.status_code != 201:
-            raise ProviderError(f"remote submission rejected ({response.status_code}): {response.text}")
+            code, text = response.status_code, response.text
+            return [ProviderError(f"remote submission rejected ({code}): {text}")] * len(jobs)
         try:
-            return str(response.json()["job_id"])
-        except (ValueError, KeyError) as exc:
-            raise ProviderError(f"malformed submission response: {exc}") from exc
-
-    def status(self, job_id: str) -> JobStatus:
-        try:
-            response = self._session.get(f"{self._endpoint}/jobs/{job_id}", timeout=_TIMEOUT)
-        except requests.RequestException as exc:
-            return JobStatus(JobState.FAILED, f"remote status check failed: {exc}")
-        if response.status_code == 404:
-            # Server restarted and lost the job; treat as failed.
-            return JobStatus(JobState.FAILED, "remote job not found")
-        try:
-            payload = response.json()
-            state = JobState(payload["state"])
-            counts = _wire_counts(payload["counts"]) if state is JobState.DONE else None
-            return JobStatus(state, payload.get("error"), counts)
+            entries = _wire_list(response.json(), len(jobs))
+            return [
+                str(entry["job_id"])
+                if "job_id" in entry
+                else ProviderError(f"remote submission rejected: {entry['error']}")
+                for entry in entries
+            ]
         except (ValueError, KeyError, TypeError) as exc:
-            return JobStatus(JobState.FAILED, f"malformed status response: {exc}")
+            return [ProviderError(f"malformed submission response: {exc}")] * len(jobs)
+
+    def status(self, job_ids: Sequence[str]) -> list[JobStatus]:
+        """Each job's status, read with GET /jobs?ids=, at most MAX_BATCH_JOBS
+        ids a request. A job the service does not know is FAILED."""
+        statuses: list[JobStatus] = []
+        for start in range(0, len(job_ids), MAX_BATCH_JOBS):
+            statuses += self._get_jobs(job_ids[start : start + MAX_BATCH_JOBS])
+        return statuses
+
+    def _get_jobs(self, job_ids: Sequence[str]) -> list[JobStatus]:
+        try:
+            response = self._session.get(
+                f"{self._endpoint}/jobs", params={"ids": ",".join(job_ids)}, timeout=_TIMEOUT
+            )
+            response.raise_for_status()
+        except requests.RequestException as exc:
+            return [JobStatus(JobState.FAILED, f"remote status check failed: {exc}")] * len(job_ids)
+        try:
+            entries = _wire_list(response.json(), len(job_ids))
+        except (ValueError, KeyError, TypeError) as exc:
+            return [JobStatus(JobState.FAILED, f"malformed status response: {exc}")] * len(job_ids)
+        return [_wire_status(entry) for entry in entries]
+
+
+def _wire_list(payload: Any, n: int) -> list[dict]:
+    """The ``jobs`` list of a reply: one JSON object per job asked about."""
+    entries = payload["jobs"]
+    if not isinstance(entries, list) or len(entries) != n:
+        raise ValueError(f"expected {n} job entries, got {entries!r}")
+    if not all(isinstance(entry, dict) for entry in entries):
+        raise ValueError(f"job entries must be JSON objects, got {entries!r}")
+    return entries
+
+
+def _wire_status(entry: dict) -> JobStatus:
+    """One job's entry of GET /jobs?ids=; one with no state is a job the
+    service does not know: it restarted and lost it."""
+    if "state" not in entry:
+        return JobStatus(JobState.FAILED, "remote job not found")
+    try:
+        state = JobState(entry["state"])
+        counts = _wire_counts(entry["counts"]) if state is JobState.DONE else None
+        return JobStatus(state, entry.get("error"), counts)
+    except (ValueError, KeyError, TypeError) as exc:
+        return JobStatus(JobState.FAILED, f"malformed status response: {exc}")
 
 
 def _wire_counts(counts: Any) -> dict[str, int]:
@@ -485,6 +554,13 @@ def check_shots(shots: int) -> None:
         raise DispatchError(f"shots must be >= 1, got {shots}")
 
 
+def _check_job(shots: int, options: Mapping[str, Any]) -> None:
+    check_shots(shots)
+    seed = options.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise DispatchError(f"seed must be an integer, got {seed!r}")
+
+
 class VirtualProvider:
     """Registry of provider adapters; routes each job handle to its adapter."""
 
@@ -533,6 +609,38 @@ class VirtualProvider:
         with self._lock:
             return self._kinds.get(provider_id) in _IN_PROCESS_KINDS
 
+    def submit_batch(
+        self, provider_id: str, backend_name: str, jobs: Sequence[tuple]
+    ) -> list[JobHandle | QExecError]:
+        """Submit a backend's ``(circuit, shots, options)`` jobs in one adapter
+        call, with no discovery call. Returns, in order, each job's handle or
+        the error that refused it: bad shots or seed, a backend the adapter
+        does not host, a circuit that cannot run there. Nothing raises for
+        one job, so each job's outcome is recorded once."""
+        with self._lock:
+            adapter = self._adapters.get(provider_id)
+        refusals: list[DispatchError | None] = []
+        for _, shots, options in jobs:
+            try:
+                _check_job(shots, options)
+                refusals.append(None)
+            except DispatchError as exc:
+                refusals.append(exc)
+        checked = [job for job, refusal in zip(jobs, refusals) if refusal is None]
+        if adapter is None:
+            unknown = UnknownBackendError(f"unknown backend {provider_id}/{backend_name}")
+            issued = iter([unknown] * len(checked))
+        else:
+            issued = iter(adapter.submit(backend_name, checked) if checked else [])
+        submitted_at = time.time()
+
+        def outcome(job_id: str | QExecError) -> JobHandle | QExecError:
+            if isinstance(job_id, QExecError):
+                return job_id
+            return JobHandle(job_id, provider_id, backend_name, submitted_at)
+
+        return [outcome(next(issued)) if refusal is None else refusal for refusal in refusals]
+
     def submit(
         self,
         provider_id: str,
@@ -541,23 +649,25 @@ class VirtualProvider:
         shots: int,
         options: Mapping[str, Any] | None = None,
     ) -> JobHandle:
-        """Non-blocking submission, with no discovery call: the adapter rejects
-        a backend it does not host or a circuit that cannot run there."""
-        check_shots(shots)
+        """One job of submit_batch; raises the error that refused it."""
+        [outcome] = self.submit_batch(provider_id, backend_name, [(circuit, shots, options or {})])
+        if isinstance(outcome, QExecError):
+            raise outcome
+        return outcome
+
+    def status_batch(self, provider_id: str, job_ids: Sequence[str]) -> list[JobStatus]:
+        """The statuses of jobs that ``provider_id`` issued, read in one adapter
+        call; once DONE a status carries the job's counts. UnknownJobError if
+        the provider issued none of that id."""
         with self._lock:
             adapter = self._adapters.get(provider_id)
-        if adapter is None:
-            raise UnknownBackendError(f"unknown backend {provider_id}/{backend_name}")
-        job_id = adapter.submit(backend_name, circuit, shots, options or {})
-        return JobHandle(job_id, provider_id, backend_name, submitted_at=time.time())
-
-    def _adapter_for(self, handle: JobHandle):
-        with self._lock:
-            adapter = self._adapters.get(handle.provider_id)
-        if adapter is None:
-            raise UnknownJobError(f"no provider {handle.provider_id!r} issued job {handle.job_id!r}")
-        return adapter
+        statuses = adapter.status(job_ids) if adapter is not None else [None] * len(job_ids)
+        for job_id, status in zip(job_ids, statuses):
+            if status is None:
+                raise UnknownJobError(f"no provider {provider_id!r} issued job {job_id!r}")
+        return statuses
 
     def status(self, handle: JobHandle) -> JobStatus:
-        """The job's status; once DONE it carries the job's counts."""
-        return self._adapter_for(handle).status(handle.job_id)
+        """One job of status_batch."""
+        return self.status_batch(handle.provider_id, [handle.job_id])[0]
+

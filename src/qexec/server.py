@@ -3,10 +3,19 @@
 This is the network leg the remote_http provider speaks against, so the
 distributed and asynchronous paths are exercised across a real socket:
 
-* ``GET /backends``   -> [{name, online, max_qubits, is_ideal_simulator}]
-* ``POST /jobs``      -> 201 {job_id, state: "QUEUED"}
-* ``GET /jobs/{id}``  -> {job_id, state, error?, counts?}; error once FAILED,
-  counts once DONE. This is the one way to read a job.
+* ``GET /backends``         -> [{name, online, max_qubits, is_ideal_simulator}]
+* ``POST /jobs``            {backend, jobs: [{qasm, shots, seed}, ...]}
+                            -> 201 {jobs: [{job_id} or {error}, ...]}
+* ``GET /jobs?ids=a,b,...`` -> 200 {jobs: [{job_id, state, error?, counts?}
+                            or {job_id, error: "unknown job"}, ...]}; error
+  once FAILED, counts once DONE. This is the one way to read a job.
+
+Both job routes answer one entry per job, in request order, and take at most
+MAX_BATCH_JOBS jobs a request. An entry that cannot run (bad QASM, a circuit
+wider than its backend, shots or seed that are not integers) gets its own
+error and the others are queued. A fault of the whole request answers for
+all its jobs at once: 401 without the api key, 400 for a malformed body and
+404 for an unknown backend.
 
 JSON bodies, UTF-8, no auth unless an api_key is configured (then every
 request must carry a matching X-API-Key header). The service speaks
@@ -33,10 +42,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs, urlsplit
 
 from .circuit import parse_qasm
-from .errors import QExecError, UnknownBackendError, UnknownJobError
-from .providers import BackendDescriptor, JobRunner
+from .errors import QExecError
+from .providers import MAX_BATCH_JOBS, BackendDescriptor, JobRunner, JobStatus
 from .simulator import MAX_WIDTH_DEFAULT, NoiseSpec
 
 __all__ = ["ServerBackend", "ServerConfig", "RemoteServer", "main"]
@@ -119,7 +129,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):
         if self._read_body() is None or not self._authorized():
             return
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
+        url = urlsplit(self.path)
+        parts = [p for p in url.path.split("/") if p]
         if parts == ["backends"]:
             self._send(
                 200,
@@ -133,8 +144,8 @@ class _Handler(BaseHTTPRequestHandler):
                     for d in sorted(self.runner.backends(), key=lambda d: d.backend_name)
                 ],
             )
-        elif len(parts) == 2 and parts[0] == "jobs":
-            self._job_status(parts[1])
+        elif parts == ["jobs"]:
+            self._get_jobs(parse_qs(url.query).get("ids", []))
         else:
             self._send(404, {"error": "unknown path"})
 
@@ -146,6 +157,9 @@ class _Handler(BaseHTTPRequestHandler):
         if parts != ["jobs"]:
             self._send(404, {"error": "unknown path"})
             return
+        self._post_jobs(raw)
+
+    def _post_jobs(self, raw: bytes) -> None:
         try:
             body = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
@@ -154,45 +168,73 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(body, dict):
             self._send(400, {"error": "body must be a JSON object"})
             return
-
-        shots, seed = body.get("shots", 0), body.get("seed", 0)
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (shots, seed)):
-            self._send(400, {"error": "shots and seed must be integers"})
+        entries = body.get("jobs")
+        if not isinstance(entries, list) or len(entries) > MAX_BATCH_JOBS:
+            self._send(400, {"error": f"jobs must be a list of at most {MAX_BATCH_JOBS} jobs"})
             return
-        if shots < 1:
-            self._send(400, {"error": f"shots must be >= 1, got {shots}"})
-            return
-        qasm = body.get("qasm")
-        if not isinstance(qasm, str):
-            self._send(400, {"error": "missing qasm"})
-            return
-        try:
-            circuit = parse_qasm(qasm)
-        except QExecError as exc:
-            self._send(400, {"error": f"bad qasm: {exc}"})
+        backend = body.get("backend")
+        names = {d.backend_name for d in self.runner.backends()}
+        if not isinstance(backend, str) or backend not in names:
+            self._send(404, {"error": f"unknown backend {backend!r}"})
             return
 
-        try:
-            job_id = self.runner.submit(str(body.get("backend", "")), circuit, shots, {"seed": seed})
-        except UnknownBackendError:
-            self._send(404, {"error": f"unknown backend {body.get('backend')!r}"})
-        except QExecError as exc:
-            self._send(400, {"error": str(exc)})  # a circuit wider than the backend's limit
-        else:
-            self._send(201, {"job_id": job_id, "state": "QUEUED"})
+        replies: list[dict | None] = []
+        jobs = []
+        for entry in entries:
+            try:
+                jobs.append(_wire_job(entry))
+                replies.append(None)
+            except ValueError as exc:
+                replies.append({"error": str(exc)})
+        # A circuit wider than the backend's limit is refused here.
+        issued = iter(self.runner.submit(backend, jobs))
+        for i, reply in enumerate(replies):
+            if reply is None:
+                job_id = next(issued)
+                failed = isinstance(job_id, QExecError)
+                replies[i] = {"error": str(job_id)} if failed else {"job_id": job_id}
+        self._send(201, {"jobs": replies})
 
-    def _job_status(self, job_id: str) -> None:
-        try:
-            status = self.runner.status(job_id)
-        except UnknownJobError:
-            self._send(404, {"error": "unknown job"})
+    def _get_jobs(self, ids_values: list[str]) -> None:
+        job_ids = [job_id for value in ids_values for job_id in value.split(",") if job_id]
+        if len(job_ids) > MAX_BATCH_JOBS:
+            self._send(400, {"error": f"ids must name at most {MAX_BATCH_JOBS} jobs"})
             return
-        payload = {"job_id": job_id, "state": status.state.value}
-        if status.error_message is not None:
-            payload["error"] = status.error_message
-        if status.counts is not None:
-            payload["counts"] = status.counts
-        self._send(200, payload)
+        statuses = self.runner.status(job_ids)
+        self._send(200, {"jobs": [_job_entry(i, s) for i, s in zip(job_ids, statuses)]})
+
+
+def _wire_job(entry) -> tuple:
+    """One entry of a POST /jobs body as a runner job; ValueError names what
+    is wrong with it."""
+    if not isinstance(entry, dict):
+        raise ValueError("a job must be a JSON object")
+    shots, seed = entry.get("shots", 0), entry.get("seed", 0)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (shots, seed)):
+        raise ValueError("shots and seed must be integers")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    qasm = entry.get("qasm")
+    if not isinstance(qasm, str):
+        raise ValueError("missing qasm")
+    try:
+        circuit = parse_qasm(qasm)
+    except QExecError as exc:
+        raise ValueError(f"bad qasm: {exc}") from exc
+    return circuit, shots, {"seed": seed}
+
+
+def _job_entry(job_id: str, status: JobStatus | None) -> dict:
+    """One job's entry of GET /jobs?ids=: its state, error and counts, or
+    ``unknown job`` for an id the service never issued or has lost."""
+    if status is None:
+        return {"job_id": job_id, "error": "unknown job"}
+    entry = {"job_id": job_id, "state": status.state.value}
+    if status.error_message is not None:
+        entry["error"] = status.error_message
+    if status.counts is not None:
+        entry["counts"] = status.counts
+    return entry
 
 
 class _Server(ThreadingHTTPServer):

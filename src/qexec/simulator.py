@@ -63,7 +63,17 @@ _FIXED_MATRICES = {
     Gate.S: np.array([[1, 0], [0, 1j]], dtype=complex),
     Gate.T: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
 }
-_PAULIS = (_FIXED_MATRICES[Gate.X], _FIXED_MATRICES[Gate.Y], _FIXED_MATRICES[Gate.Z])
+
+# A noisy replay holds at most this many amplitudes at once (16 MB), the
+# same budget as one statevector of MAX_WIDTH_DEFAULT qubits.
+_CHUNK_AMPLITUDES = 1 << MAX_WIDTH_DEFAULT
+
+_DIAGONAL = frozenset({Gate.Z, Gate.S, Gate.T, Gate.RZ})
+_ANTI_DIAGONAL = frozenset({Gate.X, Gate.Y})
+
+# Injected Pauli codes: X and Y flip the qubit's bit, Y and Z flip the sign
+# of its 1 half. Y = iXZ, and the global phase i changes no probability.
+_X, _Y, _Z = 1, 2, 3
 
 
 def _rotation_matrix(gate: Gate, angle: float) -> np.ndarray:
@@ -76,41 +86,64 @@ def _rotation_matrix(gate: Gate, angle: float) -> np.ndarray:
     return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]], dtype=complex)
 
 
-def _apply_single(state: np.ndarray, matrix: np.ndarray, qubit: int, width: int) -> np.ndarray:
-    left = 1 << qubit
-    right = 1 << (width - qubit - 1)
-    view = state.reshape(left, 2, right)
-    return np.einsum("ab,ibj->iaj", matrix, view).reshape(-1)
+# Every gate function takes and returns a (rows, 2**width) array: one
+# statevector per row. A statevector run is the one-row case.
 
 
-def _apply_cx(state: np.ndarray, control: int, target: int, width: int) -> np.ndarray:
-    arr = state.reshape((2,) * width).copy()
-    idx: list = [slice(None)] * width
-    idx[control] = 1
-    target_axis = target - 1 if target > control else target
-    arr[tuple(idx)] = np.flip(arr[tuple(idx)], axis=target_axis)
-    return arr.reshape(-1)
+def _qubit_view(states: np.ndarray, qubit: int) -> np.ndarray:
+    """(rows, left, 2, right): axis 2 is the qubit's bit."""
+    return states.reshape(states.shape[0], 1 << qubit, 2, -1)
 
 
-def _apply_cz(state: np.ndarray, control: int, target: int, width: int) -> np.ndarray:
-    arr = state.reshape((2,) * width).copy()
-    idx: list = [slice(None)] * width
-    idx[control] = 1
-    idx[target] = 1
-    arr[tuple(idx)] = -arr[tuple(idx)]
-    return arr.reshape(-1)
+def _apply_single(states: np.ndarray, gate: Gate, matrix: np.ndarray, qubit: int) -> np.ndarray:
+    rows = states.shape[0]
+    if gate in _DIAGONAL:  # a phase on each half
+        return (_qubit_view(states, qubit) * matrix.diagonal()[:, None]).reshape(rows, -1)
+    if gate in _ANTI_DIAGONAL:  # swap the halves, then a phase on each
+        phases = np.array([matrix[0, 1], matrix[1, 0]])[:, None]
+        return (_qubit_view(states, qubit)[:, :, ::-1] * phases).reshape(rows, -1)
+    # Bring the qubit's axis to the front and make one (2 x 2) @ (2 x n)
+    # product, so the cost does not depend on where the qubit sits.
+    front = states.reshape(rows << qubit, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+    return (matrix @ front).reshape(2, rows << qubit, -1).transpose(1, 0, 2).reshape(rows, -1)
 
 
-def _apply_gate(state: np.ndarray, op: GateOp, width: int) -> np.ndarray:
+def _pair_view(states: np.ndarray, a: int, b: int) -> tuple[np.ndarray, int, int]:
+    """A view with one axis per qubit of the pair, and those two axes."""
+    lo, hi = sorted((a, b))
+    view = states.reshape(states.shape[0], 1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+    return view, (2 if a == lo else 4), (2 if b == lo else 4)
+
+
+def _apply_cx(states: np.ndarray, control: int, target: int) -> np.ndarray:
+    out = states.copy()
+    view, c_axis, t_axis = _pair_view(states, control, target)
+    flipped = np.flip(view, axis=t_axis)
+    index = [slice(None)] * 6
+    index[c_axis] = 1
+    _pair_view(out, control, target)[0][tuple(index)] = flipped[tuple(index)]
+    return out
+
+
+def _apply_cz(states: np.ndarray, control: int, target: int) -> np.ndarray:
+    out = states.copy()
+    view, c_axis, t_axis = _pair_view(out, control, target)
+    index = [slice(None)] * 6
+    index[c_axis] = index[t_axis] = 1
+    view[tuple(index)] *= -1
+    return out
+
+
+def _apply_gate(states: np.ndarray, op: GateOp) -> np.ndarray:
     if op.gate is Gate.CX:
-        return _apply_cx(state, op.qubits[0], op.qubits[1], width)
+        return _apply_cx(states, op.qubits[0], op.qubits[1])
     if op.gate is Gate.CZ:
-        return _apply_cz(state, op.qubits[0], op.qubits[1], width)
+        return _apply_cz(states, op.qubits[0], op.qubits[1])
     if op.gate.takes_angle:
         matrix = _rotation_matrix(op.gate, op.angle)  # type: ignore[arg-type]
     else:
         matrix = _FIXED_MATRICES[op.gate]
-    return _apply_single(state, matrix, op.qubits[0], width)
+    return _apply_single(states, op.gate, matrix, op.qubits[0])
 
 
 def _require_runnable(circuit: Circuit, max_width: int) -> None:
@@ -121,13 +154,21 @@ def _require_runnable(circuit: Circuit, max_width: int) -> None:
 
 
 def _initial_state(width: int) -> np.ndarray:
-    state = np.zeros(1 << width, dtype=complex)
-    state[0] = 1.0
+    state = np.zeros((1, 1 << width), dtype=complex)
+    state[0, 0] = 1.0
     return state
 
 
-def _bitstring(index: int, width: int) -> str:
-    return format(index, f"0{width}b")
+def _probabilities(states: np.ndarray) -> np.ndarray:
+    """Each row's |amplitude|**2, normalized to sum to 1."""
+    p = states.real**2 + states.imag**2
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def _histogram(tally: np.ndarray, width: int) -> dict[str, int]:
+    """bitstring -> count for the nonzero entries of a tally over basis states."""
+    hit = np.flatnonzero(tally)
+    return dict(zip((format(i, f"0{width}b") for i in hit.tolist()), tally[hit].tolist()))
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -139,8 +180,8 @@ def statevector(circuit: Circuit, max_width: int = MAX_WIDTH_DEFAULT) -> Stateve
     _require_runnable(circuit, max_width)
     state = _initial_state(circuit.width)
     for op in circuit.gates:
-        state = _apply_gate(state, op, circuit.width)
-    return Statevector(width=circuit.width, amplitudes=state)
+        state = _apply_gate(state, op)
+    return Statevector(width=circuit.width, amplitudes=state[0])
 
 
 def sample(
@@ -154,9 +195,7 @@ def sample(
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = statevector(circuit, max_width).probabilities()
-    outcomes = _rng(seed).choice(probs.size, size=shots, p=probs)
-    values, tallies = np.unique(outcomes, return_counts=True)
-    return {_bitstring(int(v), circuit.width): int(t) for v, t in zip(values, tallies)}
+    return _histogram(_rng(seed).multinomial(shots, probs), circuit.width)
 
 
 def sample_noisy(
@@ -172,48 +211,87 @@ def sample_noisy(
     probability ``noise.p_depolarizing`` a uniformly random Pauli from
     {X, Y, Z}. Deterministic under a fixed seed; a p=0 run matches the ideal
     distribution but not the ideal sampler's exact RNG stream.
+
+    The shots that draw no injection are drawn together, from the ideal
+    distribution. The others are replayed together, one row each, from the
+    ideal state just before their first injection.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     _require_runnable(circuit, max_width)
-    p = noise.p_depolarizing
     width = circuit.width
     rng = _rng(seed)
 
-    # Ideal state after each gate prefix; trajectories fast-forward along this
-    # until their first injection, which keeps the per-shot cost proportional
-    # to the noisy suffix only.
+    # Ideal state after each gate prefix; a replayed shot starts from the one
+    # at its first injection, so it pays only for its noisy suffix.
     prefixes = [_initial_state(width)]
     for op in circuit.gates:
-        prefixes.append(_apply_gate(prefixes[-1], op, width))
-    ideal_cumulative = np.cumsum(np.abs(prefixes[-1]) ** 2)
+        prefixes.append(_apply_gate(prefixes[-1], op))
 
     # One injection slot per (gate, touched qubit), in execution order.
-    n_slots = sum(len(op.qubits) for op in circuit.gates)
-
+    slot_gate = np.array([g for g, op in enumerate(circuit.gates) for _ in op.qubits], dtype=np.intp)
     tally = np.zeros(1 << width, dtype=np.int64)
-    for _ in range(shots):
-        hits = rng.random(n_slots) < p
-        if not hits.any():
-            cumulative = ideal_cumulative
-        else:
-            paulis = rng.integers(0, 3, size=int(hits.sum()))
-            state: np.ndarray | None = None  # None = still on the ideal prefix
-            slot = 0
-            drawn = 0
-            for gi, op in enumerate(circuit.gates):
-                if state is not None:
-                    state = _apply_gate(state, op, width)
-                for q in op.qubits:
-                    if hits[slot]:
-                        if state is None:
-                            state = prefixes[gi + 1].copy()
-                        state = _apply_single(state, _PAULIS[paulis[drawn]], q, width)
-                        drawn += 1
-                    slot += 1
-            probs = np.abs(state) ** 2
-            cumulative = np.cumsum(probs / probs.sum())
-        outcome = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        tally[min(outcome, tally.size - 1)] += 1
+    clean = 0
+    # The hit matrix takes a byte per (shot, slot) and its draw eight more, so
+    # shots are drawn in blocks that keep it within the replay budget.
+    block = max(1, _CHUNK_AMPLITUDES // max(1, slot_gate.size))
+    rows_per_chunk = max(1, _CHUNK_AMPLITUDES >> width)
+    for start in range(0, shots, block):
+        hits = rng.random((min(block, shots - start), slot_gate.size)) < noise.p_depolarizing
+        hits = hits[hits.any(axis=1)]
+        clean += min(block, shots - start) - hits.shape[0]
+        if not hits.shape[0]:
+            continue
+        paulis = np.zeros(hits.shape, dtype=np.int8)
+        paulis[hits] = rng.integers(_X, _Z + 1, size=int(hits.sum()), dtype=np.int8)
+        first_gate = slot_gate[hits.argmax(axis=1)]
+        order = np.argsort(first_gate, kind="stable")
+        paulis, first_gate = paulis[order], first_gate[order]
+        for row in range(0, len(order), rows_per_chunk):
+            chunk = slice(row, row + rows_per_chunk)
+            states = _replay(circuit, prefixes, paulis[chunk], first_gate[chunk])
+            cumulative = np.cumsum(states.real**2 + states.imag**2, axis=1)
+            draws = rng.random(states.shape[0]) * cumulative[:, -1]
+            outcomes = np.minimum((cumulative <= draws[:, None]).sum(axis=1), tally.size - 1)
+            tally += np.bincount(outcomes, minlength=tally.size)
+    tally += rng.multinomial(clean, _probabilities(prefixes[-1])[0])
+    return _histogram(tally, width)
 
-    return {_bitstring(i, width): int(c) for i, c in enumerate(tally) if c}
+
+def _replay(
+    circuit: Circuit, prefixes: list[np.ndarray], paulis: np.ndarray, first_gate: np.ndarray
+) -> np.ndarray:
+    """The final state of each hit shot, one row each.
+
+    ``paulis`` holds a row per shot and a column per slot (0 where the slot
+    drew nothing), and the rows are sorted by the gate of their first
+    injection: so the rows that have joined by any gate are a prefix of the
+    array, and each gate is applied to them all at once. A Pauli touches
+    only the rows it hit.
+    """
+    n_slots = paulis.shape[1]
+    # Per slot, the rows whose bit it flips and the rows whose sign it flips.
+    flip_slot, flip_row = np.nonzero(((paulis == _X) | (paulis == _Y)).T)
+    sign_slot, sign_row = np.nonzero(((paulis == _Y) | (paulis == _Z)).T)
+    flip_at = np.searchsorted(flip_slot, np.arange(n_slots + 1)).tolist()
+    sign_at = np.searchsorted(sign_slot, np.arange(n_slots + 1)).tolist()
+    joined = np.searchsorted(first_gate, np.arange(len(circuit.gates)), side="right").tolist()
+
+    start = int(first_gate[0])
+    states = prefixes[start][:0]
+    slot = sum(len(op.qubits) for op in circuit.gates[:start])
+    for g in range(start, len(circuit.gates)):
+        op = circuit.gates[g]
+        if states.shape[0]:
+            states = _apply_gate(states, op)
+        if joined[g] > states.shape[0]:
+            fresh = np.repeat(prefixes[g + 1], joined[g] - states.shape[0], axis=0)
+            states = np.concatenate((states, fresh))
+        for qubit in op.qubits:
+            flips, signs = flip_row[flip_at[slot] : flip_at[slot + 1]], sign_row[sign_at[slot] : sign_at[slot + 1]]
+            if flips.size or signs.size:
+                view = _qubit_view(states, qubit)
+                view[flips] = view[flips][:, :, ::-1]
+                view[signs, :, 1] *= -1
+            slot += 1
+    return states

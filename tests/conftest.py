@@ -2,6 +2,7 @@ import threading
 import time
 
 import pytest
+import requests
 
 import qexec.providers
 from qexec import NoiseSpec, ProviderConfig, QuantumExecutor, VirtualProvider, parse_qasm
@@ -110,6 +111,37 @@ def count_kernels_in_flight(monkeypatch) -> list[int]:
     monkeypatch.setattr(qexec.providers, "sample", counted(qexec.providers.sample))
     monkeypatch.setattr(qexec.providers, "sample_noisy", counted(qexec.providers.sample_noisy))
     return in_flight
+
+
+def post_jobs(endpoint: str, backend: str, *jobs: dict, session=requests, headers=None):
+    """POST /jobs of one batch of ``{qasm, shots, seed}`` entries; the reply."""
+    body = {"backend": backend, "jobs": list(jobs)}
+    return session.post(f"{endpoint}/jobs", json=body, headers=headers, timeout=5)
+
+
+def post_job(endpoint: str, backend: str = "statevector", **job) -> str:
+    """The id of one job posted alone: ``job`` holds its qasm, shots and seed."""
+    response = post_jobs(endpoint, backend, job)
+    assert response.status_code == 201, response.text
+    return response.json()["jobs"][0]["job_id"]
+
+
+def read_jobs(endpoint: str, *job_ids: str) -> list[dict]:
+    """Each job's entry of GET /jobs?ids=, in the order asked."""
+    response = requests.get(f"{endpoint}/jobs", params={"ids": ",".join(job_ids)}, timeout=5)
+    assert response.status_code == 200, response.text
+    return response.json()["jobs"]
+
+
+def wait_done(endpoint: str, *job_ids: str, timeout=5.0) -> list[str]:
+    """Poll the jobs until every one is DONE or FAILED; their final states."""
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        states = [entry["state"] for entry in read_jobs(endpoint, *job_ids)]
+        if all(state in ("DONE", "FAILED") for state in states):
+            return states
+        time.sleep(0.01)
+    pytest.fail("remote jobs never finished")
 
 
 def drop_once(monkeypatch, route: str) -> list[str]:

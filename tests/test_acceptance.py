@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +36,7 @@ from qexec import (
 )
 from qexec.server import RemoteServer, ServerConfig
 
-from conftest import BELL_QASM, GHZ3_QASM
+from conftest import BELL_QASM, GHZ3_QASM, post_job, read_jobs
 
 EXPERIMENTS_DIR = Path(__file__).parent.parent / "scripts" / "experiments"
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -308,16 +307,12 @@ def test_a8_remote_equivalence():
         assert remote_counts is not None and remote_counts == local_counts
 
     with RemoteServer(ServerConfig(delay=0.5)) as server:
-        job_id = requests.post(
-            f"{server.endpoint}/jobs",
-            json={"backend": "statevector", "qasm": BELL_QASM, "shots": 32, "seed": 0},
-            timeout=5,
-        ).json()["job_id"]
-        early = requests.get(f"{server.endpoint}/jobs/{job_id}", timeout=5).json()
+        job_id = post_job(server.endpoint, qasm=BELL_QASM, shots=32, seed=0)
+        [early] = read_jobs(server.endpoint, job_id)
         assert early["state"] == "QUEUED" and "counts" not in early
         deadline = time.time() + 10
         while time.time() < deadline:
-            late = requests.get(f"{server.endpoint}/jobs/{job_id}", timeout=5).json()
+            [late] = read_jobs(server.endpoint, job_id)
             if late["state"] == "DONE":
                 break
             time.sleep(0.02)

@@ -53,44 +53,53 @@ class _BrokenAdapter:
             )
         ]
 
-    def submit(self, backend_name, circuit, shots, options):
+    def submit(self, backend_name, jobs):
         if self.fail_on_submit:
             raise ProviderError("submission refused")
-        self._n += 1
-        return f"{self.provider_id}-{self._n}"
+        job_ids = [f"{self.provider_id}-{self._n + k}" for k in range(1, len(jobs) + 1)]
+        self._n += len(jobs)
+        return job_ids
 
-    def status(self, job_id):
-        return JobStatus(JobState.FAILED, "device melted")
+    def status(self, job_ids):
+        return [JobStatus(JobState.FAILED, "device melted")] * len(job_ids)
 
 
 class _StatusRaisingAdapter(_BrokenAdapter):
-    """Every job is DONE with all shots on "00", except that the status
-    check of the second job raises."""
+    """Every job is DONE with all shots on "00" at the first read, except the
+    second job, which is still QUEUED; every later read raises."""
 
-    def status(self, job_id):
-        if job_id == f"{self.provider_id}-2":
+    reads = 0
+
+    def status(self, job_ids):
+        self.reads += 1
+        if self.reads > 1:
             raise ProviderError("status check exploded")
-        return JobStatus(JobState.DONE, counts={"00": 8})
+        return [
+            JobStatus(JobState.QUEUED)
+            if job_id == f"{self.provider_id}-2"
+            else JobStatus(JobState.DONE, counts={"00": 8})
+            for job_id in job_ids
+        ]
 
 
 class _CountlessAdapter(_BrokenAdapter):
     """Every job reports DONE but carries no counts."""
 
-    def status(self, job_id):
-        return JobStatus(JobState.DONE)
+    def status(self, job_ids):
+        return [JobStatus(JobState.DONE)] * len(job_ids)
 
 
 @pytest.fixture
 def submit_calls(monkeypatch):
-    """The arguments of every VirtualProvider.submit call made in the test."""
+    """(provider, backend, job) for every job submitted in the test."""
     calls = []
-    original = VirtualProvider.submit
+    original = VirtualProvider.submit_batch
 
-    def counting_submit(self, *args, **kwargs):
-        calls.append(args)
-        return original(self, *args, **kwargs)
+    def counting_submit(self, provider_id, backend_name, jobs):
+        calls.extend((provider_id, backend_name, job) for job in jobs)
+        return original(self, provider_id, backend_name, jobs)
 
-    monkeypatch.setattr(VirtualProvider, "submit", counting_submit)
+    monkeypatch.setattr(VirtualProvider, "submit_batch", counting_submit)
     return calls
 
 
@@ -169,17 +178,16 @@ def test_run_dispatch_wait_false_progresses_in_background(bell):
 
 
 def test_lane_polls_jobs_in_order_not_in_rounds(bell, monkeypatch):
-    # The lane waits for job 0 for about one delay; by then the other 19 are
-    # done and each needs one poll. Sweeping every pending job on each round
-    # would poll about 200 times.
+    # Each poll reads every pending job of the backend in one call, so the 20
+    # jobs of one delay take about ten reads, not one read per job per poll.
     calls = []
-    original = VirtualProvider.status
+    original = VirtualProvider.status_batch
 
-    def counting_status(self, handle):
-        calls.append(handle.job_id)
-        return original(self, handle)
+    def counting_status(self, provider_id, job_ids):
+        calls.append(list(job_ids))
+        return original(self, provider_id, job_ids)
 
-    monkeypatch.setattr(VirtualProvider, "status", counting_status)
+    monkeypatch.setattr(VirtualProvider, "status_batch", counting_status)
     executor = QuantumExecutor(providers=[ProviderConfig("mock", "mock_delay", delay=0.1)])
     dispatch = Dispatch()
     for _ in range(20):
@@ -187,7 +195,9 @@ def test_lane_polls_jobs_in_order_not_in_rounds(bell, monkeypatch):
     collector = executor.run_dispatch(dispatch, wait=True)
     assert collector.failed_jobs() == []
     assert len(collector.get_results()["mock"]["delayed_statevector"]) == 20
-    assert len(calls) <= 60
+    assert len(calls[0]) == 20
+    assert all(set(later) <= set(earlier) for earlier, later in zip(calls, calls[1:]))
+    assert len(calls) <= 20
 
 
 def test_lane_records_running_status(local_executor, bell, monkeypatch):
@@ -375,13 +385,13 @@ def test_run_dispatch_rejects_wide_remote_job_before_posting(remote_server, monk
 
 
 def test_remote_run_reads_each_job_through_its_status_only(remote_server, bell, monkeypatch):
-    # A DONE status carries the counts, so a remote job costs its POST and
-    # its status polls, and /result is never asked for.
+    # A DONE status carries the counts, so a backend's jobs cost one POST and
+    # one batch read per poll, and /result is never asked for.
     sent = []
     original_request = requests.Session.request
 
     def recording_request(session, method, url, *args, **kwargs):
-        sent.append((method, url[len(remote_server.endpoint):]))
+        sent.append((method, url[len(remote_server.endpoint):], kwargs.get("params")))
         return original_request(session, method, url, *args, **kwargs)
 
     monkeypatch.setattr(requests.Session, "request", recording_request)
@@ -394,8 +404,10 @@ def test_remote_run_reads_each_job_through_its_status_only(remote_server, bell, 
     collector = executor.run_dispatch(dispatch)
     assert [s.state for s in collector.status().values()] == [JobState.DONE] * 4
     assert [sum(c.values()) for c in collector.get_results()["remote"]["statevector"]] == [16] * 4
-    assert sent.count(("POST", "/jobs")) == 4
-    assert not [path for _, path in sent if path.endswith("/result")]
+    assert sent.count(("POST", "/jobs", None)) == 1
+    reads = [params for method, path, params in sent if (method, path) == ("GET", "/jobs")]
+    assert reads and all(len(params["ids"].split(",")) <= 4 for params in reads)
+    assert len(sent) == 2 + len(reads)  # the run's one GET /backends and its POST
 
 
 @pytest.mark.parametrize(
@@ -407,15 +419,15 @@ def test_remote_done_without_counts_fails_only_that_job(remote_server, bell, mon
     # The service answers DONE for the first job it is asked about, with
     # missing or malformed counts; it answers the other jobs truthfully.
     asked = []
-    original_job_status = qexec.server._Handler._job_status
+    original_job_entry = qexec.server._job_entry
 
-    def job_status(handler, job_id):
+    def job_entry(job_id, status):
         asked.append(job_id)
         if job_id != asked[0]:
-            return original_job_status(handler, job_id)
-        handler._send(200, {"job_id": job_id, "state": "DONE", **bad})
+            return original_job_entry(job_id, status)
+        return {"job_id": job_id, "state": "DONE", **bad}
 
-    monkeypatch.setattr(qexec.server._Handler, "_job_status", job_status)
+    monkeypatch.setattr(qexec.server, "_job_entry", job_entry)
     executor = QuantumExecutor(
         providers=[ProviderConfig("remote", "remote_http", endpoint=remote_server.endpoint)]
     )

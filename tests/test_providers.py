@@ -2,6 +2,7 @@ import threading
 import time
 
 import pytest
+import requests
 
 import qexec.providers
 from qexec import (
@@ -10,6 +11,7 @@ from qexec import (
     NoiseSpec,
     ProviderConfig,
     QuantumExecutor,
+    ResultCollector,
     VirtualProvider,
     sample,
 )
@@ -23,7 +25,8 @@ from qexec.errors import (
     UnknownBackendError,
     UnknownJobError,
 )
-from qexec.providers import JobHandle, JobState, JobTable
+from qexec.providers import JobHandle, JobState, JobStatus, JobTable
+from qexec.server import RemoteServer, ServerConfig
 
 from conftest import MALFORMED_LISTINGS, drop_once, serve_listing
 
@@ -325,13 +328,15 @@ def test_job_table_status_hands_out_a_copy_of_counts():
     table.set_done("done", counts)
     table.set_failed("failed", "boom")
     counts["00"] = 99  # the caller's dict is not the table's
-    read = table.status("done")
+    [read] = table.statuses(["done"])
     assert read.state is JobState.DONE and read.counts == {"00": 3, "11": 5}
     read.counts["11"] = 0  # nor is the dict a reader gets back
-    assert table.status("done").counts == {"00": 3, "11": 5}
-    assert len({table.status("done"), table.status("done")}) == 1  # still hashable
-    assert table.status("pending").counts is None
-    assert table.status("failed").counts is None
+    table.counts()["done"]["11"] = 0
+    assert table.statuses(["done"])[0].counts == {"00": 3, "11": 5}
+    assert len(set(table.statuses(["done", "done"]))) == 1  # still hashable
+    assert [s.counts for s in table.statuses(["pending", "failed"])] == [None, None]
+    assert table.statuses(["never"]) == [None]
+    assert table.counts() == {"done": {"00": 3, "11": 5}}
 
 
 def test_status_monotonic_sequence(bell):
@@ -412,6 +417,19 @@ def test_remote_malformed_listing_marks_known_backends_offline(
 # --------------------------------------------------------------------------
 
 
+def record_requests(monkeypatch) -> list[tuple[str, dict | None]]:
+    """(method, query params) of every request a client sends in the test."""
+    sent = []
+    original_request = requests.Session.request
+
+    def recording_request(session, method, url, *args, **kwargs):
+        sent.append((method, kwargs.get("params")))
+        return original_request(session, method, url, *args, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "request", recording_request)
+    return sent
+
+
 def remote_registry(endpoint: str, provider_id: str = "remote") -> VirtualProvider:
     registry = VirtualProvider()
     registry.register_provider(ProviderConfig(provider_id, "remote_http", endpoint=endpoint))
@@ -427,9 +445,9 @@ def test_remote_adapter_keeps_one_connection(remote_server, bell, accepted_conne
 
 
 def test_remote_status_survives_a_dropped_connection(remote_server, bell, monkeypatch):
-    # The service closes the connection of the first GET /jobs/{id} without
+    # The service closes the connection of the first GET /jobs?ids= without
     # replying; the GET is resent on a new connection and the job still ends DONE.
-    polls = drop_once(monkeypatch, "_job_status")
+    polls = drop_once(monkeypatch, "_get_jobs")
     executor = QuantumExecutor(
         providers=[ProviderConfig("remote", "remote_http", endpoint=remote_server.endpoint)]
     )
@@ -441,12 +459,100 @@ def test_remote_status_survives_a_dropped_connection(remote_server, bell, monkey
 
 
 def test_remote_submit_is_not_resent_after_a_dropped_connection(remote_server, bell, monkeypatch):
-    # The POST may have reached the service, so resending it could run the job twice.
+    # The POST may have reached the service, so resending it could run its
+    # jobs twice: each job of the batch fails once instead.
     posts = drop_once(monkeypatch, "do_POST")
     registry = remote_registry(remote_server.endpoint)
-    with pytest.raises(ProviderError, match="remote submission failed"):
-        registry.submit("remote", "statevector", bell, 16)
+    outcomes = registry.submit_batch("remote", "statevector", [(bell, 16, {"seed": k}) for k in range(3)])
+    assert len(outcomes) == 3
+    assert all(isinstance(o, ProviderError) for o in outcomes)
+    assert all(str(o).startswith("remote submission failed") for o in outcomes)
     assert posts == ["/jobs"]
+
+
+def test_remote_batch_refuses_only_the_bad_jobs(remote_server, bell):
+    registry = remote_registry(remote_server.endpoint)
+    wide = Circuit(width=25, name="wide")
+    jobs = [(bell, 8, {"seed": 1}), (wide, 8, {}), (bell, 2.5, {}), (bell, 8, {"seed": 2})]
+    first, too_wide, bad_shots, last = registry.submit_batch("remote", "statevector", jobs)
+    assert isinstance(too_wide, ProviderError) and "width 25 exceeds" in str(too_wide)
+    assert isinstance(bad_shots, DispatchError)
+    statuses = [wait_terminal(registry, handle) for handle in (first, last)]
+    assert [s.counts for s in statuses] == [sample(bell, 8, seed=1), sample(bell, 8, seed=2)]
+
+
+def test_remote_request_fault_fails_each_job_once(bell, monkeypatch):
+    # A 401 answers the whole POST: every job of it gets the one message.
+    posts = []
+    original_post = requests.Session.post
+
+    def counting_post(session, url, *args, **kwargs):
+        posts.append(url)
+        return original_post(session, url, *args, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "post", counting_post)
+    with RemoteServer(ServerConfig(api_key="sesame")) as server:
+        registry = VirtualProvider()
+        registry.register_provider(
+            ProviderConfig("remote", "remote_http", endpoint=server.endpoint, credentials={"api_key": "x"})
+        )
+        outcomes = registry.submit_batch("remote", "statevector", [(bell, 8, {})] * 3)
+    assert len(posts) == 1
+    assert [type(o) for o in outcomes] == [ProviderError] * 3
+    assert len({str(o) for o in outcomes}) == 1
+    assert "(401)" in str(outcomes[0]) and "invalid api key" in str(outcomes[0])
+
+
+def test_remote_unknown_id_reads_as_failed_not_found(remote_server, bell):
+    registry = remote_registry(remote_server.endpoint)
+    known = registry.submit("remote", "statevector", bell, 8)
+    wait_terminal(registry, known)
+    lost, found = registry.status_batch("remote", ["rjob-999999", known.job_id])
+    assert lost == JobStatus(JobState.FAILED, "remote job not found")
+    assert found.state is JobState.DONE
+
+
+def test_remote_unknown_backend_fails_each_job_of_its_batch_once(remote_server, bell, monkeypatch):
+    # A stale listing names a backend the service does not host, so pre-flight
+    # passes and the one POST of the batch gets 404.
+    serve_listing(monkeypatch, [{"name": "ghost"}])
+    failures = []
+    original_record_failed = ResultCollector.record_failed
+
+    def counting_record_failed(collector, ordinal, message):
+        failures.append((ordinal, message))
+        original_record_failed(collector, ordinal, message)
+
+    monkeypatch.setattr(ResultCollector, "record_failed", counting_record_failed)
+    sent = record_requests(monkeypatch)
+    executor = QuantumExecutor(
+        providers=[ProviderConfig("remote", "remote_http", endpoint=remote_server.endpoint)]
+    )
+    dispatch = Dispatch()
+    for _ in range(3):
+        dispatch.add_job("remote", "ghost", bell, 8)
+    collector = executor.run_dispatch(dispatch)
+    assert sorted(failures) == [(k, "remote backend 'ghost' not found") for k in range(3)]
+    assert [job["ordinal"] for job in collector.failed_jobs()] == [0, 1, 2]
+    assert [method for method, _ in sent].count("POST") == 1
+
+
+def test_remote_backend_of_257_jobs_sends_two_posts(remote_server, bell, monkeypatch):
+    sent = record_requests(monkeypatch)
+    executor = QuantumExecutor(
+        providers=[ProviderConfig("remote", "remote_http", endpoint=remote_server.endpoint)]
+    )
+    dispatch = Dispatch()
+    for _ in range(257):
+        dispatch.add_job("remote", "statevector", bell, 4)
+    collector = executor.run_dispatch(dispatch, base_seed=9)
+    assert collector.failed_jobs() == []
+    runs = collector.get_results()["remote"]["statevector"]
+    assert len(runs) == 257
+    assert runs[256] == sample(bell, 4, seed=9 + 256)
+    assert [method for method, _ in sent].count("POST") == 2
+    reads = [params for method, params in sent if method == "GET" and params]
+    assert reads and max(len(params["ids"].split(",")) for params in reads) <= 256
 
 
 def test_remote_proxy_is_read_from_the_environment_at_registration(

@@ -1,6 +1,5 @@
 import socket
 import threading
-import time
 
 import pytest
 import requests
@@ -9,19 +8,11 @@ import qexec.providers
 from qexec import sample
 from qexec.server import RemoteServer, ServerBackend, ServerConfig
 
-from conftest import BELL_QASM, count_kernels_in_flight
+from conftest import BELL_QASM, count_kernels_in_flight, post_job, post_jobs, read_jobs, wait_done
 
 
-def wait_done(endpoint: str, job_id: str, headers=None, timeout=5.0) -> str:
-    deadline = time.time() + timeout
-    while time.time() < deadline:
-        state = requests.get(f"{endpoint}/jobs/{job_id}", headers=headers, timeout=5).json()[
-            "state"
-        ]
-        if state in ("DONE", "FAILED"):
-            return state
-        time.sleep(0.01)
-    pytest.fail("remote job never finished")
+def bell_job(**changes) -> dict:
+    return {"qasm": BELL_QASM, "shots": 8, "seed": 0, **changes}
 
 
 # --------------------------------------------------------------------------
@@ -55,57 +46,56 @@ def test_malformed_path_404(remote_server):
 
 
 def test_submit_bell(remote_server):
-    response = requests.post(
-        f"{remote_server.endpoint}/jobs",
-        json={"backend": "statevector", "qasm": BELL_QASM, "shots": 1024, "seed": 0},
-        timeout=5,
-    )
+    response = post_jobs(remote_server.endpoint, "statevector", bell_job(shots=1024))
     assert response.status_code == 201
-    payload = response.json()
-    assert payload["state"] == "QUEUED"
-    assert payload["job_id"]
+    [entry] = response.json()["jobs"]
+    assert list(entry) == ["job_id"] and entry["job_id"]
 
 
 def test_submit_unknown_backend(remote_server):
-    body = {"backend": "warp_core", "qasm": BELL_QASM, "shots": 8, "seed": 0}
-    response = requests.post(f"{remote_server.endpoint}/jobs", json=body, timeout=5)
-    assert response.status_code == 404
-    assert response.json() == {"error": "unknown backend 'warp_core'"}
-    # The body is checked before the backend is looked up.
-    response = requests.post(f"{remote_server.endpoint}/jobs", json=dict(body, shots=0), timeout=5)
-    assert response.status_code == 400
+    # An unknown backend fails the whole request, bad entries or not.
+    for job in (bell_job(), bell_job(shots=0)):
+        response = post_jobs(remote_server.endpoint, "warp_core", job, job)
+        assert response.status_code == 404
+        assert response.json() == {"error": "unknown backend 'warp_core'"}
 
 
 def test_submit_zero_shots(remote_server):
-    response = requests.post(
-        f"{remote_server.endpoint}/jobs",
-        json={"backend": "statevector", "qasm": BELL_QASM, "shots": 0, "seed": 0},
-        timeout=5,
-    )
-    assert response.status_code == 400
+    response = post_jobs(remote_server.endpoint, "statevector", bell_job(shots=0))
+    assert response.status_code == 201
+    assert response.json() == {"jobs": [{"error": "shots must be >= 1, got 0"}]}
 
 
 @pytest.mark.parametrize("field", ["shots", "seed"])
 @pytest.mark.parametrize("value", [1.9, True, "12"])
 def test_submit_non_integer_shots_or_seed_400(remote_server, field, value):
-    body = {"backend": "statevector", "qasm": BELL_QASM, "shots": 3, "seed": 0}
-    response = requests.post(f"{remote_server.endpoint}/jobs", json=body, timeout=5)
+    # The bad entry gets its own error; the good one beside it is queued.
+    response = post_jobs(remote_server.endpoint, "statevector", bell_job(), bell_job(**{field: value}))
     assert response.status_code == 201
-    response = requests.post(
-        f"{remote_server.endpoint}/jobs", json=dict(body, **{field: value}), timeout=5
-    )
-    assert response.status_code == 400
-    assert response.json() == {"error": "shots and seed must be integers"}
+    good, bad = response.json()["jobs"]
+    assert "job_id" in good
+    assert bad == {"error": "shots and seed must be integers"}
 
 
 def test_submit_bad_qasm(remote_server):
-    response = requests.post(
-        f"{remote_server.endpoint}/jobs",
-        json={"backend": "statevector", "qasm": "not qasm at all", "shots": 8, "seed": 0},
-        timeout=5,
-    )
-    assert response.status_code == 400
-    assert "bad qasm" in response.json()["error"]
+    response = post_jobs(remote_server.endpoint, "statevector", bell_job(qasm="not qasm at all"))
+    assert response.status_code == 201
+    assert response.json()["jobs"][0]["error"].startswith("bad qasm")
+
+
+def test_one_bad_entry_fails_only_its_own_job(remote_server, bell):
+    wide = "OPENQASM 2.0; qreg q[25];"
+    jobs = [bell_job(seed=1), bell_job(qasm="nope"), bell_job(qasm=wide), bell_job(shots=2.5), 7]
+    response = post_jobs(remote_server.endpoint, "statevector", *jobs, bell_job(seed=2))
+    assert response.status_code == 201
+    entries = response.json()["jobs"]
+    assert [sorted(entry) for entry in entries] == [["job_id"]] + [["error"]] * 4 + [["job_id"]]
+    assert "exceeds" in entries[2]["error"]
+    assert entries[4] == {"error": "a job must be a JSON object"}
+    ids = [entries[0]["job_id"], entries[5]["job_id"]]
+    assert wait_done(remote_server.endpoint, *ids) == ["DONE", "DONE"]
+    counts = [entry["counts"] for entry in read_jobs(remote_server.endpoint, *ids)]
+    assert counts == [sample(bell, 8, seed=1), sample(bell, 8, seed=2)]
 
 
 def test_submit_malformed_body(remote_server):
@@ -130,16 +120,27 @@ def test_submit_body_not_an_object(remote_server, body):
     assert response.json() == {"error": "body must be a JSON object"}
 
 
+@pytest.mark.parametrize(
+    "jobs",
+    [None, {"qasm": BELL_QASM}, [bell_job()] * 257, "one-job body"],
+    ids=["missing", "object", "257", "string"],
+)
+def test_submit_jobs_must_be_a_list_of_at_most_256(remote_server, jobs):
+    body = {"backend": "statevector", "qasm": BELL_QASM, "shots": 8}
+    if jobs != "one-job body":  # the single-job form is gone
+        body = {"backend": "statevector", "jobs": jobs}
+    response = requests.post(f"{remote_server.endpoint}/jobs", json=body, timeout=5)
+    assert response.status_code == 400
+    assert response.json() == {"error": "jobs must be a list of at most 256 jobs"}
+
+
 def test_submit_width_overflow(remote_server):
     wide = "OPENQASM 2.0; qreg q[25];"
-    response = requests.post(
-        f"{remote_server.endpoint}/jobs",
-        json={"backend": "statevector", "qasm": wide, "shots": 8, "seed": 0},
-        timeout=5,
-    )
-    assert response.status_code == 400
-    assert "width 25 exceeds" in response.json()["error"]
-    assert "limit 20" in response.json()["error"]
+    response = post_jobs(remote_server.endpoint, "statevector", bell_job(qasm=wide))
+    assert response.status_code == 201
+    error = response.json()["jobs"][0]["error"]
+    assert "width 25 exceeds" in error
+    assert "limit 20" in error
 
 
 # --------------------------------------------------------------------------
@@ -149,15 +150,25 @@ def test_submit_width_overflow(remote_server):
 
 def test_job_lifecycle_and_result(remote_server):
     endpoint = remote_server.endpoint
-    job_id = requests.post(
-        f"{endpoint}/jobs",
-        json={"backend": "statevector", "qasm": BELL_QASM, "shots": 512, "seed": 7},
-        timeout=5,
-    ).json()["job_id"]
-    assert wait_done(endpoint, job_id) == "DONE"
-    counts = requests.get(f"{endpoint}/jobs/{job_id}", timeout=5).json()["counts"]
-    assert sum(counts.values()) == 512
-    assert set(counts) <= {"00", "11"}
+    job_id = post_job(endpoint, qasm=BELL_QASM, shots=512, seed=7)
+    assert wait_done(endpoint, job_id) == ["DONE"]
+    [entry] = read_jobs(endpoint, job_id)
+    assert sum(entry["counts"].values()) == 512
+    assert set(entry["counts"]) <= {"00", "11"}
+
+
+def test_read_answers_each_id_in_the_order_asked(remote_server):
+    endpoint = remote_server.endpoint
+    ids = [post_job(endpoint, qasm=BELL_QASM, shots=8, seed=k) for k in range(3)]
+    wait_done(endpoint, *ids)
+    asked = [ids[2], "rjob-404", ids[0], ids[2]]
+    entries = read_jobs(endpoint, *asked)
+    assert [entry["job_id"] for entry in entries] == asked
+    assert entries[1] == {"job_id": "rjob-404", "error": "unknown job"}
+    assert [entries[i]["state"] for i in (0, 2, 3)] == ["DONE"] * 3
+    assert read_jobs(endpoint) == []
+    too_many = requests.get(f"{endpoint}/jobs", params={"ids": ",".join(["x"] * 257)}, timeout=5)
+    assert too_many.status_code == 400
 
 
 def test_jobs_run_one_at_a_time(remote_server, monkeypatch):
@@ -170,9 +181,9 @@ def test_jobs_run_one_at_a_time(remote_server, monkeypatch):
         with requests.Session() as session:
             for seed in range(10):
                 for backend in ("statevector", "noisy_statevector"):
-                    body = {"backend": backend, "qasm": BELL_QASM, "shots": 16, "seed": seed}
-                    response = session.post(f"{endpoint}/jobs", json=body, timeout=5)
-                    job_ids.append(response.json()["job_id"])
+                    jobs = [bell_job(shots=16, seed=seed)] * 2
+                    response = post_jobs(endpoint, backend, *jobs, session=session)
+                    job_ids.extend(entry["job_id"] for entry in response.json()["jobs"])
 
     clients = [threading.Thread(target=client) for _ in range(2)]
     for thread in clients:
@@ -180,34 +191,31 @@ def test_jobs_run_one_at_a_time(remote_server, monkeypatch):
     for thread in clients:
         thread.join(timeout=10)
         assert not thread.is_alive()
-    assert [wait_done(endpoint, job_id) for job_id in job_ids] == ["DONE"] * 40
+    assert wait_done(endpoint, *job_ids) == ["DONE"] * 80
     assert in_flight[1] == 1
 
 
 def test_delayed_job_409_then_200(delayed_server, bell):
     # A delayed job shows no counts until it is DONE.
     endpoint = delayed_server.endpoint
-    job_id = requests.post(
-        f"{endpoint}/jobs",
-        json={"backend": "statevector", "qasm": BELL_QASM, "shots": 64, "seed": 1},
-        timeout=5,
-    ).json()["job_id"]
-    early = requests.get(f"{endpoint}/jobs/{job_id}", timeout=5)
-    assert early.status_code == 200
-    assert early.json() == {"job_id": job_id, "state": "QUEUED"}
-    assert wait_done(endpoint, job_id) == "DONE"
-    late = requests.get(f"{endpoint}/jobs/{job_id}", timeout=5)
-    assert late.status_code == 200
-    assert sum(late.json()["counts"].values()) == 64
+    job_id = post_job(endpoint, qasm=BELL_QASM, shots=64, seed=1)
+    assert read_jobs(endpoint, job_id) == [{"job_id": job_id, "state": "QUEUED"}]
+    assert wait_done(endpoint, job_id) == ["DONE"]
+    [late] = read_jobs(endpoint, job_id)
+    assert sum(late["counts"].values()) == 64
 
 
 def test_unknown_job_404(remote_server):
-    # /result is no route: it gets the same 404 as any unknown path.
-    assert requests.get(f"{remote_server.endpoint}/jobs/rjob-404", timeout=5).status_code == 404
-    assert (
-        requests.get(f"{remote_server.endpoint}/jobs/rjob-404/result", timeout=5).status_code
-        == 404
-    )
+    # GET /jobs/{id} and /result are no routes: they get the 404 of any unknown
+    # path, for any id. An unknown id in a read gets an entry of its own.
+    job_id = post_job(remote_server.endpoint, qasm=BELL_QASM, shots=8, seed=0)
+    for path in (f"/jobs/{job_id}", "/jobs/rjob-404", "/jobs/rjob-404/result"):
+        response = requests.get(f"{remote_server.endpoint}{path}", timeout=5)
+        assert response.status_code == 404
+        assert response.json() == {"error": "unknown path"}
+    assert read_jobs(remote_server.endpoint, "rjob-404") == [
+        {"job_id": "rjob-404", "error": "unknown job"}
+    ]
 
 
 def test_failed_job_410(remote_server, monkeypatch):
@@ -218,14 +226,11 @@ def test_failed_job_410(remote_server, monkeypatch):
 
     monkeypatch.setattr(qexec.providers, "sample", broken_sample)
     endpoint = remote_server.endpoint
-    job_id = requests.post(
-        f"{endpoint}/jobs",
-        json={"backend": "statevector", "qasm": BELL_QASM, "shots": 8, "seed": 0},
-        timeout=5,
-    ).json()["job_id"]
-    assert wait_done(endpoint, job_id) == "FAILED"
-    status = requests.get(f"{endpoint}/jobs/{job_id}", timeout=5).json()
-    assert status == {"job_id": job_id, "state": "FAILED", "error": "induced failure"}
+    job_id = post_job(endpoint, qasm=BELL_QASM, shots=8, seed=0)
+    assert wait_done(endpoint, job_id) == ["FAILED"]
+    assert read_jobs(endpoint, job_id) == [
+        {"job_id": job_id, "state": "FAILED", "error": "induced failure"}
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -245,14 +250,9 @@ def test_api_key_enforced():
 
 def test_remote_counts_equal_local_seeded(remote_server, bell):
     endpoint = remote_server.endpoint
-    job_id = requests.post(
-        f"{endpoint}/jobs",
-        json={"backend": "statevector", "qasm": BELL_QASM, "shots": 999, "seed": 4242},
-        timeout=5,
-    ).json()["job_id"]
+    job_id = post_job(endpoint, qasm=BELL_QASM, shots=999, seed=4242)
     wait_done(endpoint, job_id)
-    remote_counts = requests.get(f"{endpoint}/jobs/{job_id}", timeout=5).json()["counts"]
-    assert remote_counts == sample(bell, 999, seed=4242)
+    assert read_jobs(endpoint, job_id)[0]["counts"] == sample(bell, 999, seed=4242)
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qexec.simulator
 from qexec import Circuit, Gate, GateOp, NoiseSpec, parse_qasm, sample, sample_noisy, statevector, tvd
 from qexec.errors import CircuitError
 
@@ -240,3 +242,110 @@ def test_sample_totals_conserved(circuit, shots):
     counts = sample(circuit, shots, seed=3)
     assert sum(counts.values()) == shots
     assert all(len(k) == circuit.width for k in counts)
+
+
+@given(
+    runnable_circuits(),
+    st.integers(min_value=1, max_value=100),
+    st.floats(0.0, 1.0),
+    st.integers(min_value=0, max_value=2**70),
+)
+@settings(max_examples=60, deadline=None)
+def test_noisy_totals_conserved_and_seeded_calls_repeat(circuit, shots, p, seed):
+    counts = sample_noisy(circuit, shots, NoiseSpec(p), seed=seed)
+    assert sum(counts.values()) == shots
+    assert all(len(k) == circuit.width and v > 0 for k, v in counts.items())
+    assert sample_noisy(circuit, shots, NoiseSpec(p), seed=seed) == counts
+
+
+# --------------------------------------------------------------------------
+# sample_noisy against exact enumeration
+# --------------------------------------------------------------------------
+
+_ORACLE_1Q = {
+    Gate.H: np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+    Gate.T: np.diag([1, np.exp(1j * math.pi / 4)]),
+}
+_ORACLE_PAULIS = [
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.diag([1.0 + 0j, -1.0]),
+]
+
+
+def _oracle_operator(width: int, qubit: int, matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` on ``qubit`` of a register, as a full 2**width matrix (qubit 0 leftmost)."""
+    out = np.eye(1)
+    for q in range(width):
+        out = np.kron(out, matrix if q == qubit else np.eye(2))
+    return out
+
+
+def _oracle_cx(width: int, control: int, target: int) -> np.ndarray:
+    dim = 1 << width
+    out = np.zeros((dim, dim))
+    for i in range(dim):
+        j = i ^ (1 << (width - 1 - target)) if i >> (width - 1 - control) & 1 else i
+        out[j, i] = 1
+    return out
+
+
+def exact_noisy_distribution(circuit: Circuit, p: float) -> dict[str, float]:
+    """Sum over every injection pattern (none, X, Y or Z at each slot) of its
+    probability times its final distribution, with dense matrices."""
+    width = circuit.width
+    steps = []  # per gate: (its full matrix, its slots' qubits)
+    for op in circuit.gates:
+        if op.gate is Gate.CX:
+            unitary = _oracle_cx(width, *op.qubits)
+        elif op.gate is Gate.RY:
+            c, s = math.cos(op.angle / 2), math.sin(op.angle / 2)
+            unitary = _oracle_operator(width, op.qubits[0], np.array([[c, -s], [s, c]]))
+        else:
+            unitary = _oracle_operator(width, op.qubits[0], _ORACLE_1Q[op.gate])
+        steps.append((unitary, op.qubits))
+    slots = [q for _, qubits in steps for q in qubits]
+    exact = np.zeros(1 << width)
+    for pattern in itertools.product(range(4), repeat=len(slots)):
+        weight = math.prod(1 - p if k == 0 else p / 3 for k in pattern)
+        state = np.zeros(1 << width, dtype=complex)
+        state[0] = 1
+        choices = iter(pattern)
+        for unitary, qubits in steps:
+            state = unitary @ state
+            for q in qubits:
+                k = next(choices)
+                if k:
+                    state = _oracle_operator(width, q, _ORACLE_PAULIS[k - 1]) @ state
+        exact += weight * np.abs(state) ** 2
+    return {format(i, f"0{width}b"): float(v) for i, v in enumerate(exact) if v > 1e-15}
+
+
+def test_noisy_matches_exact_enumeration_non_clifford():
+    # 6 slots, so 4**6 injection patterns; T and RY keep it non-Clifford, and
+    # the last H makes the sign of an injected Z show in the counts.
+    circuit = parse_qasm(
+        "OPENQASM 2.0; qreg q[2]; h q[0]; t q[0]; cx q[0],q[1]; ry(0.7) q[1]; h q[0];"
+    )
+    exact = exact_noisy_distribution(circuit, 0.2)
+    assert sum(exact.values()) == pytest.approx(1.0)
+    counts = sample_noisy(circuit, 40_000, NoiseSpec(0.2), seed=17)
+    assert counts_tvd_from_probs(counts, exact) < 0.015
+
+
+def test_noisy_replay_crosses_chunk_boundaries(monkeypatch):
+    # At 14 qubits one 16 MB chunk holds 64 rows, and about 875 of the 1,000
+    # shots draw an injection, so their replay spans 14 chunks. The noise
+    # touches only qubits 0 and 13, so the outcome is "b0 0...0 b13" with the
+    # distribution of the same circuit on two qubits.
+    wide = parse_qasm("OPENQASM 2.0; qreg q[14]; h q[0]; cx q[0],q[13];")
+    narrow = parse_qasm("OPENQASM 2.0; qreg q[2]; h q[0]; cx q[0],q[1];")
+    assert qexec.simulator._CHUNK_AMPLITUDES >> 14 == 64
+    counts = sample_noisy(wide, 1000, NoiseSpec(0.5), seed=3)
+    assert sum(counts.values()) == 1000
+    folded = {k[0] + k[-1]: v for k, v in counts.items()}
+    assert set(k[1:-1] for k in counts) == {"0" * 12}
+    assert counts_tvd_from_probs(folded, exact_noisy_distribution(narrow, 0.5)) < 0.08
+    # Chunks of 16 rows draw the same numbers in the same order.
+    monkeypatch.setattr(qexec.simulator, "_CHUNK_AMPLITUDES", 1 << 18)
+    assert sample_noisy(wide, 1000, NoiseSpec(0.5), seed=3) == counts

@@ -4,11 +4,12 @@ Runs are declarative (run_experiment with an ExperimentSpec) or explicit
 (run_dispatch with a pre-built Dispatch). Either way, execution runs in
 lanes. A lane is a worker thread that takes its backends in canonical order
 and, for each, submits all its jobs in one batch call and then reads all its
-pending jobs in one call per poll until none is pending. In-process simulator backends (local_ideal,
-local_noisy) always share one lane, because their jobs are pure computation
-and overlapping them only contends for the interpreter lock. With parallel
-runs, every other backend (remote_http, mock_delay), whose lane waits on a
-network or a clock, gets a lane of its own; serial runs use one lane for all.
+pending jobs in one call per poll until none is pending. In-process
+simulator backends (local_ideal, local_noisy) always share one lane, because
+their jobs are pure computation and overlapping them only contends for the
+interpreter lock. With parallel runs, every other backend (remote_http,
+mock_delay), whose lane waits on a network or a clock, gets a lane of its
+own; serial runs use one lane for all.
 Job k's seed is base_seed + ordinal(k), making serial and parallel runs of
 the same plan bit-identical on local simulators regardless of scheduling.
 """

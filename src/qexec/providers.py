@@ -554,11 +554,17 @@ def check_shots(shots: int) -> None:
         raise DispatchError(f"shots must be >= 1, got {shots}")
 
 
-def _check_job(shots: int, options: Mapping[str, Any]) -> None:
-    check_shots(shots)
+def _refusal(shots: int, options: Mapping[str, Any]) -> DispatchError | None:
+    """Why a job cannot be submitted, or None: shots or a seed that are not
+    integers would fail the job only in the kernel."""
+    try:
+        check_shots(shots)
+    except DispatchError as exc:
+        return exc
     seed = options.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
-        raise DispatchError(f"seed must be an integer, got {seed!r}")
+        return DispatchError(f"seed must be an integer, got {seed!r}")
+    return None
 
 
 class VirtualProvider:
@@ -619,19 +625,12 @@ class VirtualProvider:
         one job, so each job's outcome is recorded once."""
         with self._lock:
             adapter = self._adapters.get(provider_id)
-        refusals: list[DispatchError | None] = []
-        for _, shots, options in jobs:
-            try:
-                _check_job(shots, options)
-                refusals.append(None)
-            except DispatchError as exc:
-                refusals.append(exc)
-        checked = [job for job, refusal in zip(jobs, refusals) if refusal is None]
         if adapter is None:
             unknown = UnknownBackendError(f"unknown backend {provider_id}/{backend_name}")
-            issued = iter([unknown] * len(checked))
-        else:
-            issued = iter(adapter.submit(backend_name, checked) if checked else [])
+            return [unknown] * len(jobs)
+        refusals = [_refusal(shots, options) for _, shots, options in jobs]
+        checked = [job for job, refusal in zip(jobs, refusals) if refusal is None]
+        issued = iter(adapter.submit(backend_name, checked) if checked else [])
         submitted_at = time.time()
 
         def outcome(job_id: str | QExecError) -> JobHandle | QExecError:

@@ -117,11 +117,11 @@ def _pair_view(states: np.ndarray, a: int, b: int) -> tuple[np.ndarray, int, int
 
 def _apply_cx(states: np.ndarray, control: int, target: int) -> np.ndarray:
     out = states.copy()
-    view, c_axis, t_axis = _pair_view(states, control, target)
-    flipped = np.flip(view, axis=t_axis)
+    view, c_axis, t_axis = _pair_view(out, control, target)
     index = [slice(None)] * 6
     index[c_axis] = 1
-    _pair_view(out, control, target)[0][tuple(index)] = flipped[tuple(index)]
+    # Fixing the control's axis moves the target's down by one if it came after.
+    view[tuple(index)] = np.flip(view[tuple(index)], axis=t_axis - (t_axis > c_axis))
     return out
 
 
@@ -157,12 +157,6 @@ def _initial_state(width: int) -> np.ndarray:
     state = np.zeros((1, 1 << width), dtype=complex)
     state[0, 0] = 1.0
     return state
-
-
-def _probabilities(states: np.ndarray) -> np.ndarray:
-    """Each row's |amplitude|**2, normalized to sum to 1."""
-    p = states.real**2 + states.imag**2
-    return p / p.sum(axis=-1, keepdims=True)
 
 
 def _histogram(tally: np.ndarray, width: int) -> dict[str, int]:
@@ -229,7 +223,7 @@ def sample_noisy(
         prefixes.append(_apply_gate(prefixes[-1], op))
 
     # One injection slot per (gate, touched qubit), in execution order.
-    slot_gate = np.array([g for g, op in enumerate(circuit.gates) for _ in op.qubits], dtype=np.intp)
+    slot_gate = np.array([g for g, op in enumerate(circuit.gates) for _ in op.qubits], dtype=int)
     tally = np.zeros(1 << width, dtype=np.int64)
     clean = 0
     # The hit matrix takes a byte per (shot, slot) and its draw eight more, so
@@ -254,7 +248,7 @@ def sample_noisy(
             draws = rng.random(states.shape[0]) * cumulative[:, -1]
             outcomes = np.minimum((cumulative <= draws[:, None]).sum(axis=1), tally.size - 1)
             tally += np.bincount(outcomes, minlength=tally.size)
-    tally += rng.multinomial(clean, _probabilities(prefixes[-1])[0])
+    tally += rng.multinomial(clean, Statevector(width, prefixes[-1][0]).probabilities())
     return _histogram(tally, width)
 
 
@@ -288,7 +282,8 @@ def _replay(
             fresh = np.repeat(prefixes[g + 1], joined[g] - states.shape[0], axis=0)
             states = np.concatenate((states, fresh))
         for qubit in op.qubits:
-            flips, signs = flip_row[flip_at[slot] : flip_at[slot + 1]], sign_row[sign_at[slot] : sign_at[slot + 1]]
+            flips = flip_row[flip_at[slot] : flip_at[slot + 1]]
+            signs = sign_row[sign_at[slot] : sign_at[slot + 1]]
             if flips.size or signs.size:
                 view = _qubit_view(states, qubit)
                 view[flips] = view[flips][:, :, ::-1]

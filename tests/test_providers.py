@@ -463,7 +463,8 @@ def test_remote_submit_is_not_resent_after_a_dropped_connection(remote_server, b
     # jobs twice: each job of the batch fails once instead.
     posts = drop_once(monkeypatch, "do_POST")
     registry = remote_registry(remote_server.endpoint)
-    outcomes = registry.submit_batch("remote", "statevector", [(bell, 16, {"seed": k}) for k in range(3)])
+    jobs = [(bell, 16, {"seed": k}) for k in range(3)]
+    outcomes = registry.submit_batch("remote", "statevector", jobs)
     assert len(outcomes) == 3
     assert all(isinstance(o, ProviderError) for o in outcomes)
     assert all(str(o).startswith("remote submission failed") for o in outcomes)
@@ -493,8 +494,9 @@ def test_remote_request_fault_fails_each_job_once(bell, monkeypatch):
     monkeypatch.setattr(requests.Session, "post", counting_post)
     with RemoteServer(ServerConfig(api_key="sesame")) as server:
         registry = VirtualProvider()
+        wrong_key = {"api_key": "x"}
         registry.register_provider(
-            ProviderConfig("remote", "remote_http", endpoint=server.endpoint, credentials={"api_key": "x"})
+            ProviderConfig("remote", "remote_http", endpoint=server.endpoint, credentials=wrong_key)
         )
         outcomes = registry.submit_batch("remote", "statevector", [(bell, 8, {})] * 3)
     assert len(posts) == 1

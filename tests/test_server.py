@@ -70,7 +70,8 @@ def test_submit_zero_shots(remote_server):
 @pytest.mark.parametrize("value", [1.9, True, "12"])
 def test_submit_non_integer_shots_or_seed_400(remote_server, field, value):
     # The bad entry gets its own error; the good one beside it is queued.
-    response = post_jobs(remote_server.endpoint, "statevector", bell_job(), bell_job(**{field: value}))
+    jobs = [bell_job(), bell_job(**{field: value})]
+    response = post_jobs(remote_server.endpoint, "statevector", *jobs)
     assert response.status_code == 201
     good, bad = response.json()["jobs"]
     assert "job_id" in good

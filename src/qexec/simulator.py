@@ -86,7 +86,7 @@ def _rotation_matrix(gate: Gate, angle: float) -> np.ndarray:
     return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]], dtype=complex)
 
 
-# Every gate function takes and returns a (rows, 2**width) array: one
+# Every gate function updates a (rows, 2**width) array in place: one
 # statevector per row. A statevector run is the one-row case.
 
 
@@ -95,17 +95,25 @@ def _qubit_view(states: np.ndarray, qubit: int) -> np.ndarray:
     return states.reshape(states.shape[0], 1 << qubit, 2, -1)
 
 
-def _apply_single(states: np.ndarray, gate: Gate, matrix: np.ndarray, qubit: int) -> np.ndarray:
-    rows = states.shape[0]
-    if gate in _DIAGONAL:  # a phase on each half
-        return (_qubit_view(states, qubit) * matrix.diagonal()[:, None]).reshape(rows, -1)
-    if gate in _ANTI_DIAGONAL:  # swap the halves, then a phase on each
-        phases = np.array([matrix[0, 1], matrix[1, 0]])[:, None]
-        return (_qubit_view(states, qubit)[:, :, ::-1] * phases).reshape(rows, -1)
-    # Bring the qubit's axis to the front and make one (2 x 2) @ (2 x n)
-    # product, so the cost does not depend on where the qubit sits.
-    front = states.reshape(rows << qubit, 2, -1).transpose(1, 0, 2).reshape(2, -1)
-    return (matrix @ front).reshape(2, rows << qubit, -1).transpose(1, 0, 2).reshape(rows, -1)
+def _apply_single(states: np.ndarray, gate: Gate, matrix: np.ndarray, qubit: int) -> None:
+    view = _qubit_view(states, qubit)
+    if gate in _ANTI_DIAGONAL:  # X, Y: swap the halves, then a phase on each
+        view[...] = view[:, :, ::-1]
+        phases = (matrix[0, 1], matrix[1, 0])
+    elif gate in _DIAGONAL:  # Z, S, T, RZ: a phase on each half
+        phases = (matrix[0, 0], matrix[1, 1])
+    else:
+        # H, RX, RY: bring the qubit's axis to the front and make one
+        # (2 x 2) @ (2 x n) product, so the cost does not depend on where the
+        # qubit sits; the result goes back in place.
+        rows = states.shape[0] << qubit
+        front = states.reshape(rows, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+        product = (matrix @ front).reshape(2, rows, -1).transpose(1, 0, 2)
+        np.copyto(states.reshape(rows, 2, -1), product)
+        return
+    for half, phase in enumerate(phases):
+        if phase != 1:
+            view[:, :, half] *= phase
 
 
 def _pair_view(states: np.ndarray, a: int, b: int) -> tuple[np.ndarray, int, int]:
@@ -115,35 +123,30 @@ def _pair_view(states: np.ndarray, a: int, b: int) -> tuple[np.ndarray, int, int
     return view, (2 if a == lo else 4), (2 if b == lo else 4)
 
 
-def _apply_cx(states: np.ndarray, control: int, target: int) -> np.ndarray:
-    out = states.copy()
-    view, c_axis, t_axis = _pair_view(out, control, target)
+def _apply_cx(states: np.ndarray, control: int, target: int) -> None:
+    view, c_axis, t_axis = _pair_view(states, control, target)
     index = [slice(None)] * 6
     index[c_axis] = 1
     # Fixing the control's axis moves the target's down by one if it came after.
     view[tuple(index)] = np.flip(view[tuple(index)], axis=t_axis - (t_axis > c_axis))
-    return out
 
 
-def _apply_cz(states: np.ndarray, control: int, target: int) -> np.ndarray:
-    out = states.copy()
-    view, c_axis, t_axis = _pair_view(out, control, target)
+def _apply_cz(states: np.ndarray, control: int, target: int) -> None:
+    view, c_axis, t_axis = _pair_view(states, control, target)
     index = [slice(None)] * 6
     index[c_axis] = index[t_axis] = 1
     view[tuple(index)] *= -1
-    return out
 
 
-def _apply_gate(states: np.ndarray, op: GateOp) -> np.ndarray:
+def _apply_gate(states: np.ndarray, op: GateOp) -> None:
     if op.gate is Gate.CX:
-        return _apply_cx(states, op.qubits[0], op.qubits[1])
-    if op.gate is Gate.CZ:
-        return _apply_cz(states, op.qubits[0], op.qubits[1])
-    if op.gate.takes_angle:
-        matrix = _rotation_matrix(op.gate, op.angle)  # type: ignore[arg-type]
+        _apply_cx(states, op.qubits[0], op.qubits[1])
+    elif op.gate is Gate.CZ:
+        _apply_cz(states, op.qubits[0], op.qubits[1])
+    elif op.gate.takes_angle:
+        _apply_single(states, op.gate, _rotation_matrix(op.gate, op.angle), op.qubits[0])
     else:
-        matrix = _FIXED_MATRICES[op.gate]
-    return _apply_single(states, op.gate, matrix, op.qubits[0])
+        _apply_single(states, op.gate, _FIXED_MATRICES[op.gate], op.qubits[0])
 
 
 def _require_runnable(circuit: Circuit, max_width: int) -> None:
@@ -174,7 +177,7 @@ def statevector(circuit: Circuit, max_width: int = MAX_WIDTH_DEFAULT) -> Stateve
     _require_runnable(circuit, max_width)
     state = _initial_state(circuit.width)
     for op in circuit.gates:
-        state = _apply_gate(state, op)
+        _apply_gate(state, op)
     return Statevector(width=circuit.width, amplitudes=state[0])
 
 
@@ -220,7 +223,8 @@ def sample_noisy(
     # at its first injection, so it pays only for its noisy suffix.
     prefixes = [_initial_state(width)]
     for op in circuit.gates:
-        prefixes.append(_apply_gate(prefixes[-1], op))
+        prefixes.append(prefixes[-1].copy())
+        _apply_gate(prefixes[-1], op)
 
     # One injection slot per (gate, touched qubit), in execution order.
     slot_gate = np.array([g for g, op in enumerate(circuit.gates) for _ in op.qubits], dtype=int)
@@ -272,15 +276,16 @@ def _replay(
     joined = np.searchsorted(first_gate, np.arange(len(circuit.gates)), side="right").tolist()
 
     start = int(first_gate[0])
-    states = prefixes[start][:0]
+    states = np.empty((len(first_gate), prefixes[0].shape[1]), dtype=complex)
+    active = 0  # rows that have joined
     slot = sum(len(op.qubits) for op in circuit.gates[:start])
     for g in range(start, len(circuit.gates)):
         op = circuit.gates[g]
-        if states.shape[0]:
-            states = _apply_gate(states, op)
-        if joined[g] > states.shape[0]:
-            fresh = np.repeat(prefixes[g + 1], joined[g] - states.shape[0], axis=0)
-            states = np.concatenate((states, fresh))
+        if active:
+            _apply_gate(states[:active], op)
+        if joined[g] > active:
+            states[active : joined[g]] = prefixes[g + 1]
+            active = joined[g]
         for qubit in op.qubits:
             flips = flip_row[flip_at[slot] : flip_at[slot + 1]]
             signs = sign_row[sign_at[slot] : sign_at[slot + 1]]

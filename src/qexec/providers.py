@@ -406,10 +406,7 @@ class RemoteHttpAdapter:
         """Post the ``(circuit, shots, options)`` jobs, at most MAX_BATCH_JOBS a
         request, and return each job's id or the error that refused it. A
         fault of a whole request fails each of its jobs once, with its message."""
-        job_ids: list[str | QExecError] = []
-        for start in range(0, len(jobs), MAX_BATCH_JOBS):
-            job_ids += self._post_jobs(backend_name, jobs[start : start + MAX_BATCH_JOBS])
-        return job_ids
+        return _in_batches(jobs, lambda batch: self._post_jobs(backend_name, batch))
 
     def _post_jobs(self, backend_name: str, jobs: Sequence[tuple]) -> list[str | QExecError]:
         body = {
@@ -442,10 +439,7 @@ class RemoteHttpAdapter:
     def status(self, job_ids: Sequence[str]) -> list[JobStatus]:
         """Each job's status, read with GET /jobs?ids=, at most MAX_BATCH_JOBS
         ids a request. A job the service does not know is FAILED."""
-        statuses: list[JobStatus] = []
-        for start in range(0, len(job_ids), MAX_BATCH_JOBS):
-            statuses += self._get_jobs(job_ids[start : start + MAX_BATCH_JOBS])
-        return statuses
+        return _in_batches(job_ids, self._get_jobs)
 
     def _get_jobs(self, job_ids: Sequence[str]) -> list[JobStatus]:
         try:
@@ -460,6 +454,20 @@ class RemoteHttpAdapter:
         except (ValueError, KeyError, TypeError) as exc:
             return [JobStatus(JobState.FAILED, f"malformed status response: {exc}")] * len(job_ids)
         return [_wire_status(entry) for entry in entries]
+
+
+def _in_batches(items: Sequence, call) -> list:
+    """``call`` on each run of at most MAX_BATCH_JOBS items, its results joined."""
+    step = MAX_BATCH_JOBS
+    return [out for start in range(0, len(items), step) for out in call(items[start : start + step])]
+
+
+def submit_checked(jobs: Sequence, submit) -> list:
+    """One ``submit`` call for the jobs that are not exceptions; each result
+    goes in its job's place, and each exception, a refused job, stays in its own."""
+    checked = [job for job in jobs if not isinstance(job, Exception)]
+    issued = iter(submit(checked) if checked else [])
+    return [job if isinstance(job, Exception) else next(issued) for job in jobs]
 
 
 def _wire_list(payload: Any, n: int) -> list[dict]:
@@ -554,9 +562,10 @@ def check_shots(shots: int) -> None:
         raise DispatchError(f"shots must be >= 1, got {shots}")
 
 
-def _refusal(shots: int, options: Mapping[str, Any]) -> DispatchError | None:
-    """Why a job cannot be submitted, or None: shots or a seed that are not
-    integers would fail the job only in the kernel."""
+def _checked(job: tuple) -> tuple | DispatchError:
+    """The ``(circuit, shots, options)`` job, or the error that refuses it:
+    shots or a seed that are not integers would fail it only in the kernel."""
+    _, shots, options = job
     try:
         check_shots(shots)
     except DispatchError as exc:
@@ -564,7 +573,7 @@ def _refusal(shots: int, options: Mapping[str, Any]) -> DispatchError | None:
     seed = options.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         return DispatchError(f"seed must be an integer, got {seed!r}")
-    return None
+    return job
 
 
 class VirtualProvider:
@@ -628,17 +637,15 @@ class VirtualProvider:
         if adapter is None:
             unknown = UnknownBackendError(f"unknown backend {provider_id}/{backend_name}")
             return [unknown] * len(jobs)
-        refusals = [_refusal(shots, options) for _, shots, options in jobs]
-        checked = [job for job, refusal in zip(jobs, refusals) if refusal is None]
-        issued = iter(adapter.submit(backend_name, checked) if checked else [])
+        checked = [_checked(job) for job in jobs]
+        job_ids = submit_checked(checked, lambda batch: adapter.submit(backend_name, batch))
         submitted_at = time.time()
-
-        def outcome(job_id: str | QExecError) -> JobHandle | QExecError:
-            if isinstance(job_id, QExecError):
-                return job_id
-            return JobHandle(job_id, provider_id, backend_name, submitted_at)
-
-        return [outcome(next(issued)) if refusal is None else refusal for refusal in refusals]
+        return [
+            job_id
+            if isinstance(job_id, QExecError)
+            else JobHandle(job_id, provider_id, backend_name, submitted_at)
+            for job_id in job_ids
+        ]
 
     def submit(
         self,

@@ -46,7 +46,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from .circuit import parse_qasm
 from .errors import QExecError
-from .providers import MAX_BATCH_JOBS, BackendDescriptor, JobRunner, JobStatus
+from .providers import MAX_BATCH_JOBS, BackendDescriptor, JobRunner, JobStatus, submit_checked
 from .simulator import MAX_WIDTH_DEFAULT, NoiseSpec
 
 __all__ = ["ServerBackend", "ServerConfig", "RemoteServer", "main"]
@@ -178,21 +178,18 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, {"error": f"unknown backend {backend!r}"})
             return
 
-        replies: list[dict | None] = []
         jobs = []
         for entry in entries:
             try:
                 jobs.append(_wire_job(entry))
-                replies.append(None)
             except ValueError as exc:
-                replies.append({"error": str(exc)})
-        # A circuit wider than the backend's limit is refused here.
-        issued = iter(self.runner.submit(backend, jobs))
-        for i, reply in enumerate(replies):
-            if reply is None:
-                job_id = next(issued)
-                failed = isinstance(job_id, QExecError)
-                replies[i] = {"error": str(job_id)} if failed else {"job_id": job_id}
+                jobs.append(exc)
+        # The runner refuses a circuit wider than the backend's limit.
+        job_ids = submit_checked(jobs, lambda batch: self.runner.submit(backend, batch))
+        replies = [
+            {"error": str(job_id)} if isinstance(job_id, Exception) else {"job_id": job_id}
+            for job_id in job_ids
+        ]
         self._send(201, {"jobs": replies})
 
     def _get_jobs(self, ids_values: list[str]) -> None:

@@ -98,7 +98,7 @@ def _qubit_view(states: np.ndarray, qubit: int) -> np.ndarray:
 def _apply_single(states: np.ndarray, gate: Gate, matrix: np.ndarray, qubit: int) -> None:
     view = _qubit_view(states, qubit)
     if gate in _ANTI_DIAGONAL:  # X, Y: swap the halves, then a phase on each
-        view[...] = view[:, :, ::-1]
+        view[...] = view[:, :, ::-1]  # numpy copies an overlapping source first
         phases = (matrix[0, 1], matrix[1, 0])
     elif gate in _DIAGONAL:  # Z, S, T, RZ: a phase on each half
         phases = (matrix[0, 0], matrix[1, 1])

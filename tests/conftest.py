@@ -113,10 +113,10 @@ def count_kernels_in_flight(monkeypatch) -> list[int]:
     return in_flight
 
 
-def post_jobs(endpoint: str, backend: str, *jobs: dict, session=requests, headers=None):
+def post_jobs(endpoint: str, backend: str, *jobs: dict, session=requests):
     """POST /jobs of one batch of ``{qasm, shots, seed}`` entries; the reply."""
     body = {"backend": backend, "jobs": list(jobs)}
-    return session.post(f"{endpoint}/jobs", json=body, headers=headers, timeout=5)
+    return session.post(f"{endpoint}/jobs", json=body, timeout=5)
 
 
 def post_job(endpoint: str, backend: str = "statevector", **job) -> str:

@@ -4,12 +4,10 @@ Runs are declarative (run_experiment with an ExperimentSpec) or explicit
 (run_dispatch with a pre-built Dispatch). Either way, execution runs in
 lanes. A lane is a worker thread that takes its backends in canonical order
 and, for each, submits all its jobs in one batch call and then reads all its
-pending jobs in one call per poll until none is pending. In-process
-simulator backends (local_ideal, local_noisy) always share one lane, because
-their jobs are pure computation and overlapping them only contends for the
-interpreter lock. With parallel runs, every other backend (remote_http,
-mock_delay), whose lane waits on a network or a clock, gets a lane of its
-own; serial runs use one lane for all.
+pending jobs in one call per poll until none is pending. Parallel runs give
+each backend a lane of its own; serial runs use one lane for all. Which jobs
+actually overlap is the providers' decision, not the lanes': the in-process
+simulators run every kernel on one worker per process, one at a time.
 Job k's seed is base_seed + ordinal(k), making serial and parallel runs of
 the same plan bit-identical on local simulators regardless of scheduling.
 """
@@ -136,13 +134,13 @@ class QuantumExecutor:
         """Submit every job of a dispatch that passes pre-flight and return the
         collector. Pre-flight and ``backend_info`` share one look-up per backend.
 
-        The in-process simulator backends share one lane, which handles them
-        one after another. parallel=True gives each other backend a lane of
-        its own, so only those overlap; parallel=False runs every backend in
-        that one lane. wait=True blocks until the run is terminal, wait=False
-        returns a live collector whose completion progresses in the
-        background. merge_policy names a registered merge policy; None or ""
-        means no merge.
+        parallel=True gives each backend a lane of its own, so that one
+        backend's waits do not hold up another's; parallel=False runs every
+        backend in one lane, one after another. In-process kernels run one
+        at a time either way (see providers.JobRunner). wait=True blocks
+        until the run is terminal, wait=False returns a live collector whose
+        completion progresses in the background. merge_policy names a
+        registered merge policy; None or "" means no merge.
         """
         merge_fn = self.policies.resolve_merge(merge_policy) if merge_policy else None
         if dispatch.total_jobs() > 0 and not self.virtual_provider.providers():
@@ -168,15 +166,9 @@ class QuantumExecutor:
             dispatch, merge_policy=merge_policy or None, merge_fn=merge_fn, policy_context=context
         )
 
-        lanes: list[list[tuple]] = [[]]  # lanes[0] is the shared lane
-        for provider_id, backend_name in dispatch.backends():
-            backend = (provider_id, backend_name, dispatch.jobs_for(provider_id, backend_name))
-            if parallel and not self.virtual_provider.in_process(provider_id):
-                lanes.append([backend])
-            else:
-                lanes[0].append(backend)
-        lanes = [lane for lane in lanes if lane]
-        if lanes:
+        backends = [(p, b, dispatch.jobs_for(p, b)) for p, b in dispatch.backends()]
+        lanes = [[b] for b in backends] if parallel else [backends]
+        if backends:
             pool = ThreadPoolExecutor(max_workers=len(lanes), thread_name_prefix="qexec-lane")
             for lane in lanes:
                 pool.submit(self._run_lane, lane, base_seed, collector)

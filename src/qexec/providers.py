@@ -11,17 +11,20 @@ Four provider kinds ship built-in:
 * ``remote_http``   - client for the qexec remote job service wire protocol
 
 Each local kind is a JobRunner hosting its one backend, the same runner
-that hosts the job service's backends: one worker runs its jobs, in
-submission order. Every adapter takes a backend's jobs as one list and reads
-a list of job ids in one call; the registry's submit_batch and status_batch
-are those calls, and submit and status are their one-job cases. Submission
+that hosts the job service's backends. This module alone decides which
+jobs may overlap: the jobs of every runner with no delay run on one kernel
+worker per process, one at a time, in submission order, and a runner with a
+delay waits on a worker of its own. Every adapter takes a backend's jobs as
+one list and reads a list of job ids in one call; the registry's
+submit_batch and status_batch are those calls, and submit and status are
+their one-job cases. Submission
 is non-blocking for every kind: jobs enter QUEUED immediately and progress
 QUEUED -> RUNNING -> DONE/FAILED, observable through the status calls, the
 one way to read a job: a DONE status carries the job's counts. A job that
 cannot be submitted gets its error in place of an id, so one bad job never
-fails the jobs submitted with it. The registry holds its adapters and each
-provider's kind, and is safe for concurrent use; a job is known by
-(provider_id, job_id), the id that provider's adapter issued.
+fails the jobs submitted with it. The registry holds its adapters and is
+safe for concurrent use; a job is known by (provider_id, job_id), the id
+that provider's adapter issued.
 A provider's settings are checked when it is registered, so a providers file
 and a ProviderConfig built in Python meet the same checks.
 """
@@ -264,16 +267,24 @@ def _copied(status: JobStatus) -> JobStatus:
     return JobStatus(status.state, status.error_message, dict(status.counts))
 
 
+# The one worker that runs the jobs of every runner with no delay, whichever
+# runner queued them: CPU-bound kernels that overlap in threads only contend
+# for the interpreter lock. Its thread starts with the first job queued.
+_KERNELS = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qexec-kernel")
+
+
 class JobRunner:
     """Hosts simulator backends and runs their jobs, tracked in a JobTable.
 
     Each local provider is one runner with one backend, and the job service
-    is one runner with all of its backends. One worker runs every job, in
-    submission order: CPU-bound jobs that overlap in threads only contend for
-    the interpreter lock. A job runs no earlier than ``delay`` seconds after
-    its submission: the worker sleeps until it is due. Every job gets the same
-    delay, so due times never decrease along the queue and N jobs submitted
-    together finish about one delay later, not N delays.
+    is one runner with all of its backends. A runner's jobs run in
+    submission order. With no delay they go to the shared kernel worker, so
+    the jobs of all such runners run one at a time. With a delay, a job runs
+    no earlier than ``delay`` seconds after its submission, on a worker of
+    the runner's own that sleeps until the job is due and so holds up no
+    other runner's kernels. Every job gets the same delay, so due times never
+    decrease along the queue and N jobs submitted together finish about one
+    delay later, not N delays.
     """
 
     def __init__(
@@ -286,7 +297,11 @@ class JobRunner:
         self._name = name
         self._delay = delay
         self._backends = {d.backend_name: (d, noise) for d, noise in backends}
-        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"{name}-worker")
+        self._stopped = False
+        if delay > 0:
+            self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"{name}-worker")
+        else:
+            self._pool = _KERNELS
 
     def backends(self) -> list[BackendDescriptor]:
         return [descriptor for descriptor, _ in self._backends.values()]
@@ -318,6 +333,8 @@ class JobRunner:
         wait = due - time.monotonic()
         if wait > 0:
             time.sleep(wait)
+        if self._stopped:
+            return
         self._table.set_running(job_id)
         try:
             if noise is not None:
@@ -335,8 +352,11 @@ class JobRunner:
         return self._table.statuses(job_ids)
 
     def shutdown(self) -> None:
-        """Stop taking jobs; jobs not yet started stay QUEUED."""
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        """Stop running jobs; jobs not yet started stay QUEUED. The shared
+        kernel worker skips them and goes on with other runners' jobs."""
+        self._stopped = True
+        if self._pool is not _KERNELS:
+            self._pool.shutdown(wait=False, cancel_futures=True)
 
 
 # --------------------------------------------------------------------------
@@ -349,9 +369,6 @@ _LOCAL_BACKENDS = {
     "local_noisy": ("noisy_statevector", False),
     "mock_delay": ("delayed_statevector", False),
 }
-# Kinds whose jobs are pure in-process computation: they never wait on a
-# network or a clock, so overlapping them only contends for the interpreter lock.
-_IN_PROCESS_KINDS = frozenset({"local_ideal", "local_noisy"})
 _KINDS = frozenset({*_LOCAL_BACKENDS, "remote_http"})
 
 # A request that never reached the service (a connect error) is retried
@@ -516,7 +533,8 @@ def _wire_descriptor(provider_id: str, entry: Any) -> BackendDescriptor:
 def _build_adapter(config: ProviderConfig):
     """The adapter for a provider, once its settings pass the checks that every
     ProviderConfig meets: a known kind, the settings that kind needs and only
-    those, and max_qubits, delay and online of their types."""
+    those, endpoint, max_qubits, delay and online of their types, and a delay
+    that is finite and not negative."""
     if config.kind not in _KINDS:
         raise ProviderConfigError(
             f"unknown provider kind {config.kind!r} (expected one of {sorted(_KINDS)})"
@@ -525,12 +543,18 @@ def _build_adapter(config: ProviderConfig):
         raise ProviderConfigError(f"provider {config.provider_id!r}: remote_http requires endpoint")
     if config.kind == "local_noisy" and config.noise is None:
         raise ProviderConfigError(f"provider {config.provider_id!r}: local_noisy requires noise")
-    for setting, kind in (("noise", "local_noisy"), ("delay", "mock_delay")):
-        if getattr(config, setting) is not None and config.kind != kind:
+    for setting, value, kind in (
+        ("noise", config.noise, "local_noisy"),
+        ("delay", config.delay, "mock_delay"),
+        ("endpoint", config.endpoint, "remote_http"),
+        ("api_key", config.credentials.get("api_key"), "remote_http"),
+    ):
+        if value is not None and config.kind != kind:
             raise ProviderConfigError(
                 f"provider {config.provider_id!r}: {setting} applies only to {kind}, not {config.kind}"
             )
     for setting, types, what in (
+        ("endpoint", (str, type(None)), "a string"),
         ("max_qubits", int, "an integer"),
         ("delay", (int, float, type(None)), "a number"),
         ("online", bool, "a boolean"),
@@ -539,6 +563,8 @@ def _build_adapter(config: ProviderConfig):
         # A bool is an int to Python, but only online may be one.
         if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
             raise ProviderConfigError(f"provider {config.provider_id!r}: {setting} must be {what}")
+    if config.delay is not None and not 0 <= config.delay < float("inf"):  # NaN fails too
+        raise ProviderConfigError(f"provider {config.provider_id!r}: delay must be finite and >= 0")
     if config.kind == "remote_http":
         return RemoteHttpAdapter(config)
     backend_name, is_ideal = _LOCAL_BACKENDS[config.kind]
@@ -581,7 +607,6 @@ class VirtualProvider:
 
     def __init__(self):
         self._adapters: dict[str, Any] = {}
-        self._kinds: dict[str, str] = {}
         self._lock = threading.Lock()
 
     def register_provider(self, config: ProviderConfig) -> str:
@@ -590,7 +615,6 @@ class VirtualProvider:
             if config.provider_id in self._adapters:
                 raise DuplicateProviderError(f"provider {config.provider_id!r} already registered")
             self._adapters[config.provider_id] = _build_adapter(config)
-            self._kinds[config.provider_id] = config.kind
         return config.provider_id
 
     def providers(self) -> list[str]:
@@ -618,11 +642,6 @@ class VirtualProvider:
             adapter = self._adapters.get(provider_id)
         backends = adapter.backends() if adapter is not None else ()
         return next((d for d in backends if d.backend_name == backend_name), None)
-
-    def in_process(self, provider_id: str) -> bool:
-        """True for a local_ideal or local_noisy provider, False for any other."""
-        with self._lock:
-            return self._kinds.get(provider_id) in _IN_PROCESS_KINDS
 
     def submit_batch(
         self, provider_id: str, backend_name: str, jobs: Sequence[tuple]

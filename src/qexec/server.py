@@ -25,8 +25,10 @@ so an early 401 or 404 leaves the connection in step; a Content-Length that
 is not an integer gets 400 and the connection is closed. stop() closes the
 kept connections too, so nothing is served after it. The service's backends
 are one JobRunner, the runner each in-process provider uses: it checks a job
-against its backend and runs one job at a time, in submission order, each
-starting no earlier than ``delay`` seconds after its submission. Jobs live
+against its backend and runs its jobs in submission order, each starting no
+earlier than ``delay`` seconds after its submission. With no delay they run
+on the process's one kernel worker, one at a time with every other
+in-process kernel; with a delay, on a worker of the service's own. Jobs live
 in memory only; a restart loses them and clients see 404.
 
 Run standalone with ``python -m qexec.server --port 8748``.

@@ -210,8 +210,8 @@ def sample_noisy(
     distribution but not the ideal sampler's exact RNG stream.
 
     The shots that draw no injection are drawn together, from the ideal
-    distribution. The others are replayed together, one row each, from the
-    ideal state just before their first injection.
+    distribution. The others are replayed together, one row each, joining
+    the ideal state's row at their first injection.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -219,21 +219,15 @@ def sample_noisy(
     width = circuit.width
     rng = _rng(seed)
 
-    # Ideal state after each gate prefix; a replayed shot starts from the one
-    # at its first injection, so it pays only for its noisy suffix.
-    prefixes = [_initial_state(width)]
-    for op in circuit.gates:
-        prefixes.append(prefixes[-1].copy())
-        _apply_gate(prefixes[-1], op)
-
     # One injection slot per (gate, touched qubit), in execution order.
     slot_gate = np.array([g for g, op in enumerate(circuit.gates) for _ in op.qubits], dtype=int)
     tally = np.zeros(1 << width, dtype=np.int64)
     clean = 0
     # The hit matrix takes a byte per (shot, slot) and its draw eight more, so
-    # shots are drawn in blocks that keep it within the replay budget.
+    # shots are drawn in blocks that keep it within the replay budget. A
+    # replay holds the ideal row as well as its chunk of shots.
     block = max(1, _CHUNK_AMPLITUDES // max(1, slot_gate.size))
-    rows_per_chunk = max(1, _CHUNK_AMPLITUDES >> width)
+    rows_per_chunk = max(1, (_CHUNK_AMPLITUDES >> width) - 1)
     for start in range(0, shots, block):
         hits = rng.random((min(block, shots - start), slot_gate.size)) < noise.p_depolarizing
         hits = hits[hits.any(axis=1)]
@@ -247,51 +241,51 @@ def sample_noisy(
         paulis, first_gate = paulis[order], first_gate[order]
         for row in range(0, len(order), rows_per_chunk):
             chunk = slice(row, row + rows_per_chunk)
-            states = _replay(circuit, prefixes, paulis[chunk], first_gate[chunk])
+            states = _replay(circuit, paulis[chunk], first_gate[chunk])
             cumulative = np.cumsum(states.real**2 + states.imag**2, axis=1)
             draws = rng.random(states.shape[0]) * cumulative[:, -1]
             outcomes = np.minimum((cumulative <= draws[:, None]).sum(axis=1), tally.size - 1)
             tally += np.bincount(outcomes, minlength=tally.size)
-    tally += rng.multinomial(clean, Statevector(width, prefixes[-1][0]).probabilities())
+    tally += rng.multinomial(clean, statevector(circuit, max_width).probabilities())
     return _histogram(tally, width)
 
 
-def _replay(
-    circuit: Circuit, prefixes: list[np.ndarray], paulis: np.ndarray, first_gate: np.ndarray
-) -> np.ndarray:
+def _replay(circuit: Circuit, paulis: np.ndarray, first_gate: np.ndarray) -> np.ndarray:
     """The final state of each hit shot, one row each.
 
     ``paulis`` holds a row per shot and a column per slot (0 where the slot
     drew nothing), and the rows are sorted by the gate of their first
-    injection: so the rows that have joined by any gate are a prefix of the
-    array, and each gate is applied to them all at once. A Pauli touches
-    only the rows it hit.
+    injection. Row 0 of the work array evolves the ideal state; a shot's
+    row joins as a copy of it at the gate of its first injection, so the
+    rows that have joined by any gate are a prefix of the array, and each
+    gate is applied to them all at once. A Pauli touches only the rows it
+    hit, and a shot's row pays only for the gates from its first injection on.
     """
     n_slots = paulis.shape[1]
-    # Per slot, the rows whose bit it flips and the rows whose sign it flips.
+    # Per slot, the shots whose bit it flips and the shots whose sign it flips.
     flip_slot, flip_row = np.nonzero(((paulis == _X) | (paulis == _Y)).T)
     sign_slot, sign_row = np.nonzero(((paulis == _Y) | (paulis == _Z)).T)
     flip_at = np.searchsorted(flip_slot, np.arange(n_slots + 1)).tolist()
     sign_at = np.searchsorted(sign_slot, np.arange(n_slots + 1)).tolist()
     joined = np.searchsorted(first_gate, np.arange(len(circuit.gates)), side="right").tolist()
 
-    start = int(first_gate[0])
-    states = np.empty((len(first_gate), prefixes[0].shape[1]), dtype=complex)
-    active = 0  # rows that have joined
-    slot = sum(len(op.qubits) for op in circuit.gates[:start])
-    for g in range(start, len(circuit.gates)):
-        op = circuit.gates[g]
-        if active:
-            _apply_gate(states[:active], op)
+    states = np.empty((len(first_gate) + 1, 1 << circuit.width), dtype=complex)
+    states[:1] = _initial_state(circuit.width)
+    shots = states[1:]
+    active = 0  # shots that have joined
+    slot = 0
+    for g, op in enumerate(circuit.gates):
+        # The ideal row is needed only until the last shot has joined.
+        _apply_gate(states[int(active == len(shots)) : active + 1], op)
         if joined[g] > active:
-            states[active : joined[g]] = prefixes[g + 1]
+            shots[active : joined[g]] = states[0]
             active = joined[g]
         for qubit in op.qubits:
             flips = flip_row[flip_at[slot] : flip_at[slot + 1]]
             signs = sign_row[sign_at[slot] : sign_at[slot + 1]]
             if flips.size or signs.size:
-                view = _qubit_view(states, qubit)
+                view = _qubit_view(shots, qubit)
                 view[flips] = view[flips][:, :, ::-1]
                 view[signs, :, 1] *= -1
             slot += 1
-    return states
+    return shots

@@ -253,8 +253,8 @@ def test_done_without_counts_fails_the_job_with_a_reason(local_executor, bell):
 
 
 def test_in_process_backends_run_one_at_a_time(bell, monkeypatch):
-    # The three in-process backends share one lane, which finishes one
-    # backend's jobs before it submits the next's: one kernel call at a time.
+    # Each of the three in-process backends gets a lane of its own, but their
+    # kernels all run on the one kernel worker: one kernel call at a time.
     in_flight = count_kernels_in_flight(monkeypatch)
     targets = [("ideal_a", "statevector"), ("ideal_b", "statevector"), ("noisy", "noisy_statevector")]
     executor = QuantumExecutor(
@@ -274,8 +274,9 @@ def test_in_process_backends_run_one_at_a_time(bell, monkeypatch):
 
 
 def test_waiting_backends_keep_lanes_of_their_own(bell):
-    # Each mock_delay backend waits on its clock in its own lane, so the two
-    # overlap and the run takes about one delay, not two.
+    # Each mock_delay backend has a lane of its own and a worker of its own
+    # that waits on its clock, so the two overlap and the run takes about one
+    # delay, not two.
     executor = QuantumExecutor(
         providers=[
             ProviderConfig("mock_a", "mock_delay", delay=0.4),
@@ -290,6 +291,21 @@ def test_waiting_backends_keep_lanes_of_their_own(bell):
     collector = executor.run_dispatch(dispatch, parallel=True, wait=True)
     assert time.monotonic() - start < 0.7
     assert collector.failed_jobs() == []
+
+
+def test_local_providers_share_one_kernel_worker(bell):
+    # Eight in-process providers run in eight lanes, and leave behind the one
+    # kernel worker of the process, not a worker each.
+    ids = [f"p{i}" for i in range(8)]
+    executor = QuantumExecutor(providers=[ProviderConfig(p, "local_ideal") for p in ids])
+    dispatch = Dispatch()
+    for provider_id in ids:
+        dispatch.add_job(provider_id, "statevector", bell, 16)
+    collector = executor.run_dispatch(dispatch, parallel=True, wait=True)
+    assert collector.failed_jobs() == []
+    names = [thread.name for thread in threading.enumerate()]
+    assert sum(name.startswith("qexec-kernel") for name in names) == 1
+    assert [name for name in names if name.startswith(tuple(f"{p}-worker" for p in ids))] == []
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from qexec.errors import (
     UnknownBackendError,
     UnknownJobError,
 )
-from qexec.providers import JobHandle, JobState, JobStatus, JobTable
+from qexec.providers import BackendDescriptor, JobHandle, JobRunner, JobState, JobStatus, JobTable
 from qexec.server import RemoteServer, ServerConfig
 
 from conftest import MALFORMED_LISTINGS, drop_once, serve_listing
@@ -160,15 +160,24 @@ def test_noise_spec_rejects_non_numbers(p):
     assert NoiseSpec(0).p_depolarizing == 0 and NoiseSpec(0.05).p_depolarizing == 0.05
 
 
-def test_in_process_follows_provider_kind(remote_server):
-    registry = VirtualProvider()
-    registry.register_provider(ProviderConfig("ideal", "local_ideal"))
-    registry.register_provider(ProviderConfig("noisy", "local_noisy", noise=NoiseSpec(0.01)))
-    registry.register_provider(ProviderConfig("mock", "mock_delay", delay=0.1))
-    registry.register_provider(ProviderConfig("remote", "remote_http", endpoint=remote_server.endpoint))
-    assert [registry.in_process(p) for p in ("ideal", "noisy", "mock", "remote", "ghost")] == [
-        True, True, False, False, False
-    ]
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"kind": "remote_http", "endpoint": 123}, "endpoint must be a string"),
+        ({"kind": "local_ideal", "endpoint": "http://h"}, "endpoint applies only to remote_http"),
+        ({"kind": "mock_delay", "api_key": "k"}, "api_key applies only to remote_http"),
+        ({"kind": "local_noisy", "noise": 0.1, "api_key": "k"}, "api_key applies only to remote_http"),
+        ({"kind": "mock_delay", "delay": -0.5}, "delay must be finite and >= 0"),
+        ({"kind": "mock_delay", "delay": float("nan")}, "delay must be finite and >= 0"),
+        # time.sleep cannot wait that long, so its jobs would stay QUEUED.
+        ({"kind": "mock_delay", "delay": float("inf")}, "delay must be finite and >= 0"),
+    ],
+)
+def test_register_rejects_settings_that_would_crash_or_be_ignored(entry, message):
+    # Each is refused when the providers file is read, not ignored and not
+    # left to fail later with an error that is not a ProviderConfigError.
+    with pytest.raises(ProviderConfigError, match=message):
+        VirtualProvider().register_provider(ProviderConfig.from_dict("p", entry))
 
 
 # --------------------------------------------------------------------------
@@ -279,6 +288,42 @@ def test_mock_delay_polled_immediately(bell):
     assert status.state in (JobState.QUEUED, JobState.RUNNING)
     assert status.counts is None
     assert wait_terminal(registry, handle).state is JobState.DONE
+
+
+def _runner(name):
+    descriptor = BackendDescriptor(name, "statevector", True, 20, True)
+    return JobRunner(name, [(descriptor, None)])
+
+
+def test_stopped_runner_leaves_the_shared_kernel_worker_to_the_others(bell, monkeypatch):
+    # Runners with no delay queue their jobs on one kernel worker. Stopping
+    # one while the worker is busy leaves its queued jobs QUEUED, and the
+    # worker goes on to the other runner's jobs queued after them.
+    started, release = threading.Event(), threading.Event()
+    original = qexec.providers.sample
+
+    def blocked_sample(*args, **kwargs):
+        started.set()
+        release.wait(10)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qexec.providers, "sample", blocked_sample)
+    kept, stopped = _runner("kept"), _runner("stopped")
+    job = (bell, 16, {})
+    kept_ids = kept.submit("statevector", [job])
+    try:
+        assert started.wait(5), "the kernel worker never started the first job"
+        stopped_ids = stopped.submit("statevector", [job, job])
+        kept_ids += kept.submit("statevector", [job, job])
+        stopped.shutdown()
+    finally:
+        release.set()
+    deadline = time.monotonic() + 5
+    while not all(s.state.terminal for s in kept.status(kept_ids)):
+        assert time.monotonic() < deadline, "the kept runner's jobs never finished"
+        time.sleep(0.005)
+    assert [s.state for s in kept.status(kept_ids)] == [JobState.DONE] * 3
+    assert [s.state for s in stopped.status(stopped_ids)] == [JobState.QUEUED] * 2
 
 
 def test_mock_delay_threads_bounded(bell):

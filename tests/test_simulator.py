@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,10 +335,10 @@ def test_noisy_matches_exact_enumeration_non_clifford():
 
 
 def test_noisy_replay_crosses_chunk_boundaries(monkeypatch):
-    # At 14 qubits one 16 MB chunk holds 64 rows, and about 875 of the 1,000
-    # shots draw an injection, so their replay spans 14 chunks. The noise
-    # touches only qubits 0 and 13, so the outcome is "b0 0...0 b13" with the
-    # distribution of the same circuit on two qubits.
+    # At 14 qubits one 16 MB chunk holds 64 rows, the ideal row and 63 shots,
+    # and about 875 of the 1,000 shots draw an injection, so their replay
+    # spans 14 chunks. The noise touches only qubits 0 and 13, so the outcome
+    # is "b0 0...0 b13" with the distribution of the same circuit on two qubits.
     wide = parse_qasm("OPENQASM 2.0; qreg q[14]; h q[0]; cx q[0],q[13];")
     narrow = parse_qasm("OPENQASM 2.0; qreg q[2]; h q[0]; cx q[0],q[1];")
     assert qexec.simulator._CHUNK_AMPLITUDES >> 14 == 64
@@ -346,6 +347,22 @@ def test_noisy_replay_crosses_chunk_boundaries(monkeypatch):
     folded = {k[0] + k[-1]: v for k, v in counts.items()}
     assert set(k[1:-1] for k in counts) == {"0" * 12}
     assert counts_tvd_from_probs(folded, exact_noisy_distribution(narrow, 0.5)) < 0.08
-    # Chunks of 16 rows draw the same numbers in the same order.
+    # Chunks of 15 shots draw the same numbers in the same order.
     monkeypatch.setattr(qexec.simulator, "_CHUNK_AMPLITUDES", 1 << 18)
     assert sample_noisy(wide, 1000, NoiseSpec(0.5), seed=3) == counts
+
+
+def test_noisy_memory_stays_within_the_replay_budget():
+    # At p=0 no shot is replayed, so the kernel holds a few states of 256 kB,
+    # not one per gate (61 of them for this 14-qubit, 60-gate circuit).
+    qasm = "".join(f"h q[{i % 14}]; cx q[{i % 14}],q[{(i + 1) % 14}];" for i in range(30))
+    circuit = parse_qasm(f"OPENQASM 2.0; qreg q[14]; {qasm}")
+    assert len(circuit.gates) == 60
+    tracemalloc.start()
+    try:
+        counts = sample_noisy(circuit, 200, NoiseSpec(0), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == 200
+    assert peak < 4 << 20

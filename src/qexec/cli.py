@@ -77,14 +77,21 @@ class SchemaError(Exception):
 # --------------------------------------------------------------------------
 
 
-def load_experiment_file(path: Path) -> dict[str, Any]:
-    """Parse and schema-validate an experiment file; unknown keys are rejected."""
+def _read_yaml(path: Path) -> Any:
+    """The file's YAML document, read by libyaml's safe loader when PyYAML
+    was built with it, else by the pure-Python one; SchemaError if it cannot."""
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        return yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise SchemaError(f"{path}: invalid YAML: {exc}") from exc
+
+
+def load_experiment_file(path: Path) -> dict[str, Any]:
+    """Parse and schema-validate an experiment file; unknown keys are rejected."""
+    data = _read_yaml(path)
     if not isinstance(data, Mapping):
         raise SchemaError(f"{path}: experiment file must be a mapping")
 
@@ -133,12 +140,7 @@ def load_providers_file(path: Path | None) -> list[ProviderConfig]:
             ProviderConfig(provider_id="local_ideal", kind="local_ideal"),
             ProviderConfig(provider_id="local_noisy", kind="local_noisy", noise=NoiseSpec(0.05)),
         ]
-    try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"{path}: invalid YAML: {exc}") from exc
+    data = _read_yaml(path)
     if data is None:
         return []
     if not isinstance(data, Mapping):

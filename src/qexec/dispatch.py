@@ -113,12 +113,17 @@ class Dispatch:
         return violations
 
     def to_dict(self) -> dict:
-        """JSON-ready form {provider: {backend: [{qasm, shots, options}]}}, canonically ordered."""
+        """JSON-ready form {provider: {backend: [{qasm, shots, options}]}}, canonically
+        ordered. Each Circuit object is serialized once, however many jobs run it."""
         out: dict[str, dict[str, list[dict]]] = {}
+        qasm: dict[int, str] = {}  # id(circuit) -> text; every circuit outlives the loop
         for provider_id, backend_name, spec in self.jobs():
+            key = id(spec.circuit)
+            if key not in qasm:
+                qasm[key] = serialize_qasm(spec.circuit)
             out.setdefault(provider_id, {}).setdefault(backend_name, []).append(
                 {
-                    "qasm": serialize_qasm(spec.circuit),
+                    "qasm": qasm[key],
                     "shots": spec.shots,
                     "options": dict(spec.options),
                 }

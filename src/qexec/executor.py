@@ -4,9 +4,13 @@ Runs are declarative (run_experiment with an ExperimentSpec) or explicit
 (run_dispatch with a pre-built Dispatch). Either way, execution runs in
 lanes. A lane is a worker thread that takes its backends in canonical order
 and, for each, submits all its jobs in one batch call and then reads all its
-pending jobs in one call per poll until none is pending. Parallel runs give
-each backend a lane of its own; serial runs use one lane for all. Which jobs
-actually overlap is the providers' decision, not the lanes': the in-process
+pending jobs in one call per poll until none is pending. Between two polls
+the lane waits through the registry, and the provider's adapter decides
+how: an in-process provider's runner blocks on its job table until its last
+pending job ends, so the lane wakes once its jobs are done, and a remote
+adapter sleeps for the lane's poll interval. Parallel runs give each backend
+a lane of its own; serial runs use one lane for all. Which jobs actually
+overlap is the providers' decision, not the lanes': the in-process
 simulators run every kernel on one worker per process, one at a time.
 Job k's seed is base_seed + ordinal(k), making serial and parallel runs of
 the same plan bit-identical on local simulators regardless of scheduling.
@@ -14,7 +18,6 @@ the same plan bit-identical on local simulators regardless of scheduling.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
@@ -24,12 +27,11 @@ from .collector import ResultCollector
 from .dispatch import Dispatch
 from .errors import DispatchValidationError, ExperimentError, ProviderError, UnknownBackendError
 from .policies import PolicyRegistry
-from .providers import JobState, JobStatus, ProviderConfig, VirtualProvider
+from .providers import MAX_WAIT, JobState, JobStatus, ProviderConfig, VirtualProvider
 
 __all__ = ["ExperimentSpec", "QuantumExecutor"]
 
 _POLL_INITIAL = 0.002
-_POLL_MAX = 0.05
 
 
 @dataclass
@@ -192,8 +194,11 @@ class QuantumExecutor:
     ) -> None:
         """Submit this backend's jobs in one batch, then read every pending job
         in one call per poll and record each job's terminal status, counts and
-        all, once. The poll interval restarts whenever a poll finds a job newly
-        terminal, and otherwise grows. A fault fails only the jobs it touched."""
+        all, once. Between polls the lane waits through VirtualProvider.wait.
+        The interval it passes restarts whenever a poll finds a job newly
+        terminal, and otherwise grows; a remote adapter sleeps for it, while
+        an in-process runner ignores it and returns once none of its jobs is
+        pending, or after MAX_WAIT. A fault fails only the jobs it touched."""
         ordinals, jobs = [], []
         for spec in specs:
             try:
@@ -232,8 +237,13 @@ class QuantumExecutor:
             if pending:
                 if finished:
                     interval = _POLL_INITIAL
-                time.sleep(interval)
-                interval = min(interval * 1.5, _POLL_MAX)
+                try:
+                    self.virtual_provider.wait(provider_id, interval)
+                except Exception as exc:  # the lane cannot wait, so no job of it ends
+                    for ordinal in pending:
+                        collector.record_failed(ordinal, str(exc))
+                    return
+                interval = min(interval * 1.5, MAX_WAIT)
 
 
 def _record_terminal(collector: ResultCollector, ordinal: int, status: JobStatus) -> None:

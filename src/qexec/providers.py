@@ -17,7 +17,9 @@ worker per process, one at a time, in submission order, and a runner with a
 delay waits on a worker of its own. Every adapter takes a backend's jobs as
 one list and reads a list of job ids in one call; the registry's
 submit_batch and status_batch are those calls, and submit and status are
-their one-job cases. Submission
+their one-job cases. Between two reads a caller waits through the
+registry's wait, which a runner spends blocked on its job table and a
+remote adapter spends asleep. Submission
 is non-blocking for every kind: jobs enter QUEUED immediately and progress
 QUEUED -> RUNNING -> DONE/FAILED, observable through the status calls, the
 one way to read a job: a DONE status carries the job's counts. A job that
@@ -59,6 +61,7 @@ from .simulator import MAX_WIDTH_DEFAULT, NoiseSpec, sample, sample_noisy
 
 __all__ = [
     "MAX_BATCH_JOBS",
+    "MAX_WAIT",
     "JobState",
     "JobStatus",
     "JobHandle",
@@ -76,6 +79,10 @@ _JOB_COUNTER = itertools.count(1)  # never reused within the process
 # The most jobs one request to the job service may submit or read; a client
 # splits a longer list into requests of at most this many.
 MAX_BATCH_JOBS = 256
+
+# The longest a runner's wait blocks, in seconds, whatever interval it is
+# given: its table wakes it sooner when its last pending job ends.
+MAX_WAIT = 0.05
 
 
 class JobState(str, Enum):
@@ -278,13 +285,14 @@ class JobRunner:
 
     Each local provider is one runner with one backend, and the job service
     is one runner with all of its backends. A runner's jobs run in
-    submission order. With no delay they go to the shared kernel worker, so
-    the jobs of all such runners run one at a time. With a delay, a job runs
-    no earlier than ``delay`` seconds after its submission, on a worker of
-    the runner's own that sleeps until the job is due and so holds up no
-    other runner's kernels. Every job gets the same delay, so due times never
-    decrease along the queue and N jobs submitted together finish about one
-    delay later, not N delays.
+    submission order. Each submit call queues one work item that runs all
+    the jobs it accepted, one after another. With no delay that item goes to
+    the shared kernel worker, so the jobs of all such runners run one at a
+    time. With a delay, the batch runs no earlier than ``delay`` seconds
+    after its submission, on a worker of the runner's own that sleeps once
+    until the batch is due and so holds up no other runner's kernels. Every
+    batch gets the same delay, so N jobs submitted together finish about one
+    delay later, not N delays. The delay must be finite and not negative.
     """
 
     def __init__(
@@ -293,6 +301,9 @@ class JobRunner:
         backends: Iterable[tuple[BackendDescriptor, NoiseSpec | None]],
         delay: float = 0.0,
     ):
+        # time.sleep cannot wait an infinite delay, so its jobs would stay QUEUED.
+        if not 0 <= delay < float("inf"):  # NaN fails too
+            raise ProviderConfigError(f"{name!r}: delay must be finite and >= 0, got {delay!r}")
         self._table = JobTable()
         self._name = name
         self._delay = delay
@@ -316,40 +327,49 @@ class JobRunner:
         descriptor, noise = self._backends[backend_name]
         due = time.monotonic() + self._delay
         job_ids: list[str | QExecError] = []
+        accepted = []
         for circuit, shots, options in jobs:
             try:
                 descriptor.check(circuit)
             except QExecError as exc:
                 job_ids.append(exc)
                 continue
-            seed = options.get("seed", 0)
             job_id = f"{self._name}-{next(_JOB_COUNTER)}"
             self._table.create(job_id)
-            self._pool.submit(self._run, job_id, due, descriptor, noise, circuit, shots, seed)
+            accepted.append((job_id, circuit, shots, options.get("seed", 0)))
             job_ids.append(job_id)
+        if accepted:
+            self._pool.submit(self._run, due, descriptor, noise, accepted)
         return job_ids
 
-    def _run(self, job_id, due, descriptor, noise, circuit, shots, seed) -> None:
+    def _run(self, due, descriptor, noise, jobs) -> None:
         wait = due - time.monotonic()
         if wait > 0:
             time.sleep(wait)
-        if self._stopped:
-            return
-        self._table.set_running(job_id)
-        try:
-            if noise is not None:
-                counts = sample_noisy(circuit, shots, noise, seed, descriptor.max_qubits)
+        for job_id, circuit, shots, seed in jobs:
+            if self._stopped:
+                return
+            self._table.set_running(job_id)
+            try:
+                if noise is not None:
+                    counts = sample_noisy(circuit, shots, noise, seed, descriptor.max_qubits)
+                else:
+                    counts = sample(circuit, shots, seed, descriptor.max_qubits)
+            except Exception as exc:
+                logger.debug("job %s failed", job_id, exc_info=True)
+                self._table.set_failed(job_id, str(exc))
             else:
-                counts = sample(circuit, shots, seed, descriptor.max_qubits)
-        except Exception as exc:
-            logger.debug("job %s failed", job_id, exc_info=True)
-            self._table.set_failed(job_id, str(exc))
-        else:
-            self._table.set_done(job_id, counts)
+                self._table.set_done(job_id, counts)
 
     def status(self, job_ids: Sequence[str]) -> list[JobStatus | None]:
         """Each job's status; None for an id this runner never issued."""
         return self._table.statuses(job_ids)
+
+    def wait(self, interval: float) -> None:
+        """Block until none of this runner's jobs is pending, for at most
+        MAX_WAIT, whatever the interval: the table wakes the caller the
+        moment its last pending job ends."""
+        self._table.wait(MAX_WAIT)
 
     def shutdown(self) -> None:
         """Stop running jobs; jobs not yet started stay QUEUED. The shared
@@ -458,6 +478,10 @@ class RemoteHttpAdapter:
         ids a request. A job the service does not know is FAILED."""
         return _in_batches(job_ids, self._get_jobs)
 
+    def wait(self, interval: float) -> None:
+        """Sleep for the interval: only a poll tells what the service has done."""
+        time.sleep(interval)
+
     def _get_jobs(self, job_ids: Sequence[str]) -> list[JobStatus]:
         try:
             response = self._session.get(
@@ -533,8 +557,8 @@ def _wire_descriptor(provider_id: str, entry: Any) -> BackendDescriptor:
 def _build_adapter(config: ProviderConfig):
     """The adapter for a provider, once its settings pass the checks that every
     ProviderConfig meets: a known kind, the settings that kind needs and only
-    those, endpoint, max_qubits, delay and online of their types, and a delay
-    that is finite and not negative."""
+    those, and endpoint, max_qubits, delay and online of their types. The
+    JobRunner of a local kind checks its delay."""
     if config.kind not in _KINDS:
         raise ProviderConfigError(
             f"unknown provider kind {config.kind!r} (expected one of {sorted(_KINDS)})"
@@ -563,8 +587,6 @@ def _build_adapter(config: ProviderConfig):
         # A bool is an int to Python, but only online may be one.
         if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
             raise ProviderConfigError(f"provider {config.provider_id!r}: {setting} must be {what}")
-    if config.delay is not None and not 0 <= config.delay < float("inf"):  # NaN fails too
-        raise ProviderConfigError(f"provider {config.provider_id!r}: delay must be finite and >= 0")
     if config.kind == "remote_http":
         return RemoteHttpAdapter(config)
     backend_name, is_ideal = _LOCAL_BACKENDS[config.kind]
@@ -696,3 +718,11 @@ class VirtualProvider:
         """One job of status_batch."""
         return self.status_batch(handle.provider_id, [handle.job_id])[0]
 
+    def wait(self, provider_id: str, interval: float) -> None:
+        """Wait before the next status_batch on ``provider_id``, as its adapter
+        decides: a runner returns once none of its jobs is pending, or after
+        MAX_WAIT, and a remote adapter sleeps for ``interval`` seconds."""
+        with self._lock:
+            adapter = self._adapters.get(provider_id)
+        if adapter is not None:  # else the next status_batch raises UnknownJobError
+            adapter.wait(interval)

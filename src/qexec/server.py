@@ -28,8 +28,9 @@ are one JobRunner, the runner each in-process provider uses: it checks a job
 against its backend and runs its jobs in submission order, each starting no
 earlier than ``delay`` seconds after its submission. With no delay they run
 on the process's one kernel worker, one at a time with every other
-in-process kernel; with a delay, on a worker of the service's own. Jobs live
-in memory only; a restart loses them and clients see 404.
+in-process kernel; with a delay, on a worker of the service's own. A delay
+that is negative, infinite or NaN is refused when the service is built. Jobs
+live in memory only; a restart loses them and clients see 404.
 
 Run standalone with ``python -m qexec.server --port 8748``.
 """
@@ -47,7 +48,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from .circuit import parse_qasm
-from .errors import QExecError
+from .errors import ProviderConfigError, QExecError
 from .providers import MAX_BATCH_JOBS, BackendDescriptor, JobRunner, JobStatus, submit_checked
 from .simulator import MAX_WIDTH_DEFAULT, NoiseSpec
 
@@ -335,7 +336,11 @@ def main(argv: list[str] | None = None) -> int:
     config = ServerConfig(
         host=args.host, port=args.port, delay=args.delay, api_key=args.api_key, backends=backends
     )
-    server = RemoteServer(config).start()
+    try:
+        server = RemoteServer(config)  # checks the delay before it binds the port
+    except ProviderConfigError as exc:
+        parser.error(f"argument --delay: {exc}")
+    server.start()
     print(f"serving on {server.endpoint} (backends: {', '.join(b.name for b in backends)})")
     try:
         while True:

@@ -299,6 +299,33 @@ def test_run_missing_file_exit1(store):
     assert result.returncode == 1
 
 
+EXPERIMENTS_DIR = Path(__file__).resolve().parent.parent / "scripts" / "experiments"
+
+
+@pytest.mark.parametrize("path", sorted(EXPERIMENTS_DIR.rglob("*.yaml")), ids=lambda p: p.name)
+def test_loaders_read_the_same_values_without_libyaml(path, monkeypatch):
+    # The loaders use libyaml's CSafeLoader when PyYAML has it; the values
+    # they return must not depend on it.
+    load = cli.load_providers_file if path.name.startswith("providers") else cli.load_experiment_file
+    with_default_loader = load(path)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert load(path) == with_default_loader
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
+@pytest.mark.parametrize("bad_file", ["experiment", "providers"])
+def test_run_invalid_yaml_exit1(tmp_path, store, monkeypatch, capsys, libyaml, bad_file):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("circuits: [unclosed\n")
+    exp = bad if bad_file == "experiment" else write_experiment(tmp_path, INLINE_EXPERIMENT)
+    providers = ["--providers", str(bad)] if bad_file == "providers" else []
+    assert cli.main(["--store", str(store), *providers, "run", str(exp)]) == 1
+    assert "invalid YAML" in capsys.readouterr().err
+    assert not store.exists()
+
+
 def test_run_unknown_backend_exit2(tmp_path, store):
     payload = dict(INLINE_EXPERIMENT, backends={"local_ideal": ["warp_drive"]})
     exp = write_experiment(tmp_path, payload)

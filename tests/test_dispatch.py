@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qexec.dispatch
 from qexec import Circuit, Dispatch, Gate, GateOp
 from qexec.errors import CircuitError, DispatchError
 
@@ -132,6 +133,62 @@ def test_json_round_trip(bell, ghz3):
     dispatch.add_job("p1", "b2", ghz3, 32)
     restored = Dispatch.from_json(dispatch.to_json())
     assert restored == dispatch
+
+
+# to_json of a fixed dispatch, as every earlier version wrote it to dispatch.json.
+FIXED_DISPATCH_JSON = """\
+{
+  "p1": {
+    "b": [
+      {
+        "options": {
+          "tag": "x"
+        },
+        "qasm": "OPENQASM 2.0;\\ninclude \\"qelib1.inc\\";\\nqreg q[1];\\nrz(0.25) q[0];\\n",
+        "shots": 4
+      },
+      {
+        "options": {},
+        "qasm": "OPENQASM 2.0;\\ninclude \\"qelib1.inc\\";\\nqreg q[2];\\ncreg c[2];\\nh q[0];\\ncx q[0],q[1];\\nmeasure q -> c;\\n",
+        "shots": 8
+      }
+    ]
+  },
+  "p2": {
+    "b": [
+      {
+        "options": {},
+        "qasm": "OPENQASM 2.0;\\ninclude \\"qelib1.inc\\";\\nqreg q[2];\\ncreg c[2];\\nh q[0];\\ncx q[0],q[1];\\nmeasure q -> c;\\n",
+        "shots": 8
+      }
+    ]
+  }
+}"""
+
+
+def test_to_json_text_is_unchanged(bell):
+    rz = Circuit(width=1, gates=(GateOp(Gate.RZ, (0,), 0.25),))
+    dispatch = Dispatch().add_job("p2", "b", bell, 8).add_job("p1", "b", rz, 4, {"tag": "x"})
+    assert dispatch.add_job("p1", "b", bell, 8).to_json() == FIXED_DISPATCH_JSON
+
+
+def test_to_dict_serializes_each_circuit_once(bell, ghz3, monkeypatch):
+    calls = []
+    original = qexec.dispatch.serialize_qasm
+
+    def counting_serialize(circuit):
+        calls.append(circuit)
+        return original(circuit)
+
+    monkeypatch.setattr(qexec.dispatch, "serialize_qasm", counting_serialize)
+    rz = Circuit(width=1, gates=(GateOp(Gate.RZ, (0,), 0.25),))
+    dispatch = Dispatch()
+    for provider_id, backend_name in [("p1", "a"), ("p1", "b"), ("p2", "a"), ("p2", "b")]:
+        for circuit in (bell, ghz3, rz):
+            dispatch.add_job(provider_id, backend_name, circuit, 8)
+    entries = dispatch.to_dict()
+    assert len(calls) == 3
+    assert [entry["qasm"] for entry in entries["p2"]["b"]] == [original(c) for c in (bell, ghz3, rz)]
 
 
 def test_same_build_sequence_equal(bell):

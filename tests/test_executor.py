@@ -63,6 +63,9 @@ class _BrokenAdapter:
     def status(self, job_ids):
         return [JobStatus(JobState.FAILED, "device melted")] * len(job_ids)
 
+    def wait(self, interval):
+        time.sleep(interval)
+
 
 class _StatusRaisingAdapter(_BrokenAdapter):
     """Every job is DONE with all shots on "00" at the first read, except the
@@ -87,6 +90,16 @@ class _CountlessAdapter(_BrokenAdapter):
 
     def status(self, job_ids):
         return [JobStatus(JobState.DONE)] * len(job_ids)
+
+
+class _StuckAdapter(_BrokenAdapter):
+    """Every job stays QUEUED, and waiting for it raises."""
+
+    def status(self, job_ids):
+        return [JobStatus(JobState.QUEUED)] * len(job_ids)
+
+    def wait(self, interval):
+        raise ProviderError("clock stopped")
 
 
 @pytest.fixture
@@ -198,6 +211,47 @@ def test_lane_polls_jobs_in_order_not_in_rounds(bell, monkeypatch):
     assert len(calls[0]) == 20
     assert all(set(later) <= set(earlier) for earlier, later in zip(calls, calls[1:]))
     assert len(calls) <= 20
+
+
+def test_in_process_lane_waits_for_its_jobs_instead_of_polling(bell, monkeypatch):
+    # 200 jobs of about 1 ms each: a lane that sleep-polls every few
+    # milliseconds finds a job newly done at each poll and reads them more
+    # than 100 times; a lane that waits on the runner's table wakes when its
+    # last job ends, or every MAX_WAIT (50 ms) until then.
+    calls = []
+    original_status = VirtualProvider.status_batch
+    original_sample = qexec.providers.sample
+
+    def counting_status(self, provider_id, job_ids):
+        calls.append(len(job_ids))
+        return original_status(self, provider_id, job_ids)
+
+    def slow_sample(*args, **kwargs):
+        time.sleep(0.001)
+        return original_sample(*args, **kwargs)
+
+    monkeypatch.setattr(VirtualProvider, "status_batch", counting_status)
+    monkeypatch.setattr(qexec.providers, "sample", slow_sample)
+    executor = QuantumExecutor(providers=[ProviderConfig("local_ideal", "local_ideal")])
+    dispatch = Dispatch()
+    for _ in range(200):
+        dispatch.add_job("local_ideal", "statevector", bell, 16)
+    collector = executor.run_dispatch(dispatch, wait=True)
+    assert collector.failed_jobs() == []
+    assert len(collector.get_results()["local_ideal"]["statevector"]) == 200
+    assert calls[0] == 200
+    assert len(calls) <= 30, calls
+
+
+def test_lane_that_cannot_wait_fails_its_pending_jobs(local_executor, bell):
+    # A fault while waiting ends the lane's pending jobs with its message
+    # instead of leaving the run pending for ever.
+    executor = executor_with_broken(_StuckAdapter(), local_executor)
+    dispatch = Dispatch().add_job("flaky", "device", bell, 8).add_job("local_ideal", "statevector", bell, 8)
+    collector = executor.run_dispatch(dispatch, wait=False)
+    assert collector.wait(timeout=5)
+    assert [job["error"] for job in collector.failed_jobs()] == ["clock stopped"]
+    assert sum(collector.get_results()["local_ideal"]["statevector"][0].values()) == 8
 
 
 def test_lane_records_running_status(local_executor, bell, monkeypatch):

@@ -5,7 +5,9 @@ import pytest
 import requests
 
 import qexec.providers
+import qexec.server
 from qexec import sample
+from qexec.errors import ProviderConfigError
 from qexec.server import RemoteServer, ServerBackend, ServerConfig
 
 from conftest import BELL_QASM, count_kernels_in_flight, post_job, post_jobs, read_jobs, wait_done
@@ -33,6 +35,24 @@ def test_backends_ideal_only():
     with RemoteServer(ServerConfig(backends=[ServerBackend("statevector")])) as server:
         listing = requests.get(f"{server.endpoint}/backends", timeout=5).json()
         assert len(listing) == 1
+
+
+@pytest.mark.parametrize("delay", [float("inf"), float("nan"), -1.0])
+def test_service_refuses_a_delay_it_cannot_keep(delay):
+    # An infinite delay would answer 201 and then leave every job QUEUED.
+    with pytest.raises(ProviderConfigError, match="delay must be finite and >= 0"):
+        RemoteServer(ServerConfig(delay=delay))
+
+
+@pytest.mark.parametrize("delay", ["inf", "nan", "-1"])
+def test_service_main_exits_on_a_bad_delay_before_binding(delay, monkeypatch, capsys):
+    bound = []
+    monkeypatch.setattr(qexec.server, "_Server", lambda *args: bound.append(args))
+    with pytest.raises(SystemExit) as exit_info:
+        qexec.server.main(["--port", "0", "--delay", delay])
+    assert exit_info.value.code != 0
+    assert "delay must be finite and >= 0" in capsys.readouterr().err
+    assert bound == []
 
 
 def test_malformed_path_404(remote_server):

@@ -135,7 +135,7 @@ def test_json_round_trip(bell, ghz3):
     assert restored == dispatch
 
 
-# to_json of a fixed dispatch, as every earlier version wrote it to dispatch.json.
+# The dispatch.json text of a fixed dispatch: run records must not change format.
 FIXED_DISPATCH_JSON = """\
 {
   "p1": {

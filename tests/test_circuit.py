@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from qexec import Circuit, Gate, GateOp, parse_qasm, serialize_qasm
 from qexec.errors import CircuitError, QasmError
 
+from conftest import BELL_QASM
+
 
 # --------------------------------------------------------------------------
 # parse_qasm
@@ -59,6 +61,49 @@ def test_parse_missing_qreg():
         parse_qasm("OPENQASM 2.0;")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        BELL_QASM.replace('"qelib1.inc"', '"a;b"'),
+        BELL_QASM.replace('"qelib1.inc"', "foo"),
+        BELL_QASM.replace("\n", "\r\n"),
+        BELL_QASM.replace("cx q[0],q[1];", "cx q[0],\n   q[1]\n;"),
+        BELL_QASM.replace("cx q[0],q[1];", "cx q[0], // control\n q[1];"),
+        BELL_QASM.replace("qreg q[2];\ncreg c[2];", "creg c[2];\nqreg q[2];"),
+    ],
+    ids=["semicolon-in-include", "bare-include", "crlf", "split-statement", "inner-comment",
+         "creg-first"],
+)
+def test_parse_layout_variants(text, bell):
+    assert parse_qasm(text) == bell
+
+
+@pytest.mark.parametrize(
+    "body,fragment,line,statement",
+    [
+        ("h q[0];;", "';'", 3, ";;"),
+        ("h q[0]", "unexpected end of input", 3, "h q[0]"),
+        ("rx(1/2) q[0];", "after numeric angle", 3, "rx(1/2) q[0];"),
+        ("rx(pi*2) q[0];", "expected ')'", 3, "rx(pi*2) q[0];"),
+        ("h q[0;", "expected ']'", 3, "h q[0;"),
+        ("h q[0\n;", "expected ']'", 4, ";"),
+        ("rx(pi\n*2) q[0];", "expected ')'", 4, "*2) q[0];"),
+        ("cx q[0],\n  q[5];", "out of range", 4, "q[5];"),
+        ("creg c[2];\nmeasure q -> c;\nx q[0];", "after terminal measure", 5, "x q[0];"),
+    ],
+)
+def test_parse_error_position(body, fragment, line, statement):
+    # The error names the line of the token that breaks the grammar, and a
+    # column inside the part of the offending statement on that line.
+    text = f"OPENQASM 2.0;\nqreg q[2];\n{body}\n"
+    with pytest.raises(QasmError) as err:
+        parse_qasm(text)
+    assert fragment in err.value.message
+    assert err.value.line == line
+    start = text.splitlines()[line - 1].index(statement) + 1
+    assert start <= err.value.column <= start + len(statement)
+
+
 def test_parse_comments_and_include_ignored():
     circuit = parse_qasm(
         'OPENQASM 2.0;\ninclude "qelib1.inc";\n// a comment\nqreg q[1]; x q[0]; // trailing\n'
@@ -86,6 +131,7 @@ def test_parse_duplicate_qubit_in_gate():
         ("rx(2*pi) q[0];", 2 * math.pi),
         ("rx(0.5) q[0];", 0.5),
         ("rx(-1.25e-3) q[0];", -1.25e-3),
+        ("rx(--pi/2) q[0];", math.pi / 2),
     ],
 )
 def test_parse_angle_forms(text, expected):
@@ -187,9 +233,8 @@ def circuits(draw):
             )
             angle = None
             if gate.takes_angle:
-                angle = draw(
-                    st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
-                )
+                # every finite float, subnormals and +-1e308 included
+                angle = draw(st.floats(allow_nan=False, allow_infinity=False))
             gates.append(GateOp(gate, qubits, angle))
     measured = draw(st.booleans())
     return Circuit(width=width, gates=tuple(gates), measured=measured)
@@ -207,7 +252,7 @@ def test_parser_totality(text):
     # Arbitrary input either parses or raises QasmError; nothing else escapes.
     try:
         result = parse_qasm(text)
-    except QasmError:
-        pass
+    except QasmError as exc:
+        assert exc.line >= 1 and exc.column >= 1
     else:
         assert isinstance(result, Circuit)

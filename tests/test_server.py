@@ -101,7 +101,8 @@ def test_submit_non_integer_shots_or_seed_400(remote_server, field, value):
 def test_submit_bad_qasm(remote_server):
     response = post_jobs(remote_server.endpoint, "statevector", bell_job(qasm="not qasm at all"))
     assert response.status_code == 201
-    assert response.json()["jobs"][0]["error"].startswith("bad qasm")
+    error = response.json()["jobs"][0]["error"]
+    assert error.startswith("bad qasm") and "(line " in error
 
 
 def test_one_bad_entry_fails_only_its_own_job(remote_server, bell):

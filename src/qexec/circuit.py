@@ -22,7 +22,7 @@ __all__ = ["Gate", "GateOp", "Circuit", "parse_qasm", "serialize_qasm"]
 
 
 class Gate(Enum):
-    """Supported gate kinds."""
+    """Supported gate kinds, each with its ``n_qubits`` and whether it ``takes_angle``."""
 
     H = "h"
     X = "x"
@@ -36,13 +36,9 @@ class Gate(Enum):
     CX = "cx"
     CZ = "cz"
 
-    @property
-    def n_qubits(self) -> int:
-        return 2 if self in (Gate.CX, Gate.CZ) else 1
-
-    @property
-    def takes_angle(self) -> bool:
-        return self in (Gate.RX, Gate.RY, Gate.RZ)
+    def __init__(self, value: str):
+        self.n_qubits = 2 if value in ("cx", "cz") else 1
+        self.takes_angle = value in ("rx", "ry", "rz")
 
 
 _GATE_BY_NAME = {g.value: g for g in Gate}
@@ -98,250 +94,172 @@ class Circuit:
                 violations.append(f"{label}: missing angle")
             if not op.gate.takes_angle and op.angle is not None:
                 violations.append(f"{label}: unexpected angle")
+            if op.angle is not None and not math.isfinite(op.angle):
+                violations.append(f"{label}: angle {op.angle!r} is not finite")
         if violations:
             raise CircuitError(f"invalid circuit {self.name!r}: " + "; ".join(violations))
-
-
-# --------------------------------------------------------------------------
-# Tokenizer
-# --------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<NUMBER>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<ID>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<STRING>"[^"\n]*")
-  | (?P<ARROW>->)
-  | (?P<SYM>[;,\[\]()*/+-])
-    """,
-    re.VERBOSE,
-)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0]
-        pos = 0
-        while pos < len(line):
-            ch = line[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                raise QasmError(f"unexpected character {ch!r}", lineno, pos + 1)
-            kind = m.lastgroup or "SYM"
-            tokens.append(_Token(kind, m.group(), lineno, pos + 1))
-            pos = m.end()
-    return tokens
 
 
 # --------------------------------------------------------------------------
 # Parser
 # --------------------------------------------------------------------------
 
+# Each ';'-terminated statement is matched by the regex of its kind, in which every
+# token after the first is optional: a broken statement matches up to the token that breaks it.
 
-class _TokenStream:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._pos = 0
-
-    def peek(self) -> _Token | None:
-        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self._tokens[-1] if self._tokens else None
-            raise QasmError(
-                "unexpected end of input",
-                last.line if last else 1,
-                last.column + len(last.value) if last else 1,
-            )
-        self._pos += 1
-        return tok
-
-    def expect(self, value: str) -> _Token:
-        tok = self.next()
-        if tok.value != value:
-            raise QasmError(f"expected {value!r}, got {tok.value!r}", tok.line, tok.column)
-        return tok
-
-    def at_end(self) -> bool:
-        return self._pos >= len(self._tokens)
-
-
-def _parse_number(tok: _Token) -> float:
-    try:
-        return float(tok.value)
-    except ValueError:
-        raise QasmError(f"malformed number {tok.value!r}", tok.line, tok.column) from None
-
-
-def _parse_angle(ts: _TokenStream) -> float:
-    """Angle grammar: decimal literal, pi, pi/k, k*pi, k*pi/m, all optionally signed."""
-    sign = 1.0
-    tok = ts.next()
-    while tok.value in ("+", "-"):
-        if tok.value == "-":
-            sign = -sign
-        tok = ts.next()
-
-    if tok.kind == "NUMBER":
-        value = _parse_number(tok)
-        nxt = ts.peek()
-        if nxt is not None and nxt.value == "*":
-            ts.next()
-            pi_tok = ts.next()
-            if pi_tok.value != "pi":
-                raise QasmError("expected 'pi' after '*'", pi_tok.line, pi_tok.column)
-            value *= math.pi
-        elif nxt is not None and nxt.value == "/":
-            # bare k/m ratio is not in the grammar; require pi on one side
-            raise QasmError("expected ')' after numeric angle", nxt.line, nxt.column)
-    elif tok.value == "pi":
-        value = math.pi
-    else:
-        raise QasmError(f"malformed angle near {tok.value!r}", tok.line, tok.column)
-
-    nxt = ts.peek()
-    if nxt is not None and nxt.value == "/":
-        ts.next()
-        div = ts.next()
-        if div.kind != "NUMBER":
-            raise QasmError("expected number after '/'", div.line, div.column)
-        denom = _parse_number(div)
-        if denom == 0:
-            raise QasmError("division by zero in angle", div.line, div.column)
-        value /= denom
-    return sign * value
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # the line boundaries of str.splitlines
+_COMMENT_RE = re.compile(f"//[^{_BREAKS}]*")
+_WORD_END = r"(?![A-Za-z0-9_])"
+_ID = r"[A-Za-z_][A-Za-z0-9_]*+"
+_NUMBER = r"(?>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+_LEXEME = rf'{_NUMBER}|{_ID}|"[^"{_BREAKS}]*+"|->|[;,\[\]()*/+-]'
+_LEXEME_RE = re.compile(rf"\s*+({_LEXEME})?")
+_STRAY_RE = re.compile(rf"(?:\s++|(?>{_LEXEME}))*+")  # ends at the first stray character
+# An include names one lexeme of any kind: a ';', or a string that holds one.
+_STATEMENT_RE = re.compile(
+    rf"\s*+(?=\S)(?P<body>(?P<include>include{_WORD_END}\s*+(?:{_LEXEME})?)"
+    rf"|(?:(?P<kw>qreg|creg|measure){_WORD_END})?[^;]*+)\s*+(?P<semi>;?)"
+)
+_HEADER_RE = re.compile(
+    rf"\s*+(?P<header>OPENQASM{_WORD_END})?(?:\s*+(?P<version>{_LEXEME}))?(?:\s*+(?P<semi>;))?"
+)
+# reg[index], each token optional; an index is a number lexeme of digits only.
+_OPERAND = (
+    rf"(?:\s*+(?P<reg{{0}}>{_ID}))?(?:\s*+(?P<lb{{0}}>\[))?"
+    r"(?:\s*+(?P<idx{0}>\d++(?!\.|[eE][+-]?\d)))?(?:\s*+(?P<rb{0}>\]))?"
+)
+_REGISTER_RE = re.compile("[qc]reg" + _OPERAND.format(""))
+_MEASURE_RE = re.compile(
+    rf"measure(?:\s*+(?P<qreg>{_ID}))?(?:\s*+(?P<arrow>->))?(?:\s*+(?P<creg>{_ID}))?"
+)
+# The angle is signed pi, k*pi, pi/m, k*pi/m or a decimal literal; k/m is matched to be refused.
+_GATE_RE = re.compile(
+    rf"(?P<name>{_ID})?(?:\s*+(?P<open>\()\s*+(?P<angle>(?P<sign>(?:(?:\+|-(?!>))\s*+)*+)"
+    rf"(?P<value>(?P<k>{_NUMBER})(?:\s*+(?P<times>\*)(?:\s*+(?P<kpi>pi{_WORD_END}))?)?"
+    rf"|(?P<pi>pi{_WORD_END}))?(?:\s*+(?P<slash>/)(?:\s*+(?P<divisor>{_NUMBER}))?)?)"
+    rf"(?:\s*+(?P<close>\)))?)?{_OPERAND.format(0)}(?:\s*+(?P<comma>,){_OPERAND.format(1)})?"
+)
+_OPERAND_FIELDS = (("reg0", "lb0", "idx0", "rb0"), ("comma", "reg1", "lb1", "idx1", "rb1"))
+_EXPECTED = {  # what each group of the statement regexes stands for, in an error
+    "header": "'OPENQASM 2.0;' header", "version": "version", "semi": "';'", "name": "statement",
+    "value": "angle", "kpi": "'pi'", "divisor": "number", "close": "')'", "comma": "','",
+    "reg": "register", "lb": "'['", "idx": "integer index", "rb": "']'", "arrow": "'->'",
+    "qreg": "quantum register", "creg": "declared classical register",
+}
 
 
-def _parse_index(ts: _TokenStream) -> int:
-    ts.expect("[")
-    tok = ts.next()
-    if tok.kind != "NUMBER" or not tok.value.isdigit():
-        raise QasmError(f"expected integer index, got {tok.value!r}", tok.line, tok.column)
-    ts.expect("]")
-    return int(tok.value)
+def _error(text: str, offset: int, message: str) -> QasmError:
+    """QasmError at ``offset``, or at the first stray character if the text has one."""
+    stray = _STRAY_RE.match(text).end()
+    if stray < len(text):
+        offset, message = stray, f"unexpected character {text[stray]!r}"
+    lines = (text[:offset] + "x").splitlines()
+    return QasmError(message, len(lines), len(lines[-1]))
+
+
+def _unexpected(text: str, pos: int, expected: str) -> QasmError:
+    """QasmError for the first lexeme at or after ``pos``, where ``expected`` was due."""
+    m = _LEXEME_RE.match(text, pos)
+    if m[1] is None:  # the end of the text, or a stray character that _error reports
+        return _error(text, len(text.rstrip()), "unexpected end of input")
+    return _error(text, m.start(1), f"expected {expected}, got {m[1]!r}")
+
+
+def _require(text: str, m: re.Match, after: int, *groups: str, **wanted: str | None) -> int:
+    """The end of the last of ``groups``; raises at the first missing or not as ``wanted``."""
+    for group in groups:
+        if m[group] is None or group in wanted and m[group] != wanted[group]:
+            want = f" {wanted[group]!r}" if wanted.get(group) else ""
+            raise _unexpected(text, after, _EXPECTED[group.rstrip("01")] + want)
+        after = m.end(group)
+    return after
 
 
 def parse_qasm(text: str, name: str = "circuit") -> Circuit:
     """Parse the supported OpenQASM 2.0 subset into a :class:`Circuit`.
 
-    Accepts: the ``OPENQASM 2.0;`` header, an optional ``include``, exactly
-    one ``qreg``, optional ``creg`` declarations, gate statements over the
-    supported kinds, and an optional terminal ``measure q -> c;``.
-    Comments (``//``) and whitespace are ignored. Raises :class:`QasmError`
-    with line/column on any input outside the subset; never crashes.
+    Accepts the ``OPENQASM 2.0;`` header, then ``;``-terminated statements: any
+    ``include``, one ``qreg``, at most one ``creg``, gates of the supported kinds and an
+    optional terminal ``measure q -> c;``. Comments (``//``) and whitespace are ignored,
+    also inside a statement. Raises :class:`QasmError` at the line and column of the
+    offending token on any input outside the subset; never crashes.
     """
-    ts = _TokenStream(_tokenize(text))
-
-    header = ts.next()
-    if header.value != "OPENQASM":
-        raise QasmError("expected 'OPENQASM 2.0;' header", header.line, header.column)
-    version = ts.next()
-    if version.value != "2.0":
-        raise QasmError(f"unsupported version {version.value!r}", version.line, version.column)
-    ts.expect(";")
-
-    qreg_name: str | None = None
-    creg_name: str | None = None
-    width = 0
-    gates: list[GateOp] = []
-    measured = False
-
-    while not ts.at_end():
-        tok = ts.next()
+    text = _COMMENT_RE.sub(lambda c: " " * len(c.group()), text)
+    registers: dict[str, str | None] = {"qreg": None, "creg": None}
+    width, gates, measured = 0, [], False
+    header = _HEADER_RE.match(text)
+    _require(text, header, 0, "header", "version", "semi", version="2.0")
+    for statement in _STATEMENT_RE.finditer(text, header.end()):
+        start, end = statement.span("body")
+        kw, op = statement["kw"], None
         if measured:
-            raise QasmError("statements after terminal measure", tok.line, tok.column)
-
-        if tok.value == "include":
-            ts.next()  # filename string; content irrelevant to the subset
-            ts.expect(";")
-        elif tok.value == "qreg":
-            if qreg_name is not None:
-                raise QasmError("multiple qreg declarations", tok.line, tok.column)
-            reg = ts.next()
-            if reg.kind != "ID":
-                raise QasmError("expected register name", reg.line, reg.column)
-            qreg_name = reg.value
-            width = _parse_index(ts)
-            ts.expect(";")
-        elif tok.value == "creg":
-            reg = ts.next()
-            if reg.kind != "ID":
-                raise QasmError("expected register name", reg.line, reg.column)
-            if creg_name is not None:
-                raise QasmError("multiple creg declarations", tok.line, tok.column)
-            creg_name = reg.value
-            _parse_index(ts)
-            ts.expect(";")
-        elif tok.value == "measure":
-            src = ts.next()
-            if src.kind != "ID" or src.value != qreg_name:
-                raise QasmError("measure source must be the quantum register", src.line, src.column)
-            ts.expect("->")
-            dst = ts.next()
-            if dst.kind != "ID" or dst.value != creg_name:
-                raise QasmError("measure target must be a declared classical register", dst.line, dst.column)
-            ts.expect(";")
+            raise _error(text, start, "statements after terminal measure")
+        elif statement["include"] is not None:
+            after = end
+        elif kw == "measure":
+            m = _MEASURE_RE.match(text, start, end)
+            after = _require(text, m, start + 7, "qreg", "arrow", "creg", **registers)
             measured = True
-        elif tok.kind == "ID":
-            gates.append(_parse_gate(ts, tok, qreg_name, width))
+        elif kw is not None:  # qreg or creg
+            if registers[kw] is not None:
+                raise _error(text, start, f"multiple {kw} declarations")
+            m = _REGISTER_RE.match(text, start, end)
+            after = _require(text, m, start + 4, "reg", "lb", "idx", "rb")
+            registers[kw] = m["reg"]
+            if kw == "qreg":
+                width = int(m["idx"])
         else:
-            raise QasmError(f"unexpected token {tok.value!r}", tok.line, tok.column)
-
-    if qreg_name is None:
-        raise QasmError("missing qreg declaration", 1, 1)
+            op, after = _parse_gate(text, start, end, registers["qreg"], width)
+        if text[after:end].strip() or not statement["semi"]:
+            raise _unexpected(text, after, "';'")
+        if op is not None:
+            if len(set(op.qubits)) != len(op.qubits):
+                raise _error(text, start, "duplicate qubit in gate")
+            gates.append(op)
+    if registers["qreg"] is None:
+        raise _error(text, 0, "missing qreg declaration")
     return Circuit(width=width, gates=tuple(gates), measured=measured, name=name)
 
 
-def _parse_gate(ts: _TokenStream, tok: _Token, qreg_name: str | None, width: int) -> GateOp:
-    gate = _GATE_BY_NAME.get(tok.value)
+def _parse_gate(text: str, start: int, end: int, qreg: str | None, width: int):
+    """The gate statement at ``text[start:end]``, and where its last field ends."""
+    m = _GATE_RE.match(text, start, end)
+    gate = _GATE_BY_NAME.get(m["name"])
     if gate is None:
-        raise QasmError(f"unknown gate {tok.value!r}", tok.line, tok.column)
-    if qreg_name is None:
-        raise QasmError("gate statement before qreg declaration", tok.line, tok.column)
-
-    angle: float | None = None
-    nxt = ts.peek()
-    if nxt is not None and nxt.value == "(":
+        _require(text, m, start, "name")
+        raise _error(text, start, f"unknown gate {m['name']!r}")
+    if qreg is None:
+        raise _error(text, start, "gate statement before qreg declaration")
+    angle, after = None, m.end("name")
+    if m["open"] is not None:
         if not gate.takes_angle:
-            raise QasmError(f"gate {gate.value!r} takes no angle", nxt.line, nxt.column)
-        ts.next()
-        angle = _parse_angle(ts)
-        ts.expect(")")
+            raise _error(text, m.start("open"), f"gate {gate.value!r} takes no angle")
+        k, times, slash = m.group("k", "times", "slash")
+        _require(text, m, m.end("sign"), "value")
+        if times is not None:
+            _require(text, m, m.end("times"), "kpi")
+        elif k is not None and slash is not None:
+            raise _error(text, m.start("slash"), "expected ')' after numeric angle")
+        angle = float(k) * math.pi if times else float(k) if k else math.pi
+        angle *= (-1) ** m["sign"].count("-")
+        if slash is not None:
+            _require(text, m, m.end("slash"), "divisor")
+            if float(m["divisor"]) == 0:
+                raise _error(text, m.start("divisor"), "division by zero in angle")
+            angle /= float(m["divisor"])
+        after = _require(text, m, m.end("angle"), "close")
+        if not math.isfinite(angle):
+            raise _error(text, m.start("angle"), f"angle {angle} is not finite")
     elif gate.takes_angle:
-        raise QasmError(f"gate {gate.value!r} requires an angle", tok.line, tok.column)
-
-    qubits: list[int] = []
-    for i in range(gate.n_qubits):
-        if i > 0:
-            ts.expect(",")
-        reg = ts.next()
-        if reg.kind != "ID" or reg.value != qreg_name:
-            raise QasmError(f"expected register {qreg_name!r}", reg.line, reg.column)
-        idx = _parse_index(ts)
-        if idx >= width:
-            raise QasmError(
-                f"qubit index out of range: {idx} >= {width}", reg.line, reg.column
-            )
-        qubits.append(idx)
-    ts.expect(";")
-
-    if len(set(qubits)) != len(qubits):
-        raise QasmError("duplicate qubit in gate", tok.line, tok.column)
-    return GateOp(gate=gate, qubits=tuple(qubits), angle=angle)
+        raise _error(text, start, f"gate {gate.value!r} requires an angle")
+    qubits = []
+    for fields in _OPERAND_FIELDS[: gate.n_qubits]:
+        after = _require(text, m, after, *fields, reg0=qreg, reg1=qreg)
+        qubits.append(int(m[fields[-2]]))
+        if qubits[-1] >= width:
+            message = f"qubit index out of range: {qubits[-1]} >= {width}"
+            raise _error(text, m.start(fields[-4]), message)
+    return GateOp(gate=gate, qubits=tuple(qubits), angle=angle), after
 
 
 # --------------------------------------------------------------------------

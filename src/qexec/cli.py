@@ -157,20 +157,25 @@ def load_providers_file(path: Path | None) -> list[ProviderConfig]:
 
 
 def resolve_circuits(entries: list[str], base_dir: Path) -> list[Circuit]:
-    """Each entry is inline QASM (contains 'OPENQASM') or a path relative to the file."""
+    """Each entry is inline QASM (contains 'OPENQASM') or a path relative to the file.
+    A QasmError names its file, or ``circuit{i}`` for inline QASM, before its message."""
     circuits = []
     for i, entry in enumerate(entries):
         if "OPENQASM" in entry:
-            circuits.append(parse_qasm(entry, name=f"circuit{i}"))
+            source, text, name = f"circuit{i}", entry, f"circuit{i}"
         else:
-            qasm_path = Path(entry)
-            if not qasm_path.is_absolute():
-                qasm_path = base_dir / qasm_path
+            source = Path(entry)
+            if not source.is_absolute():
+                source = base_dir / source
             try:
-                text = qasm_path.read_text(encoding="utf-8")
+                text = source.read_text(encoding="utf-8")
             except OSError as exc:
-                raise SchemaError(f"cannot read circuit file {qasm_path}: {exc}") from exc
-            circuits.append(parse_qasm(text, name=qasm_path.stem))
+                raise SchemaError(f"cannot read circuit file {source}: {exc}") from exc
+            name = source.stem
+        try:
+            circuits.append(parse_qasm(text, name=name))
+        except QasmError as exc:
+            raise QasmError(f"{source}: {exc.message}", exc.line, exc.column) from exc
     return circuits
 
 

@@ -18,6 +18,7 @@ the same plan bit-identical on local simulators regardless of scheduling.
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
@@ -30,6 +31,8 @@ from .policies import PolicyRegistry
 from .providers import MAX_WAIT, JobState, JobStatus, ProviderConfig, VirtualProvider
 
 __all__ = ["ExperimentSpec", "QuantumExecutor"]
+
+logger = logging.getLogger(__name__)
 
 _POLL_INITIAL = 0.002
 
@@ -180,9 +183,22 @@ class QuantumExecutor:
         return collector
 
     def _run_lane(self, backends: list[tuple], base_seed: int, collector: ResultCollector) -> None:
-        """Run each backend's jobs to completion before the next backend's."""
-        for provider_id, backend_name, specs in backends:
-            self._run_backend(provider_id, backend_name, specs, base_seed, collector)
+        """Run each backend's jobs to completion before the next backend's.
+
+        The pool drops this method's result, so a fault that escapes it, such
+        as an adapter status that is not a JobStatus, fails every job of the
+        lane not yet terminal, with the fault's message, rather than leave
+        the run pending for ever."""
+        try:
+            for provider_id, backend_name, specs in backends:
+                self._run_backend(provider_id, backend_name, specs, base_seed, collector)
+        except Exception as exc:
+            logger.debug("lane of run %s failed", collector.run_id, exc_info=True)
+            statuses = collector.status()
+            for _, _, specs in backends:
+                for spec in specs:
+                    if not statuses[spec.ordinal].state.terminal:
+                        collector.record_failed(spec.ordinal, str(exc))
 
     def _run_backend(
         self,

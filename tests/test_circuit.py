@@ -139,6 +139,15 @@ def test_parse_angle_forms(text, expected):
     assert circuit.gates[0].angle == pytest.approx(expected, abs=0)
 
 
+@pytest.mark.parametrize("angle", ["1e400", "-1e400", "1e308*pi", "1e400*pi/1e400"])
+def test_parse_rejects_non_finite_angle(angle):
+    # An angle that overflows a float is refused where it stands, not left to
+    # fail the job in the kernel.
+    with pytest.raises(QasmError, match="not finite") as err:
+        parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrx({angle}) q[0];\n")
+    assert (err.value.line, err.value.column) == (3, 4)
+
+
 def test_parse_rotation_requires_angle():
     with pytest.raises(QasmError, match="requires an angle"):
         parse_qasm("OPENQASM 2.0; qreg q[1]; rx q[0];")
@@ -204,6 +213,12 @@ def test_validate_arity_mismatch():
 def test_validate_missing_angle():
     with pytest.raises(CircuitError, match="missing angle"):
         Circuit(width=1, gates=(GateOp(Gate.RX, (0,)),))
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_validate_non_finite_angle(angle):
+    with pytest.raises(CircuitError, match="not finite"):
+        Circuit(width=1, gates=(GateOp(Gate.RX, (0,), angle),))
 
 
 # --------------------------------------------------------------------------

@@ -294,6 +294,23 @@ def test_run_unknown_key_exit1(tmp_path, store):
     assert "unknown keys" in result.stderr
 
 
+@pytest.mark.parametrize("inline", [False, True])
+def test_run_bad_circuit_names_its_source(tmp_path, store, inline):
+    bad = BELL_QASM.replace("h q[0];", "h q[5];")
+    if inline:
+        circuits, source = [BELL_QASM, bad], "circuit1"
+    else:
+        (tmp_path / "good.qasm").write_text(BELL_QASM)
+        (tmp_path / "bad.qasm").write_text(bad)
+        circuits, source = ["good.qasm", "bad.qasm"], str(tmp_path / "bad.qasm")
+    exp = write_experiment(tmp_path, dict(INLINE_EXPERIMENT, circuits=circuits))
+    result = run_cli("--store", str(store), "run", str(exp))
+    assert result.returncode == 1
+    message = f"error: {source}: qubit index out of range: 5 >= 2 (line 5, column 3)"
+    assert message in result.stderr
+    assert not store.exists()
+
+
 def test_run_missing_file_exit1(store):
     result = run_cli("--store", str(store), "run", "no-such-file.yaml")
     assert result.returncode == 1

@@ -102,6 +102,13 @@ class _StuckAdapter(_BrokenAdapter):
         raise ProviderError("clock stopped")
 
 
+class _MalformedStatusAdapter(_BrokenAdapter):
+    """Every status it reports is a string, not a JobStatus."""
+
+    def status(self, job_ids):
+        return ["DONE"] * len(job_ids)
+
+
 @pytest.fixture
 def submit_calls(monkeypatch):
     """(provider, backend, job) for every job submitted in the test."""
@@ -251,6 +258,20 @@ def test_lane_that_cannot_wait_fails_its_pending_jobs(local_executor, bell):
     collector = executor.run_dispatch(dispatch, wait=False)
     assert collector.wait(timeout=5)
     assert [job["error"] for job in collector.failed_jobs()] == ["clock stopped"]
+    assert sum(collector.get_results()["local_ideal"]["statevector"][0].values()) == 8
+
+
+def test_lane_fault_fails_the_lane_instead_of_hanging_the_run(local_executor, bell):
+    # A fault outside the lane's own handlers, here a status without .state,
+    # fails the jobs of that lane once; the other lane's job is untouched.
+    executor = executor_with_broken(_MalformedStatusAdapter(), local_executor)
+    dispatch = Dispatch().add_job("flaky", "device", bell, 8).add_job("flaky", "device", bell, 8)
+    dispatch.add_job("local_ideal", "statevector", bell, 8)
+    collector = executor.run_dispatch(dispatch, wait=False)
+    assert collector.wait(timeout=5), "the run never became terminal"
+    failed = collector.failed_jobs()
+    assert [job["ordinal"] for job in failed] == [0, 1]
+    assert all("has no attribute 'state'" in job["error"] for job in failed)
     assert sum(collector.get_results()["local_ideal"]["statevector"][0].values()) == 8
 
 

@@ -37,7 +37,7 @@ class Gate(Enum):
     CZ = "cz"
 
     def __init__(self, value: str):
-        self.n_qubits = 2 if value in ("cx", "cz") else 1
+        self.n_qubits = 2 if value in ("cx", "cz", None) else 1
         self.takes_angle = value in ("rx", "ry", "rz")
 
 
@@ -104,73 +104,62 @@ class Circuit:
 # Parser
 # --------------------------------------------------------------------------
 
-# Each ';'-terminated statement is matched by the regex of its kind, in which every
-# token after the first is optional: a broken statement matches up to the token that breaks it.
-
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # the line boundaries of str.splitlines
 _COMMENT_RE = re.compile(f"//[^{_BREAKS}]*")
 _WORD_END = r"(?![A-Za-z0-9_])"
-_ID = r"[A-Za-z_][A-Za-z0-9_]*+"
-_NUMBER = r"(?>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-_LEXEME = rf'{_NUMBER}|{_ID}|"[^"{_BREAKS}]*+"|->|[;,\[\]()*/+-]'
-_LEXEME_RE = re.compile(rf"\s*+({_LEXEME})?")
-_STRAY_RE = re.compile(rf"(?:\s++|(?>{_LEXEME}))*+")  # ends at the first stray character
-# An include names one lexeme of any kind: a ';', or a string that holds one.
-_STATEMENT_RE = re.compile(
-    rf"\s*+(?=\S)(?P<body>(?P<include>include{_WORD_END}\s*+(?:{_LEXEME})?)"
-    rf"|(?:(?P<kw>qreg|creg|measure){_WORD_END})?[^;]*+)\s*+(?P<semi>;?)"
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUMBER = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+_LEXEME = rf'{_NUMBER}|{_ID}|"[^"{_BREAKS}]*"|->|[;,\[\]()*/+-]'
+_LEXEME_RE = re.compile(rf"\s*({_LEXEME})?")  # group 1 is None at the end or a stray character
+_STATEMENT_RE = re.compile(  # to its ';', but an include names one lexeme of any kind: ';' or "a;b"
+    rf"\s*(?=\S)(?P<body>(?P<include>include{_WORD_END}\s*(?:{_LEXEME})?)|(?P<word>{_ID})?[^;]*)"
+    r"\s*(?P<semi>;?)"
 )
-_HEADER_RE = re.compile(
-    rf"\s*+(?P<header>OPENQASM{_WORD_END})?(?:\s*+(?P<version>{_LEXEME}))?(?:\s*+(?P<semi>;))?"
+# A statement's fields after its first word are optional: a broken one matches up to its break.
+_HEADER_RE = re.compile(rf"\s*(?P<header>OPENQASM{_WORD_END})?\s*(?P<version>{_LEXEME})?\s*(?P<semi>;)?")
+_OPERAND_RE = re.compile(  # reg[index], where the index is a number lexeme of digits only
+    rf"\s*(?P<reg>{_ID})?\s*(?P<lb>\[)?\s*(?P<index>\d+(?![\d.]|[eE][+-]?\d))?\s*(?P<rb>\])?"
 )
-# reg[index], each token optional; an index is a number lexeme of digits only.
-_OPERAND = (
-    rf"(?:\s*+(?P<reg{{0}}>{_ID}))?(?:\s*+(?P<lb{{0}}>\[))?"
-    r"(?:\s*+(?P<idx{0}>\d++(?!\.|[eE][+-]?\d)))?(?:\s*+(?P<rb{0}>\]))?"
+_MEASURE_RE = re.compile(rf"\s*(?P<src>{_ID})?\s*(?P<arrow>->)?\s*(?P<dst>{_ID})?")
+_COMMA_RE = re.compile(r"\s*(?P<comma>,)?")
+_ANGLE_RE = re.compile(  # a signed pi, k*pi, pi/m, k*pi/m or number k; k/m is matched to be refused
+    rf"\s*(?P<open>\()?\s*(?P<angle>(?P<sign>(?:(?:\+|-(?!>))\s*)*)"
+    rf"(?:(?P<k>{_NUMBER})(?:\s*(?P<times>\*)\s*(?P<kpi>pi{_WORD_END})?)?|(?P<pi>pi{_WORD_END}))?"
+    rf"(?:\s*(?P<slash>/)\s*(?P<divisor>{_NUMBER})?)?)\s*(?P<close>\))?"
 )
-_REGISTER_RE = re.compile("[qc]reg" + _OPERAND.format(""))
-_MEASURE_RE = re.compile(
-    rf"measure(?:\s*+(?P<qreg>{_ID}))?(?:\s*+(?P<arrow>->))?(?:\s*+(?P<creg>{_ID}))?"
-)
-# The angle is signed pi, k*pi, pi/m, k*pi/m or a decimal literal; k/m is matched to be refused.
-_GATE_RE = re.compile(
-    rf"(?P<name>{_ID})?(?:\s*+(?P<open>\()\s*+(?P<angle>(?P<sign>(?:(?:\+|-(?!>))\s*+)*+)"
-    rf"(?P<value>(?P<k>{_NUMBER})(?:\s*+(?P<times>\*)(?:\s*+(?P<kpi>pi{_WORD_END}))?)?"
-    rf"|(?P<pi>pi{_WORD_END}))?(?:\s*+(?P<slash>/)(?:\s*+(?P<divisor>{_NUMBER}))?)?)"
-    rf"(?:\s*+(?P<close>\)))?)?{_OPERAND.format(0)}(?:\s*+(?P<comma>,){_OPERAND.format(1)})?"
-)
-_OPERAND_FIELDS = (("reg0", "lb0", "idx0", "rb0"), ("comma", "reg1", "lb1", "idx1", "rb1"))
-_EXPECTED = {  # what each group of the statement regexes stands for, in an error
-    "header": "'OPENQASM 2.0;' header", "version": "version", "semi": "';'", "name": "statement",
-    "value": "angle", "kpi": "'pi'", "divisor": "number", "close": "')'", "comma": "','",
-    "reg": "register", "lb": "'['", "idx": "integer index", "rb": "']'", "arrow": "'->'",
-    "qreg": "quantum register", "creg": "declared classical register",
-}
+_INDEX_FIELDS = (("lb", "'['", None), ("index", "integer index", None), ("rb", "']'", None))
 
 
 def _error(text: str, offset: int, message: str) -> QasmError:
-    """QasmError at ``offset``, or at the first stray character if the text has one."""
-    stray = _STRAY_RE.match(text).end()
-    if stray < len(text):
-        offset, message = stray, f"unexpected character {text[stray]!r}"
+    """QasmError at ``offset``, or at the first stray character after it: the text before
+    an error's offset has been read, so a stray character is reported before any other error."""
+    m = _LEXEME_RE.match(text, offset)
+    while m[1] is not None:
+        m = _LEXEME_RE.match(text, m.end())
+    if m.end() < len(text):
+        offset, message = m.end(), f"unexpected character {text[m.end()]!r}"
     lines = (text[:offset] + "x").splitlines()
     return QasmError(message, len(lines), len(lines[-1]))
 
 
 def _unexpected(text: str, pos: int, expected: str) -> QasmError:
-    """QasmError for the first lexeme at or after ``pos``, where ``expected`` was due."""
+    """QasmError for the first lexeme after ``pos``, where ``expected`` was due."""
     m = _LEXEME_RE.match(text, pos)
     if m[1] is None:  # the end of the text, or a stray character that _error reports
-        return _error(text, len(text.rstrip()), "unexpected end of input")
+        return _error(text, min(m.end(), len(text.rstrip())), "unexpected end of input")
     return _error(text, m.start(1), f"expected {expected}, got {m[1]!r}")
 
 
-def _require(text: str, m: re.Match, after: int, *groups: str, **wanted: str | None) -> int:
-    """The end of the last of ``groups``; raises at the first missing or not as ``wanted``."""
-    for group in groups:
-        if m[group] is None or group in wanted and m[group] != wanted[group]:
-            want = f" {wanted[group]!r}" if wanted.get(group) else ""
-            raise _unexpected(text, after, _EXPECTED[group.rstrip("01")] + want)
+def _require(text: str, m: re.Match, *fields: tuple[str, str, str | None]) -> int:
+    """Where the last of ``fields`` ends in ``m``; raises at the first missing one.
+
+    A field ``(group, expected, want)`` must match, and read ``want`` unless that is None
+    (an empty ``want`` is a register not declared, which nothing reads)."""
+    after = m.pos
+    for group, expected, want in fields:
+        value = m[group]
+        if value is None or want is not None and value != want:
+            raise _unexpected(text, after, expected + (f" {want!r}" if want else ""))
         after = m.end(group)
     return after
 
@@ -178,88 +167,101 @@ def _require(text: str, m: re.Match, after: int, *groups: str, **wanted: str | N
 def parse_qasm(text: str, name: str = "circuit") -> Circuit:
     """Parse the supported OpenQASM 2.0 subset into a :class:`Circuit`.
 
-    Accepts the ``OPENQASM 2.0;`` header, then ``;``-terminated statements: any
-    ``include``, one ``qreg``, at most one ``creg``, gates of the supported kinds and an
-    optional terminal ``measure q -> c;``. Comments (``//``) and whitespace are ignored,
-    also inside a statement. Raises :class:`QasmError` at the line and column of the
-    offending token on any input outside the subset; never crashes.
+    Accepts the ``OPENQASM 2.0;`` header, then ``;``-terminated statements: any ``include``,
+    one ``qreg``, at most one ``creg``, gates of the supported kinds and an optional terminal
+    ``measure q -> c;``. Comments (``//``) and whitespace are ignored, also inside a statement.
+    Raises :class:`QasmError` at the offending lexeme's line and column; never crashes.
     """
     text = _COMMENT_RE.sub(lambda c: " " * len(c.group()), text)
-    registers: dict[str, str | None] = {"qreg": None, "creg": None}
-    width, gates, measured = 0, [], False
     header = _HEADER_RE.match(text)
-    _require(text, header, 0, "header", "version", "semi", version="2.0")
-    for statement in _STATEMENT_RE.finditer(text, header.end()):
+    pos = _require(text, header, ("header", "'OPENQASM 2.0;' header", None),
+                   ("version", "version", "2.0"), ("semi", "';'", None))
+    registers, width, gates, measured = {"qreg": "", "creg": ""}, 0, [], False
+    while statement := _STATEMENT_RE.match(text, pos):
         start, end = statement.span("body")
-        kw, op = statement["kw"], None
+        word, op, pos = statement["word"], None, statement.end()
         if measured:
             raise _error(text, start, "statements after terminal measure")
-        elif statement["include"] is not None:
+        if statement["include"] is not None:
             after = end
-        elif kw == "measure":
-            m = _MEASURE_RE.match(text, start, end)
-            after = _require(text, m, start + 7, "qreg", "arrow", "creg", **registers)
+        elif word is None:
+            raise _unexpected(text, start, "statement")
+        elif word == "measure":
+            m = _MEASURE_RE.match(text, start + 7, end)
+            after = _require(text, m, ("src", "quantum register", registers["qreg"]),
+                             ("arrow", "'->'", None),
+                             ("dst", "declared classical register", registers["creg"]))
             measured = True
-        elif kw is not None:  # qreg or creg
-            if registers[kw] is not None:
-                raise _error(text, start, f"multiple {kw} declarations")
-            m = _REGISTER_RE.match(text, start, end)
-            after = _require(text, m, start + 4, "reg", "lb", "idx", "rb")
-            registers[kw] = m["reg"]
-            if kw == "qreg":
-                width = int(m["idx"])
+        elif word in registers:  # qreg or creg
+            if registers[word]:
+                raise _error(text, start, f"multiple {word} declarations")
+            m = _OPERAND_RE.match(text, start + 4, end)
+            after = _require(text, m, ("reg", "register", None), *_INDEX_FIELDS)
+            registers[word] = m["reg"]
+            if word == "qreg":
+                width = int(m["index"])
         else:
-            op, after = _parse_gate(text, start, end, registers["qreg"], width)
+            op, after = _parse_gate(text, word, start, end, registers["qreg"], width)
         if text[after:end].strip() or not statement["semi"]:
             raise _unexpected(text, after, "';'")
         if op is not None:
             if len(set(op.qubits)) != len(op.qubits):
                 raise _error(text, start, "duplicate qubit in gate")
             gates.append(op)
-    if registers["qreg"] is None:
+    if not registers["qreg"]:
         raise _error(text, 0, "missing qreg declaration")
     return Circuit(width=width, gates=tuple(gates), measured=measured, name=name)
 
 
-def _parse_gate(text: str, start: int, end: int, qreg: str | None, width: int):
-    """The gate statement at ``text[start:end]``, and where its last field ends."""
-    m = _GATE_RE.match(text, start, end)
-    gate = _GATE_BY_NAME.get(m["name"])
+def _parse_gate(text: str, word: str, start: int, end: int, qreg: str, width: int):
+    """The gate statement ``text[start:end]`` named ``word``, and where its last field ends."""
+    gate = _GATE_BY_NAME.get(word)
     if gate is None:
-        _require(text, m, start, "name")
-        raise _error(text, start, f"unknown gate {m['name']!r}")
-    if qreg is None:
+        raise _error(text, start, f"unknown gate {word!r}")
+    if not qreg:
         raise _error(text, start, "gate statement before qreg declaration")
-    angle, after = None, m.end("name")
+    angle, after = None, start + len(word)
+    m = _ANGLE_RE.match(text, after, end)
     if m["open"] is not None:
         if not gate.takes_angle:
             raise _error(text, m.start("open"), f"gate {gate.value!r} takes no angle")
-        k, times, slash = m.group("k", "times", "slash")
-        _require(text, m, m.end("sign"), "value")
-        if times is not None:
-            _require(text, m, m.end("times"), "kpi")
-        elif k is not None and slash is not None:
-            raise _error(text, m.start("slash"), "expected ')' after numeric angle")
-        angle = float(k) * math.pi if times else float(k) if k else math.pi
-        angle *= (-1) ** m["sign"].count("-")
-        if slash is not None:
-            _require(text, m, m.end("slash"), "divisor")
-            if float(m["divisor"]) == 0:
-                raise _error(text, m.start("divisor"), "division by zero in angle")
-            angle /= float(m["divisor"])
-        after = _require(text, m, m.end("angle"), "close")
-        if not math.isfinite(angle):
-            raise _error(text, m.start("angle"), f"angle {angle} is not finite")
+        angle, after = _angle(text, m), m.end("close")
     elif gate.takes_angle:
         raise _error(text, start, f"gate {gate.value!r} requires an angle")
     qubits = []
-    for fields in _OPERAND_FIELDS[: gate.n_qubits]:
-        after = _require(text, m, after, *fields, reg0=qreg, reg1=qreg)
-        qubits.append(int(m[fields[-2]]))
+    for i in range(gate.n_qubits):
+        if i:
+            after = _require(text, _COMMA_RE.match(text, after, end), ("comma", "','", None))
+        m = _OPERAND_RE.match(text, after, end)
+        after = _require(text, m, ("reg", "register", qreg), *_INDEX_FIELDS)
+        qubits.append(int(m["index"]))
         if qubits[-1] >= width:
-            message = f"qubit index out of range: {qubits[-1]} >= {width}"
-            raise _error(text, m.start(fields[-4]), message)
+            raise _error(text, m.start("reg"), f"qubit index out of range: {qubits[-1]} >= {width}")
     return GateOp(gate=gate, qubits=tuple(qubits), angle=angle), after
+
+
+def _angle(text: str, m: re.Match) -> float:
+    """The value of the angle that ``_ANGLE_RE`` matched in ``m``, checked up to its ``)``."""
+    k, times, slash, divisor = m.group("k", "times", "slash", "divisor")
+    if k is None and m["pi"] is None:
+        raise _unexpected(text, m.end("sign"), "angle")
+    if times is not None and m["kpi"] is None:
+        raise _unexpected(text, m.end("times"), "'pi'")
+    if k is not None and times is None and slash is not None:
+        raise _error(text, m.start("slash"), "expected ')' after numeric angle")
+    angle = float(k) * math.pi if times else float(k) if k else math.pi
+    angle *= (-1) ** m["sign"].count("-")
+    if slash is not None:
+        if divisor is None:
+            raise _unexpected(text, m.end("slash"), "number")
+        if float(divisor) == 0:
+            raise _error(text, m.start("divisor"), "division by zero in angle")
+        angle /= float(divisor)
+    if m["close"] is None:
+        raise _unexpected(text, m.end("angle"), "')'")
+    if not math.isfinite(angle):
+        raise _error(text, m.start("angle"), f"angle {angle} is not finite")
+    return angle
 
 
 # --------------------------------------------------------------------------

@@ -185,17 +185,17 @@ class QuantumExecutor:
     def _run_lane(self, backends: list[tuple], base_seed: int, collector: ResultCollector) -> None:
         """Run each backend's jobs to completion before the next backend's.
 
-        The pool drops this method's result, so a fault that escapes it, such
-        as an adapter status that is not a JobStatus, fails every job of the
-        lane not yet terminal, with the fault's message, rather than leave
-        the run pending for ever."""
-        try:
-            for provider_id, backend_name, specs in backends:
+        The pool drops this method's result, so a fault that escapes a
+        backend, such as an adapter status that is not a JobStatus, fails
+        that backend's jobs not yet terminal, with the fault's message, rather
+        than leave the run pending for ever; the lane goes on to the next."""
+        for provider_id, backend_name, specs in backends:
+            try:
                 self._run_backend(provider_id, backend_name, specs, base_seed, collector)
-        except Exception as exc:
-            logger.debug("lane of run %s failed", collector.run_id, exc_info=True)
-            statuses = collector.status()
-            for _, _, specs in backends:
+            except Exception as exc:
+                logger.debug("backend %s/%s of run %s failed", provider_id, backend_name,
+                             collector.run_id, exc_info=True)
+                statuses = collector.status()
                 for spec in specs:
                     if not statuses[spec.ordinal].state.terminal:
                         collector.record_failed(spec.ordinal, str(exc))

@@ -261,13 +261,16 @@ def test_lane_that_cannot_wait_fails_its_pending_jobs(local_executor, bell):
     assert sum(collector.get_results()["local_ideal"]["statevector"][0].values()) == 8
 
 
-def test_lane_fault_fails_the_lane_instead_of_hanging_the_run(local_executor, bell):
+@pytest.mark.parametrize("parallel", [True, False], ids=["lane-per-backend", "one-lane"])
+def test_backend_fault_fails_its_jobs_instead_of_hanging_the_run(local_executor, bell, parallel):
     # A fault outside the lane's own handlers, here a status without .state,
-    # fails the jobs of that lane once; the other lane's job is untouched.
+    # fails that backend's jobs once. The other backend's job is untouched,
+    # also when it waits behind the faulty backend in the same lane.
     executor = executor_with_broken(_MalformedStatusAdapter(), local_executor)
     dispatch = Dispatch().add_job("flaky", "device", bell, 8).add_job("flaky", "device", bell, 8)
     dispatch.add_job("local_ideal", "statevector", bell, 8)
-    collector = executor.run_dispatch(dispatch, wait=False)
+    assert [p for p, _ in dispatch.backends()] == ["flaky", "local_ideal"]
+    collector = executor.run_dispatch(dispatch, wait=False, parallel=parallel)
     assert collector.wait(timeout=5), "the run never became terminal"
     failed = collector.failed_jobs()
     assert [job["ordinal"] for job in failed] == [0, 1]

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -366,3 +369,36 @@ def test_noisy_memory_stays_within_the_replay_budget():
         tracemalloc.stop()
     assert sum(counts.values()) == 200
     assert peak < 4 << 20
+
+
+# --------------------------------------------------------------------------
+# Seeded counts that batching must keep
+# --------------------------------------------------------------------------
+
+
+def sweep_shaped_circuit(rng: random.Random, width: int) -> Circuit:
+    """A circuit shaped like the benchmark's tiny sweep: 8 gates in random
+    order, one CX, one CZ, one T and five one-qubit Cliffords; at width 4 an
+    RX, RY and RZ of random angle replace three of the Cliffords."""
+    kinds = [Gate.CX, Gate.CZ, Gate.T] + ([Gate.RX, Gate.RY, Gate.RZ] if width == 4 else [])
+    kinds += [None] * (8 - len(kinds))
+    rng.shuffle(kinds)
+    gates = []
+    for gate in kinds:
+        if gate is None:
+            gate = rng.choice((Gate.H, Gate.S, Gate.X, Gate.Y, Gate.Z))
+        qubits = tuple(rng.sample(range(width), gate.n_qubits))
+        angle = rng.uniform(0.0, 2.0 * math.pi) if gate.takes_angle else None
+        gates.append(GateOp(gate, qubits, angle))
+    return Circuit(width=width, gates=tuple(gates), measured=True)
+
+
+def test_ideal_counts_of_sweep_shaped_circuits_are_pinned():
+    # Seeded ideal counts of 50 circuits, 16 shots each at seed 1000 + k as
+    # the k-th job of a run gets, hashed. A change to the arithmetic of the
+    # ideal kernel, or to how a job's rows are batched, shows here.
+    rng = random.Random("pinned-ideal-counts")
+    circuits = [sweep_shaped_circuit(rng, width) for width in (3, 4) for _ in range(25)]
+    counts = [sample(c, 16, seed=1000 + k) for k, c in enumerate(circuits)]
+    digest = hashlib.sha256(json.dumps(counts, sort_keys=True).encode()).hexdigest()
+    assert digest == "e07fa126975ebc85f24f4d38791e19a9787ad675f50fd713c90c5fa25a08c216"

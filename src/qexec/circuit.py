@@ -78,24 +78,22 @@ class Circuit:
         if self.width == 0 and self.gates:
             violations.append("width 0 circuit has gates")
         for i, op in enumerate(self.gates):
-            label = f"gate {i} ({op.gate.value})"
+            found = []
             if len(op.qubits) != op.gate.n_qubits:
-                violations.append(
-                    f"{label}: expects {op.gate.n_qubits} qubit(s), got {len(op.qubits)}"
-                )
+                found.append(f"expects {op.gate.n_qubits} qubit(s), got {len(op.qubits)}")
             if len(set(op.qubits)) != len(op.qubits):
-                violations.append(f"{label}: duplicate qubit in gate")
+                found.append("duplicate qubit in gate")
             for q in op.qubits:
                 if q < 0 or q >= self.width:
-                    violations.append(
-                        f"{label}: qubit index {q} out of range for width {self.width}"
-                    )
+                    found.append(f"qubit index {q} out of range for width {self.width}")
             if op.gate.takes_angle and op.angle is None:
-                violations.append(f"{label}: missing angle")
+                found.append("missing angle")
             if not op.gate.takes_angle and op.angle is not None:
-                violations.append(f"{label}: unexpected angle")
+                found.append("unexpected angle")
             if op.angle is not None and not math.isfinite(op.angle):
-                violations.append(f"{label}: angle {op.angle!r} is not finite")
+                found.append(f"angle {op.angle!r} is not finite")
+            if found:  # the label is built only for a gate that breaks a rule
+                violations += [f"gate {i} ({op.gate.value}): {v}" for v in found]
         if violations:
             raise CircuitError(f"invalid circuit {self.name!r}: " + "; ".join(violations))
 
@@ -108,7 +106,7 @@ _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # the line boundaries of str.s
 _COMMENT_RE = re.compile(f"//[^{_BREAKS}]*")
 _WORD_END = r"(?![A-Za-z0-9_])"
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
-_NUMBER = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+_NUMBER = r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?"  # ASCII digits only
 _LEXEME = rf'{_NUMBER}|{_ID}|"[^"{_BREAKS}]*"|->|[;,\[\]()*/+-]'
 _LEXEME_RE = re.compile(rf"\s*({_LEXEME})?")  # group 1 is None at the end or a stray character
 _STATEMENT_RE = re.compile(  # to its ';', but an include names one lexeme of any kind: ';' or "a;b"
@@ -118,7 +116,7 @@ _STATEMENT_RE = re.compile(  # to its ';', but an include names one lexeme of an
 # A statement's fields after its first word are optional: a broken one matches up to its break.
 _HEADER_RE = re.compile(rf"\s*(?P<header>OPENQASM{_WORD_END})?\s*(?P<version>{_LEXEME})?\s*(?P<semi>;)?")
 _OPERAND_RE = re.compile(  # reg[index], where the index is a number lexeme of digits only
-    rf"\s*(?P<reg>{_ID})?\s*(?P<lb>\[)?\s*(?P<index>\d+(?![\d.]|[eE][+-]?\d))?\s*(?P<rb>\])?"
+    rf"\s*(?P<reg>{_ID})?\s*(?P<lb>\[)?\s*(?P<index>[0-9]+(?![0-9.]|[eE][+-]?[0-9]))?\s*(?P<rb>\])?"
 )
 _MEASURE_RE = re.compile(rf"\s*(?P<src>{_ID})?\s*(?P<arrow>->)?\s*(?P<dst>{_ID})?")
 _COMMA_RE = re.compile(r"\s*(?P<comma>,)?")

@@ -5,7 +5,8 @@ behind a single API so the executor never touches provider-specific quirks.
 Four provider kinds ship built-in:
 
 * ``local_ideal``   - in-process ideal statevector simulator
-* ``local_noisy``   - in-process trajectory-noise simulator (needs ``noise``)
+* ``local_noisy``   - in-process depolarizing-noise simulator (needs ``noise``):
+  exact density matrices for small circuits, trajectories for wide ones
 * ``mock_delay``    - in-process ideal simulator; each job starts no earlier
   than ``delay`` seconds after submission (async testing)
 * ``remote_http``   - client for the qexec remote job service wire protocol
@@ -57,7 +58,7 @@ from .errors import (
     UnknownBackendError,
     UnknownJobError,
 )
-from .simulator import MAX_WIDTH_DEFAULT, NoiseSpec, sample, sample_noisy
+from .simulator import MAX_WIDTH_DEFAULT, NoiseSpec, batch_chunks, sample_batch
 
 __all__ = [
     "MAX_BATCH_JOBS",
@@ -285,8 +286,10 @@ class JobRunner:
 
     Each local provider is one runner with one backend, and the job service
     is one runner with all of its backends. A runner's jobs run in
-    submission order. Each submit call queues one work item that runs all
-    the jobs it accepted, one after another. With no delay that item goes to
+    submission order. Each submit call queues one work item that runs the
+    jobs it accepted in chunks of consecutive jobs, each chunk in one
+    sample_batch call that marks its jobs RUNNING together, within the
+    kernel's 16 MB budget of amplitudes. With no delay that item goes to
     the shared kernel worker, so the jobs of all such runners run one at a
     time. With a delay, the batch runs no earlier than ``delay`` seconds
     after its submission, on a worker of the runner's own that sleeps once
@@ -319,9 +322,9 @@ class JobRunner:
 
     def submit(self, backend_name: str, jobs: Sequence[tuple]) -> list[str | QExecError]:
         """Queue each ``(circuit, shots, options)`` job and return its id, or
-        the error that kept it from the queue; sample_noisy runs when the
-        backend has noise. Every job of a backend this runner does not host
-        gets UnknownBackendError."""
+        the error that kept it from the queue; the jobs run under the
+        backend's noise, if it has any. Every job of a backend this runner
+        does not host gets UnknownBackendError."""
         if backend_name not in self._backends:
             return [UnknownBackendError(f"unknown backend {self._name}/{backend_name}")] * len(jobs)
         descriptor, noise = self._backends[backend_name]
@@ -336,7 +339,7 @@ class JobRunner:
                 continue
             job_id = f"{self._name}-{next(_JOB_COUNTER)}"
             self._table.create(job_id)
-            accepted.append((job_id, circuit, shots, options.get("seed", 0)))
+            accepted.append((job_id, (circuit, shots, options.get("seed", 0))))
             job_ids.append(job_id)
         if accepted:
             self._pool.submit(self._run, due, descriptor, noise, accepted)
@@ -346,20 +349,22 @@ class JobRunner:
         wait = due - time.monotonic()
         if wait > 0:
             time.sleep(wait)
-        for job_id, circuit, shots, seed in jobs:
+        for chunk in batch_chunks([circuit.width for _, (circuit, _, _) in jobs], noise):
             if self._stopped:
                 return
-            self._table.set_running(job_id)
+            job_ids = [job_id for job_id, _ in jobs[chunk]]
+            for job_id in job_ids:
+                self._table.set_running(job_id)
             try:
-                if noise is not None:
-                    counts = sample_noisy(circuit, shots, noise, seed, descriptor.max_qubits)
-                else:
-                    counts = sample(circuit, shots, seed, descriptor.max_qubits)
+                results = sample_batch([job for _, job in jobs[chunk]], noise, descriptor.max_qubits)
             except Exception as exc:
-                logger.debug("job %s failed", job_id, exc_info=True)
-                self._table.set_failed(job_id, str(exc))
-            else:
-                self._table.set_done(job_id, counts)
+                results = [exc] * len(job_ids)
+            for job_id, result in zip(job_ids, results):
+                if isinstance(result, Exception):
+                    logger.debug("job %s failed", job_id, exc_info=result)
+                    self._table.set_failed(job_id, str(result))
+                else:
+                    self._table.set_done(job_id, result)
 
     def status(self, job_ids: Sequence[str]) -> list[JobStatus | None]:
         """Each job's status; None for an id this runner never issued."""

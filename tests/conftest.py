@@ -108,8 +108,7 @@ def count_kernels_in_flight(monkeypatch) -> list[int]:
 
         return wrapper
 
-    monkeypatch.setattr(qexec.providers, "sample", counted(qexec.providers.sample))
-    monkeypatch.setattr(qexec.providers, "sample_noisy", counted(qexec.providers.sample_noisy))
+    monkeypatch.setattr(qexec.providers, "sample_batch", counted(qexec.providers.sample_batch))
     return in_flight
 
 

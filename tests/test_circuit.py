@@ -148,6 +148,25 @@ def test_parse_rejects_non_finite_angle(angle):
     assert (err.value.line, err.value.column) == (3, 4)
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("OPENQASM 2.0; qreg q[\u0663]; rx(\u0661.\u0665) q[\u0662];", 22),
+        ("OPENQASM 2.0; qreg q[3]; rx(\u0661.5) q[2];", 29),
+        ("OPENQASM 2.0; qreg q[3]; rx(1.5) q[\u0662];", 36),
+        ("OPENQASM 2.0; qreg q[3]; rx(1e\u0665) q[2];", 31),
+        ("OPENQASM 2.0; qreg q[3]; h q[\uff12];", 30),
+    ],
+    ids=["qreg", "angle", "operand", "exponent", "fullwidth"],
+)
+def test_parse_refuses_digits_other_than_ascii(text, column):
+    # OpenQASM numbers are ASCII digits; Arabic-Indic or fullwidth digits are
+    # stray characters where they stand, not numbers.
+    with pytest.raises(QasmError, match="unexpected character") as err:
+        parse_qasm(text)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 def test_parse_rotation_requires_angle():
     with pytest.raises(QasmError, match="requires an angle"):
         parse_qasm("OPENQASM 2.0; qreg q[1]; rx q[0];")
@@ -197,6 +216,20 @@ def test_validate_index_out_of_range():
         Circuit(width=2, gates=(GateOp(Gate.H, (4,)),))
     assert str(err.value) == (
         "invalid circuit 'circuit': gate 0 (h): qubit index 4 out of range for width 2"
+    )
+
+
+def test_validate_lists_every_violation_of_every_gate_in_order():
+    gates = (GateOp(Gate.H, (0,)), GateOp(Gate.CX, (1, 1, 5)), GateOp(Gate.RZ, (0,)),
+             GateOp(Gate.X, (0,), math.inf))
+    with pytest.raises(CircuitError) as err:
+        Circuit(width=2, gates=gates, name="many")
+    assert str(err.value) == (
+        "invalid circuit 'many': gate 1 (cx): expects 2 qubit(s), got 3; "
+        "gate 1 (cx): duplicate qubit in gate; "
+        "gate 1 (cx): qubit index 5 out of range for width 2; "
+        "gate 2 (rz): missing angle; gate 3 (x): unexpected angle; "
+        "gate 3 (x): angle inf is not finite"
     )
 
 

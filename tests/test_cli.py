@@ -201,10 +201,10 @@ def test_run_exit_code_agrees_with_saved_record(outcome):
     failing_seeds = {seed + ordinal for ordinal in failing}  # job k gets seed + k
 
     def failing_kernel(kernel):
-        def run(*args):  # both kernels take (..., seed, max_width) last
-            if args[-2] in failing_seeds:
-                raise RuntimeError("injected kernel fault")
-            return kernel(*args)
+        def run(jobs, *args):  # each job is (circuit, shots, seed)
+            results = kernel(jobs, *args)
+            fault = RuntimeError("injected kernel fault")
+            return [fault if seed in failing_seeds else r for (_, _, seed), r in zip(jobs, results)]
 
         return run
 
@@ -212,8 +212,7 @@ def test_run_exit_code_agrees_with_saved_record(outcome):
         raise RuntimeError("injected merge fault")
 
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qexec.providers, "sample", failing_kernel(qexec.providers.sample))
-        mp.setattr(qexec.providers, "sample_noisy", failing_kernel(qexec.providers.sample_noisy))
+        mp.setattr(qexec.providers, "sample_batch", failing_kernel(qexec.providers.sample_batch))
         if merge_raises:
             mp.setattr(qexec.policies, "merge_sum", raising_merge)
         payload = dict(

@@ -227,18 +227,18 @@ def test_in_process_lane_waits_for_its_jobs_instead_of_polling(bell, monkeypatch
     # last job ends, or every MAX_WAIT (50 ms) until then.
     calls = []
     original_status = VirtualProvider.status_batch
-    original_sample = qexec.providers.sample
+    original_kernel = qexec.providers.sample_batch
 
     def counting_status(self, provider_id, job_ids):
         calls.append(len(job_ids))
         return original_status(self, provider_id, job_ids)
 
-    def slow_sample(*args, **kwargs):
-        time.sleep(0.001)
-        return original_sample(*args, **kwargs)
+    def slow_kernel(jobs, *args, **kwargs):
+        time.sleep(0.001 * len(jobs))
+        return original_kernel(jobs, *args, **kwargs)
 
     monkeypatch.setattr(VirtualProvider, "status_batch", counting_status)
-    monkeypatch.setattr(qexec.providers, "sample", slow_sample)
+    monkeypatch.setattr(qexec.providers, "sample_batch", slow_kernel)
     executor = QuantumExecutor(providers=[ProviderConfig("local_ideal", "local_ideal")])
     dispatch = Dispatch()
     for _ in range(200):
@@ -280,13 +280,13 @@ def test_backend_fault_fails_its_jobs_instead_of_hanging_the_run(local_executor,
 
 def test_lane_records_running_status(local_executor, bell, monkeypatch):
     release = threading.Event()
-    original = qexec.providers.sample
+    original = qexec.providers.sample_batch
 
-    def blocked_sample(*args, **kwargs):
+    def blocked_kernel(*args, **kwargs):
         release.wait(10)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(qexec.providers, "sample", blocked_sample)
+    monkeypatch.setattr(qexec.providers, "sample_batch", blocked_kernel)
     dispatch = Dispatch().add_job("local_ideal", "statevector", bell, 32)
     try:
         collector = local_executor.run_dispatch(dispatch, wait=False)

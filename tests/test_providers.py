@@ -5,6 +5,7 @@ import pytest
 import requests
 
 import qexec.providers
+import qexec.simulator
 from qexec import (
     Circuit,
     Dispatch,
@@ -12,8 +13,11 @@ from qexec import (
     ProviderConfig,
     QuantumExecutor,
     ResultCollector,
+    Gate,
+    GateOp,
     VirtualProvider,
     sample,
+    sample_noisy,
 )
 from qexec.errors import (
     BackendOfflineError,
@@ -300,14 +304,14 @@ def test_stopped_runner_leaves_the_shared_kernel_worker_to_the_others(bell, monk
     # one while the worker is busy leaves its queued jobs QUEUED, and the
     # worker goes on to the other runner's jobs queued after them.
     started, release = threading.Event(), threading.Event()
-    original = qexec.providers.sample
+    original = qexec.providers.sample_batch
 
-    def blocked_sample(*args, **kwargs):
+    def blocked_kernel(*args, **kwargs):
         started.set()
         release.wait(10)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(qexec.providers, "sample", blocked_sample)
+    monkeypatch.setattr(qexec.providers, "sample_batch", blocked_kernel)
     kept, stopped = _runner("kept"), _runner("stopped")
     job = (bell, 16, {})
     kept_ids = kept.submit("statevector", [job])
@@ -359,12 +363,57 @@ def test_failed_job_carries_message(local_registry, bell, monkeypatch):
     def broken_kernel(*args):
         raise RuntimeError("kernel out of range")
 
-    monkeypatch.setattr(qexec.providers, "sample", broken_kernel)
+    monkeypatch.setattr(qexec.providers, "sample_batch", broken_kernel)
     handle = local_registry.submit("local_ideal", "statevector", bell, 10)
     status = wait_terminal(local_registry, handle)
     assert status.state is JobState.FAILED
     assert "out of range" in (status.error_message or "")
     assert status.counts is None
+
+
+@pytest.mark.parametrize("noise", [None, NoiseSpec(0.1)], ids=["ideal", "noisy"])
+def test_runner_fails_each_faulty_job_of_a_batch_alone(bell, monkeypatch, noise):
+    # One submission holds good jobs, a job with no shots, a circuit wider
+    # than the backend and one whose kernel raises. Each faulty job fails
+    # with its own message; the others finish with the counts they get
+    # alone. Every job of the runner moves QUEUED -> RUNNING -> terminal,
+    # each state recorded once.
+    transitions = []
+    original_transition = JobTable._transition
+
+    def recording_transition(self, key, status):
+        transitions.append((key, status.state))
+        original_transition(self, key, status)
+
+    original_apply = qexec.simulator._apply_gate
+
+    def poisoned(states, op, *args, **kwargs):
+        if op.angle == 0.5:
+            raise FloatingPointError("poisoned angle")
+        original_apply(states, op, *args, **kwargs)
+
+    monkeypatch.setattr(JobTable, "_transition", recording_transition)
+    monkeypatch.setattr(qexec.simulator, "_apply_gate", poisoned)
+    raising = Circuit(width=2, gates=bell.gates + (GateOp(Gate.RX, (1,), 0.5),))
+    runner = JobRunner("batch", [(BackendDescriptor("batch", "sv", True, 2, noise is None), noise)])
+    jobs = [(bell, 16, {"seed": 1}), (bell, 0, {"seed": 2}), (Circuit(width=3), 16, {}),
+            (raising, 16, {"seed": 4}), (bell, 16, {"seed": 5})]
+    ids = runner.submit("sv", jobs)
+    assert isinstance(ids[2], CircuitError) and "limit 2" in str(ids[2])
+    ids = [ids[0], ids[1], ids[3], ids[4]]
+    deadline = time.monotonic() + 5
+    while not all(s.state.terminal for s in runner.status(ids)):
+        assert time.monotonic() < deadline, "the batch never finished"
+        time.sleep(0.005)
+    statuses = runner.status(ids)
+    assert [s.state for s in statuses] == [JobState.DONE, JobState.FAILED, JobState.FAILED, JobState.DONE]
+    assert statuses[1].error_message == "shots must be >= 1, got 0"
+    assert statuses[2].error_message == "poisoned angle"
+    for status, seed in ((statuses[0], 1), (statuses[3], 5)):
+        alone = sample(bell, 16, seed) if noise is None else sample_noisy(bell, 16, noise, seed)
+        assert status.counts == alone
+    for job_id, status in zip(ids, statuses):
+        assert [s for key, s in transitions if key == job_id] == [JobState.RUNNING, status.state]
 
 
 def test_job_table_status_hands_out_a_copy_of_counts():

@@ -243,10 +243,10 @@ def test_unknown_job_404(remote_server):
 def test_failed_job_410(remote_server, monkeypatch):
     # Submission already validated the input, so only a kernel fault can
     # fail a job: make the ideal kernel raise.
-    def broken_sample(*args, **kwargs):
+    def broken_kernel(*args, **kwargs):
         raise RuntimeError("induced failure")
 
-    monkeypatch.setattr(qexec.providers, "sample", broken_sample)
+    monkeypatch.setattr(qexec.providers, "sample_batch", broken_kernel)
     endpoint = remote_server.endpoint
     job_id = post_job(endpoint, qasm=BELL_QASM, shots=8, seed=0)
     assert wait_done(endpoint, job_id) == ["FAILED"]

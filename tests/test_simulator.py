@@ -210,8 +210,8 @@ def test_noisy_more_noise_more_distance(bell):
 
 
 @st.composite
-def runnable_circuits(draw):
-    width = draw(st.integers(min_value=1, max_value=4))
+def runnable_circuits(draw, max_width=4):
+    width = draw(st.integers(min_value=1, max_value=max_width))
     n_gates = draw(st.integers(min_value=0, max_value=10))
     gates = []
     for _ in range(n_gates):
@@ -337,6 +337,41 @@ def test_noisy_matches_exact_enumeration_non_clifford():
     assert counts_tvd_from_probs(counts, exact) < 0.015
 
 
+NON_CLIFFORD_GATES = "h q[0]; t q[0]; cx q[0],q[{last}]; ry(0.7) q[{last}]; h q[0];"
+
+
+def probabilities_by_key(probabilities: np.ndarray, width: int) -> dict[str, float]:
+    return {format(i, f"0{width}b"): float(v) for i, v in enumerate(probabilities)}
+
+
+@pytest.mark.parametrize("p", [0.0, 0.2, 1.0])
+def test_density_matrix_matches_exact_enumeration(p):
+    # At p=1, 1 - 4p/3 < 0, yet the channel is still the average over X, Y and Z.
+    circuit = parse_qasm(f"OPENQASM 2.0; qreg q[2]; {NON_CLIFFORD_GATES.format(last=1)}")
+    [probabilities] = qexec.simulator._noisy_probabilities([circuit], p)
+    exact = exact_noisy_distribution(circuit, p)
+    got = probabilities_by_key(probabilities, 2)
+    assert set(got) >= set(exact)
+    for key, value in got.items():
+        assert value == pytest.approx(exact.get(key, 0.0), abs=1e-12)
+
+
+def test_trajectories_above_the_density_limit_match_exact_enumeration():
+    # The same circuit on qubits 0 and the last of a register one qubit too
+    # wide for a density matrix: the qubits between stay 0, and the two
+    # outer bits follow the two-qubit circuit's exact noisy distribution.
+    width = qexec.simulator.DENSITY_MAX_WIDTH + 1
+    gates = NON_CLIFFORD_GATES.format(last=width - 1)
+    wide = parse_qasm(f"OPENQASM 2.0; qreg q[{width}]; {gates}")
+    narrow = parse_qasm(f"OPENQASM 2.0; qreg q[2]; {NON_CLIFFORD_GATES.format(last=1)}")
+    counts = sample_noisy(wide, 40_000, NoiseSpec(0.2), seed=17)
+    assert set(k[1:-1] for k in counts) == {"0" * (width - 2)}
+    folded = {}
+    for key, count in counts.items():
+        folded[key[0] + key[-1]] = folded.get(key[0] + key[-1], 0) + count
+    assert counts_tvd_from_probs(folded, exact_noisy_distribution(narrow, 0.2)) < 0.015
+
+
 def test_noisy_replay_crosses_chunk_boundaries(monkeypatch):
     # At 14 qubits one 16 MB chunk holds 64 rows, the ideal row and 63 shots,
     # and about 875 of the 1,000 shots draw an injection, so their replay
@@ -402,3 +437,88 @@ def test_ideal_counts_of_sweep_shaped_circuits_are_pinned():
     counts = [sample(c, 16, seed=1000 + k) for k, c in enumerate(circuits)]
     digest = hashlib.sha256(json.dumps(counts, sort_keys=True).encode()).hexdigest()
     assert digest == "e07fa126975ebc85f24f4d38791e19a9787ad675f50fd713c90c5fa25a08c216"
+
+
+# --------------------------------------------------------------------------
+# sample_batch
+# --------------------------------------------------------------------------
+
+
+def one_job(job, noise, max_width=qexec.simulator.MAX_WIDTH_DEFAULT):
+    """The job run alone through sample or sample_noisy: its counts or its error."""
+    circuit, shots, seed = job
+    try:
+        if noise is None:
+            return sample(circuit, shots, seed=seed, max_width=max_width)
+        return sample_noisy(circuit, shots, noise, seed=seed, max_width=max_width)
+    except (ValueError, CircuitError) as exc:
+        return exc
+
+
+@st.composite
+def batches(draw):
+    """Jobs of 1 to 6 qubits and mixed shots and seeds; some circuits repeat,
+    and some jobs have no shots."""
+    circuits = draw(st.lists(runnable_circuits(max_width=6), min_size=1, max_size=6))
+    job = st.tuples(
+        st.sampled_from(circuits),
+        st.one_of(st.integers(1, 64), st.just(0)),
+        st.integers(0, 2**70),
+    )
+    return draw(st.lists(job, min_size=1, max_size=12))
+
+
+@given(batches(), st.sampled_from([None, 0.0, 0.05, 1.0]), st.sampled_from([5, 6]))
+@settings(max_examples=80, deadline=None)
+def test_each_job_of_a_batch_runs_as_it_would_alone(jobs, p, max_width):
+    # With a limit of 5 the kernel refuses the 6-qubit jobs; with 6, noisy
+    # 6-qubit jobs run as trajectories, beside density matrices.
+    noise = None if p is None else NoiseSpec(p)
+    results = qexec.simulator.sample_batch(jobs, noise, max_width)
+    assert len(results) == len(jobs)
+    for job, result in zip(jobs, results):
+        alone = one_job(job, noise, max_width)
+        if isinstance(alone, Exception):
+            assert type(result) is type(alone) and str(result) == str(alone)
+        else:
+            assert result == alone
+    # The distributions agree bit for bit, not only the counts drawn from them.
+    for width in range(1, qexec.simulator.DENSITY_MAX_WIDTH + 1):
+        circuits = [c for c, shots, _ in jobs if shots and c.width == width]
+        if circuits:
+            together = qexec.simulator._batch_probabilities(circuits, noise)
+            for circuit, probabilities in zip(circuits, together):
+                [alone] = qexec.simulator._batch_probabilities([circuit], noise)
+                assert np.array_equal(probabilities, alone)
+
+
+def test_a_job_whose_kernel_raises_fails_alone(monkeypatch):
+    # Circuits of one width evolve together; when that raises, each runs
+    # again alone, so only the job whose circuit raises fails.
+    original = qexec.simulator._apply_gate
+
+    def poisoned(states, op, *args, **kwargs):
+        if op.angle == 0.5:
+            raise FloatingPointError("poisoned angle")
+        original(states, op, *args, **kwargs)
+
+    monkeypatch.setattr(qexec.simulator, "_apply_gate", poisoned)
+    good = parse_qasm("OPENQASM 2.0; qreg q[2]; h q[0]; cx q[0],q[1];")
+    bad = parse_qasm("OPENQASM 2.0; qreg q[2]; h q[0]; rx(0.5) q[1];")
+    for noise in (None, NoiseSpec(0.1)):
+        jobs = [(good, 32, 1), (bad, 32, 2), (good, 32, 3)]
+        results = qexec.simulator.sample_batch(jobs, noise)
+        assert [str(r) for r in results if isinstance(r, Exception)] == ["poisoned angle"]
+        assert isinstance(results[1], FloatingPointError)
+        assert results[0] == one_job(jobs[0], noise) and results[2] == one_job(jobs[2], noise)
+
+
+def test_batch_chunks_keep_within_the_budget_and_in_order():
+    budget = qexec.simulator._CHUNK_AMPLITUDES
+    ideal = qexec.simulator.batch_chunks([20, 3, 3, 19, 19, 19, 21], None)
+    assert ideal == [slice(0, 1), slice(1, 4), slice(4, 6), slice(6, 7)]
+    # A density matrix holds 4**width amplitudes, so at most 1,024 of width 5
+    # fit; a wider noisy job runs as trajectories, within a budget of its own.
+    noisy = qexec.simulator.batch_chunks([5] * 2000 + [12], NoiseSpec(0.1))
+    assert noisy == [slice(0, 1024), slice(1024, 2001)]
+    assert 1024 * 4**5 == budget

@@ -324,20 +324,14 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed) % _SEED_SPACE)
 
 
-def _row_amplitudes(width: int, noise: NoiseSpec | None) -> int:
-    """Amplitudes one job of this width holds in a batch."""
-    if noise is not None and width <= DENSITY_MAX_WIDTH:
-        return 1 << 2 * width
-    return 1 << width
-
-
 def batch_chunks(widths: Sequence[int], noise: NoiseSpec | None) -> list[slice]:
     """Split a batch of jobs of these circuit widths into runs of consecutive
-    jobs that together hold at most 16 MB of amplitudes; a job that alone
-    holds more is a run of its own."""
+    jobs that together hold at most 16 MB of amplitudes, 4**width for a
+    density matrix and 2**width for a state; a job that alone holds more is
+    a run of its own."""
     chunks, start, held = [], 0, 0
     for end, width in enumerate(widths):
-        size = _row_amplitudes(width, noise)
+        size = 1 << (2 * width if noise is not None and width <= DENSITY_MAX_WIDTH else width)
         if end > start and held + size > _CHUNK_AMPLITUDES:
             chunks.append(slice(start, end))
             start, held = end, 0

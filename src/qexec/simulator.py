@@ -23,7 +23,6 @@ concurrently.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -51,19 +50,16 @@ MAX_WIDTH_DEFAULT = 20
 # Noisy circuits of at most this many qubits evolve as exact density
 # matrices; wider ones as trajectories. A density matrix costs 4**width
 # amplitudes however many shots its job draws, and trajectories cost about
-# 2**width per shot that draws an injection. In batches of 64-shot jobs at
-# p=0.05 on a shared 2-vCPU host, a job took 524 us as a density matrix
-# against 760 us as trajectories at 5 qubits, and 1,559 us against 1,096 us
-# at 6.
+# 2**width per shot that draws an injection, so the crossover moves up with
+# the shots. In 100-job batches of random 4w-gate circuits at p=0.05 on a
+# shared 2-vCPU host, a 16-shot job took 1,036 us as a density matrix
+# against 1,102 us as trajectories at 5 qubits and 2,590 against 1,245 us at
+# 6; a 1,000-shot job took 1,816 against 5,707 us at 6 and 7,963 against
+# 12,424 us at 7. The limit is the 16-shot crossover. No benchmark workload
+# has a noisy job of 4 to 11 qubits, so none shows where the limit sits.
 DENSITY_MAX_WIDTH = 5
 
 _SEED_SPACE = 1 << 64
-
-# Up to this width a histogram looks its bitstrings up in a table built once
-# per width, of at most 4,096 labels (about 300 kB), instead of formatting
-# one per outcome: at 12 qubits and 1,000 shots spread over every outcome
-# that took 122 us against 518 us.
-_LABELLED_WIDTH = 12
 
 
 @dataclass(frozen=True)
@@ -130,8 +126,12 @@ def _rotation_matrix(gate: Gate, angle: float) -> tuple[complex, ...]:
 # exact zero, and it rounds the same fused or not. So T's phase is taken as
 # (1 + i) times 1/sqrt(2), and RZ's c -+ is as c times the amplitude plus
 # -+ is times it. A matrix product would not do: its rounding depends on
-# its shape. The trajectory replay, whose rows are the shots of one job,
-# multiplies by T's or RZ's phases in one pass each.
+# its shape. The trajectory replay, whose rows are the shots of one job and
+# whose array no other job shares, multiplies by T's or RZ's phases in one
+# pass each (``exact=False``): the exact RZ takes three passes and a copy,
+# and at 12 qubits, 1,000 shots and p=0.05, a 40-gate circuit with four T
+# and four RZ sampled 2,161 shots/s with exact updates against 2,431 with
+# one-pass phases (interleaved calls, medians of 30, shared 2-vCPU host).
 
 
 def _qubit_view(states: np.ndarray, qubit: int) -> np.ndarray:
@@ -303,21 +303,10 @@ def _too_wide(circuit: Circuit, max_width: int) -> CircuitError | None:
     return None
 
 
-@functools.cache
-def _labels(width: int) -> tuple[str, ...]:
-    """The bitstring of every basis state of a width-qubit register, in order."""
-    return tuple(format(i, f"0{width}b") for i in range(1 << width))
-
-
 def _histogram(tally: np.ndarray, width: int) -> dict[str, int]:
     """bitstring -> count for the nonzero entries of a tally over basis states."""
     hit = np.flatnonzero(tally)
-    if width <= _LABELLED_WIDTH:
-        labels = _labels(width)
-        keys = [labels[i] for i in hit.tolist()]
-    else:
-        keys = [format(i, f"0{width}b") for i in hit.tolist()]
-    return dict(zip(keys, tally[hit].tolist()))
+    return dict(zip((format(i, f"0{width}b") for i in hit.tolist()), tally[hit].tolist()))
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -463,7 +452,10 @@ def _sample_trajectories(circuit: Circuit, shots: int, noise: NoiseSpec, seed: i
     Per shot, each (gate, touched qubit) slot draws an injection with
     probability p. The shots that draw none are drawn together, from the
     ideal distribution. The others are replayed together, one row each,
-    joining the ideal state's row at their first injection.
+    joining the ideal state's row at their first injection. The clean
+    shots' distribution comes from the exact updates and the replay from
+    one-pass phases; the two differ in the last bit at most, and each is
+    fixed by the job alone.
     """
     width = circuit.width
     rng = _rng(seed)

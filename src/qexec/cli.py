@@ -191,18 +191,19 @@ def store_root(override: str | None = None) -> Path:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    """Compact JSON with sorted keys: without indent, CPython's C encoder writes it."""
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _status_payload(collector: ResultCollector) -> dict:
     payload = {}
-    for ordinal, status in sorted(collector.status().items()):
+    for ordinal, (state, error) in sorted(collector.states().items()):
         provider_id, backend_name = collector.job_site(ordinal)
         payload[str(ordinal)] = {
             "provider": provider_id,
             "backend": backend_name,
-            "state": status.state.value,
-            "error": status.error_message,
+            "state": state.value,
+            "error": error,
         }
     return payload
 

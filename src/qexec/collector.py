@@ -102,6 +102,11 @@ class ResultCollector:
         statuses, _ = self._table.snapshot()
         return statuses
 
+    def states(self) -> dict[int, tuple[JobState, str | None]]:
+        """Non-blocking snapshot, ordinal -> (state, error message): status()
+        without the counts, so nothing is copied."""
+        return self._table.states()
+
     def run_state(self) -> RunState:
         statuses, finished_at = self._table.snapshot()
         jobs = tuple(
@@ -139,16 +144,15 @@ class ResultCollector:
         return tree
 
     def failed_jobs(self) -> list[dict]:
-        statuses, _ = self._table.snapshot()
         return [
             {
                 "ordinal": ordinal,
                 "provider": self._job_site[ordinal][0],
                 "backend": self._job_site[ordinal][1],
-                "error": status.error_message or "",
+                "error": error or "",
             }
-            for ordinal, status in sorted(statuses.items())
-            if status.state is JobState.FAILED
+            for ordinal, (state, error) in sorted(self._table.states().items())
+            if state is JobState.FAILED
         ]
 
     def get_merged_results(self) -> tuple:
@@ -189,5 +193,5 @@ def to_table(tree: dict) -> list[tuple[str, str, int, str, int]]:
 
 
 def tree_to_json(tree: dict) -> str:
-    """Canonical JSON form of a result tree (stable key order, 2-space indent)."""
-    return json.dumps(tree, sort_keys=True, indent=2)
+    """Canonical JSON form of a result tree: compact, with sorted keys."""
+    return json.dumps(tree, sort_keys=True)

@@ -113,36 +113,41 @@ class Dispatch:
         return violations
 
     def to_dict(self) -> dict:
-        """JSON-ready form {provider: {backend: [{qasm, shots, options}]}}, canonically
-        ordered. Each Circuit object is serialized once, however many jobs run it."""
-        out: dict[str, dict[str, list[dict]]] = {}
-        qasm: dict[int, str] = {}  # id(circuit) -> text; every circuit outlives the loop
+        """JSON-ready form {"circuits": [qasm, ...], "jobs": {provider: {backend:
+        [{circuit, shots, options}]}}}, canonically ordered. ``circuit`` indexes
+        ``circuits``, which holds each Circuit object once, in first-use order,
+        however many jobs run it."""
+        circuits: list[str] = []
+        index: dict[int, int] = {}  # id(circuit) -> position; every circuit outlives the loop
+        jobs: dict[str, dict[str, list[dict]]] = {}
         for provider_id, backend_name, spec in self.jobs():
             key = id(spec.circuit)
-            if key not in qasm:
-                qasm[key] = serialize_qasm(spec.circuit)
-            out.setdefault(provider_id, {}).setdefault(backend_name, []).append(
-                {
-                    "qasm": qasm[key],
-                    "shots": spec.shots,
-                    "options": dict(spec.options),
-                }
+            if key not in index:
+                index[key] = len(circuits)
+                circuits.append(serialize_qasm(spec.circuit))
+            jobs.setdefault(provider_id, {}).setdefault(backend_name, []).append(
+                {"circuit": index[key], "shots": spec.shots, "options": dict(spec.options)}
             )
-        return out
+        return {"circuits": circuits, "jobs": jobs}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """to_dict as compact JSON with sorted keys, which CPython's C encoder writes."""
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Dispatch":
+        """The dispatch of a to_dict form; the jobs that share a circuit index
+        share one parsed Circuit."""
+        circuits = [parse_qasm(text) for text in data["circuits"]]
+        jobs = data["jobs"]
         dispatch = cls()
-        for provider_id in sorted(data):
-            for backend_name in sorted(data[provider_id]):
-                for entry in data[provider_id][backend_name]:
+        for provider_id in sorted(jobs):
+            for backend_name in sorted(jobs[provider_id]):
+                for entry in jobs[provider_id][backend_name]:
                     dispatch.add_job(
                         provider_id,
                         backend_name,
-                        parse_qasm(entry["qasm"]),
+                        circuits[entry["circuit"]],
                         entry["shots"],
                         entry.get("options") or {},
                     )

@@ -9,7 +9,9 @@ Four provider kinds ship built-in:
   exact density matrices for small circuits, trajectories for wide ones
 * ``mock_delay``    - in-process ideal simulator; each job starts no earlier
   than ``delay`` seconds after submission (async testing)
-* ``remote_http``   - client for the qexec remote job service wire protocol
+* ``remote_http``   - client for the qexec remote job service wire protocol;
+  it lives in ``qexec.remote``, the one module that imports requests, and is
+  loaded when the first such provider is built
 
 Each local kind is a JobRunner hosting its one backend, the same runner
 that hosts the job service's backends. This module alone decides which
@@ -39,13 +41,13 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
-import requests
-from requests.adapters import HTTPAdapter, Retry
-
+# serialize_qasm is not called here: qexec.remote looks it up on this module,
+# so a wrapper installed on this name (as perfbench/tracing.py does) also
+# sees the circuits a remote submission serializes.
 from .circuit import Circuit, serialize_qasm
 from .errors import (
     BackendOfflineError,
@@ -53,7 +55,6 @@ from .errors import (
     DispatchError,
     DuplicateProviderError,
     ProviderConfigError,
-    ProviderError,
     QExecError,
     UnknownBackendError,
     UnknownJobError,
@@ -260,6 +261,12 @@ class JobTable:
         # copied outside the lock.
         return {key: dict(counts) for key, counts in done}
 
+    def states(self) -> dict[Hashable, tuple[JobState, str | None]]:
+        """Every job's state and error message, read under one hold of the
+        lock; no counts are copied."""
+        with self._cond:
+            return {key: (s.state, s.error_message) for key, s in self._statuses.items()}
+
     def snapshot(self) -> tuple[dict[Hashable, JobStatus], float | None]:
         """Every job's status and ``finished_at``, read together."""
         with self._cond:
@@ -292,10 +299,11 @@ class JobRunner:
     kernel's 16 MB budget of amplitudes. With no delay that item goes to
     the shared kernel worker, so the jobs of all such runners run one at a
     time. With a delay, the batch runs no earlier than ``delay`` seconds
-    after its submission, on a worker of the runner's own that sleeps once
-    until the batch is due and so holds up no other runner's kernels. Every
-    batch gets the same delay, so N jobs submitted together finish about one
-    delay later, not N delays. The delay must be finite and not negative.
+    after its submission, on a worker of the runner's own that waits once
+    until the batch is due, or until shutdown(), and so holds up no other
+    runner's kernels. Every batch gets the same delay, so N jobs submitted
+    together finish about one delay later, not N delays. The delay must be
+    finite and not negative.
     """
 
     def __init__(
@@ -304,14 +312,14 @@ class JobRunner:
         backends: Iterable[tuple[BackendDescriptor, NoiseSpec | None]],
         delay: float = 0.0,
     ):
-        # time.sleep cannot wait an infinite delay, so its jobs would stay QUEUED.
+        # No lock can wait an infinite delay, so its jobs would stay QUEUED.
         if not 0 <= delay < float("inf"):  # NaN fails too
             raise ProviderConfigError(f"{name!r}: delay must be finite and >= 0, got {delay!r}")
         self._table = JobTable()
         self._name = name
         self._delay = delay
         self._backends = {d.backend_name: (d, noise) for d, noise in backends}
-        self._stopped = False
+        self._stopped = threading.Event()
         if delay > 0:
             self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"{name}-worker")
         else:
@@ -347,10 +355,10 @@ class JobRunner:
 
     def _run(self, due, descriptor, noise, jobs) -> None:
         wait = due - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
+        if wait > 0 and self._stopped.wait(wait):
+            return
         for chunk in batch_chunks([circuit.width for _, (circuit, _, _) in jobs], noise):
-            if self._stopped:
+            if self._stopped.is_set():
                 return
             job_ids = [job_id for job_id, _ in jobs[chunk]]
             for job_id in job_ids:
@@ -378,8 +386,9 @@ class JobRunner:
 
     def shutdown(self) -> None:
         """Stop running jobs; jobs not yet started stay QUEUED. The shared
-        kernel worker skips them and goes on with other runners' jobs."""
-        self._stopped = True
+        kernel worker skips them and goes on with other runners' jobs, and a
+        runner's own worker that waits out a delay stops waiting and ends."""
+        self._stopped.set()
         if self._pool is not _KERNELS:
             self._pool.shutdown(wait=False, cancel_futures=True)
 
@@ -396,117 +405,6 @@ _LOCAL_BACKENDS = {
 }
 _KINDS = frozenset({*_LOCAL_BACKENDS, "remote_http"})
 
-# A request that never reached the service (a connect error) is retried
-# whatever its method. Once a request may have arrived, only a GET is resent:
-# a resent POST /jobs could run its job twice.
-_RETRY = Retry(total=2, backoff_factor=0.05, allowed_methods={"GET"})
-_TIMEOUT = 10.0  # seconds, for each request to the service
-
-
-class RemoteHttpAdapter:
-    """Client for the qexec remote job service wire protocol.
-
-    One session keeps its connections to the service open. The proxies for
-    the endpoint, the CA bundle and netrc auth are read from the environment
-    once, here, rather than by requests on every call.
-    """
-
-    def __init__(self, config: ProviderConfig):
-        self.provider_id = config.provider_id
-        self._endpoint = (config.endpoint or "").rstrip("/")
-        self._session = requests.Session()
-        retrying = HTTPAdapter(max_retries=_RETRY)
-        self._session.mount("http://", retrying)
-        self._session.mount("https://", retrying)
-        settings = self._session.merge_environment_settings(self._endpoint, {}, None, None, None)
-        self._session.proxies = settings["proxies"]
-        self._session.verify = settings["verify"]
-        self._session.auth = requests.utils.get_netrc_auth(self._endpoint)
-        self._session.trust_env = False
-        api_key = config.credentials.get("api_key")
-        if api_key:
-            self._session.headers["X-API-Key"] = api_key
-        self._lock = threading.Lock()
-        self._last_known: list[BackendDescriptor] = []
-
-    def backends(self) -> list[BackendDescriptor]:
-        try:
-            response = self._session.get(f"{self._endpoint}/backends", timeout=_TIMEOUT)
-            response.raise_for_status()
-            descriptors = [_wire_descriptor(self.provider_id, entry) for entry in response.json()]
-        except Exception as exc:
-            # A failed or malformed discovery degrades to offline instead of
-            # raising, so one dead provider cannot break an all-backends sweep.
-            logger.debug("discovery failed for %s: %s", self.provider_id, exc)
-            with self._lock:
-                return [replace(d, online=False) for d in self._last_known]
-        with self._lock:
-            self._last_known = descriptors
-        return descriptors
-
-    def submit(self, backend_name: str, jobs: Sequence[tuple]) -> list[str | QExecError]:
-        """Post the ``(circuit, shots, options)`` jobs, at most MAX_BATCH_JOBS a
-        request, and return each job's id or the error that refused it. A
-        fault of a whole request fails each of its jobs once, with its message."""
-        return _in_batches(jobs, lambda batch: self._post_jobs(backend_name, batch))
-
-    def _post_jobs(self, backend_name: str, jobs: Sequence[tuple]) -> list[str | QExecError]:
-        body = {
-            "backend": backend_name,
-            "jobs": [
-                {"qasm": serialize_qasm(circuit), "shots": shots, "seed": options.get("seed", 0)}
-                for circuit, shots, options in jobs
-            ],
-        }
-        try:
-            response = self._session.post(f"{self._endpoint}/jobs", json=body, timeout=_TIMEOUT)
-        except requests.RequestException as exc:
-            return [ProviderError(f"remote submission failed: {exc}")] * len(jobs)
-        if response.status_code == 404:
-            return [UnknownBackendError(f"remote backend {backend_name!r} not found")] * len(jobs)
-        if response.status_code != 201:
-            code, text = response.status_code, response.text
-            return [ProviderError(f"remote submission rejected ({code}): {text}")] * len(jobs)
-        try:
-            entries = _wire_list(response.json(), len(jobs))
-            return [
-                str(entry["job_id"])
-                if "job_id" in entry
-                else ProviderError(f"remote submission rejected: {entry['error']}")
-                for entry in entries
-            ]
-        except (ValueError, KeyError, TypeError) as exc:
-            return [ProviderError(f"malformed submission response: {exc}")] * len(jobs)
-
-    def status(self, job_ids: Sequence[str]) -> list[JobStatus]:
-        """Each job's status, read with GET /jobs?ids=, at most MAX_BATCH_JOBS
-        ids a request. A job the service does not know is FAILED."""
-        return _in_batches(job_ids, self._get_jobs)
-
-    def wait(self, interval: float) -> None:
-        """Sleep for the interval: only a poll tells what the service has done."""
-        time.sleep(interval)
-
-    def _get_jobs(self, job_ids: Sequence[str]) -> list[JobStatus]:
-        try:
-            response = self._session.get(
-                f"{self._endpoint}/jobs", params={"ids": ",".join(job_ids)}, timeout=_TIMEOUT
-            )
-            response.raise_for_status()
-        except requests.RequestException as exc:
-            return [JobStatus(JobState.FAILED, f"remote status check failed: {exc}")] * len(job_ids)
-        try:
-            entries = _wire_list(response.json(), len(job_ids))
-        except (ValueError, KeyError, TypeError) as exc:
-            return [JobStatus(JobState.FAILED, f"malformed status response: {exc}")] * len(job_ids)
-        return [_wire_status(entry) for entry in entries]
-
-
-def _in_batches(items: Sequence, call) -> list:
-    """``call`` on each run of at most MAX_BATCH_JOBS items, its results joined."""
-    step = MAX_BATCH_JOBS
-    return [out for start in range(0, len(items), step) for out in call(items[start : start + step])]
-
 
 def submit_checked(jobs: Sequence, submit) -> list:
     """One ``submit`` call for the jobs that are not exceptions; each result
@@ -514,49 +412,6 @@ def submit_checked(jobs: Sequence, submit) -> list:
     checked = [job for job in jobs if not isinstance(job, Exception)]
     issued = iter(submit(checked) if checked else [])
     return [job if isinstance(job, Exception) else next(issued) for job in jobs]
-
-
-def _wire_list(payload: Any, n: int) -> list[dict]:
-    """The ``jobs`` list of a reply: one JSON object per job asked about."""
-    entries = payload["jobs"]
-    if not isinstance(entries, list) or len(entries) != n:
-        raise ValueError(f"expected {n} job entries, got {entries!r}")
-    if not all(isinstance(entry, dict) for entry in entries):
-        raise ValueError(f"job entries must be JSON objects, got {entries!r}")
-    return entries
-
-
-def _wire_status(entry: dict) -> JobStatus:
-    """One job's entry of GET /jobs?ids=; one with no state is a job the
-    service does not know: it restarted and lost it."""
-    if "state" not in entry:
-        return JobStatus(JobState.FAILED, "remote job not found")
-    try:
-        state = JobState(entry["state"])
-        counts = _wire_counts(entry["counts"]) if state is JobState.DONE else None
-        return JobStatus(state, entry.get("error"), counts)
-    except (ValueError, KeyError, TypeError) as exc:
-        return JobStatus(JobState.FAILED, f"malformed status response: {exc}")
-
-
-def _wire_counts(counts: Any) -> dict[str, int]:
-    """A DONE job's counts as the service sent them: bitstring -> integer."""
-    if not isinstance(counts, dict) or not all(
-        isinstance(n, int) and not isinstance(n, bool) for n in counts.values()
-    ):
-        raise ValueError(f"counts must map bitstrings to integers, got {counts!r}")
-    return counts
-
-
-def _wire_descriptor(provider_id: str, entry: Any) -> BackendDescriptor:
-    """One GET /backends entry; a field of the wrong JSON type makes it malformed."""
-    name, online = entry["name"], entry.get("online", True)
-    max_qubits = entry.get("max_qubits", MAX_WIDTH_DEFAULT)
-    is_ideal = entry.get("is_ideal_simulator", False)
-    # type(), not isinstance(): a JSON true decodes to a bool, and a bool is an int.
-    if (type(name), type(online), type(max_qubits), type(is_ideal)) != (str, bool, int, bool):
-        raise ValueError(f"listing entry has a field of the wrong type: {entry!r}")
-    return BackendDescriptor(provider_id, name, online, max_qubits, is_ideal)
 
 
 def _build_adapter(config: ProviderConfig):
@@ -593,6 +448,8 @@ def _build_adapter(config: ProviderConfig):
         if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
             raise ProviderConfigError(f"provider {config.provider_id!r}: {setting} must be {what}")
     if config.kind == "remote_http":
+        from .remote import RemoteHttpAdapter  # imports requests: only when needed
+
         return RemoteHttpAdapter(config)
     backend_name, is_ideal = _LOCAL_BACKENDS[config.kind]
     descriptor = BackendDescriptor(

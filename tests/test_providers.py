@@ -330,6 +330,21 @@ def test_stopped_runner_leaves_the_shared_kernel_worker_to_the_others(bell, monk
     assert [s.state for s in stopped.status(stopped_ids)] == [JobState.QUEUED] * 2
 
 
+def test_shutdown_ends_a_worker_that_waits_out_its_delay(bell):
+    # A delayed batch waits on its runner's own worker. shutdown() cuts that
+    # wait short: the worker ends at once, and the batch's job stays QUEUED.
+    descriptor = BackendDescriptor("waiting", "statevector", True, 20, True)
+    runner = JobRunner("waiting", [(descriptor, None)], delay=3.0)
+    [job_id] = runner.submit("statevector", [(bell, 16, {})])
+    time.sleep(0.1)
+    workers = [t for t in threading.enumerate() if t.name.startswith("waiting-worker")]
+    assert len(workers) == 1
+    runner.shutdown()
+    workers[0].join(0.5)
+    assert not workers[0].is_alive()
+    assert [s.state for s in runner.status([job_id])] == [JobState.QUEUED]
+
+
 def test_mock_delay_threads_bounded(bell):
     registry = VirtualProvider()
     registry.register_provider(ProviderConfig("mock", "mock_delay", delay=0.2))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 from .circuit import Circuit, parse_qasm, serialize_qasm
-from .errors import BackendOfflineError, CircuitError
+from .errors import BackendOfflineError, CircuitError, DispatchError
 from .providers import BackendDescriptor, check_shots
 
 __all__ = ["JobSpec", "Dispatch"]
@@ -137,17 +137,26 @@ class Dispatch:
     @classmethod
     def from_dict(cls, data: dict) -> "Dispatch":
         """The dispatch of a to_dict form; the jobs that share a circuit index
-        share one parsed Circuit."""
+        share one parsed Circuit. DispatchError for an index that is not a
+        position in ``circuits``."""
         circuits = [parse_qasm(text) for text in data["circuits"]]
         jobs = data["jobs"]
         dispatch = cls()
         for provider_id in sorted(jobs):
             for backend_name in sorted(jobs[provider_id]):
                 for entry in jobs[provider_id][backend_name]:
+                    index = entry["circuit"]
+                    # A bool is an int to Python, and a negative index would
+                    # count from the end.
+                    if type(index) is not int or not 0 <= index < len(circuits):
+                        raise DispatchError(
+                            f"job of {provider_id}/{backend_name}: circuit {index!r} is not "
+                            f"an index into the {len(circuits)} circuits"
+                        )
                     dispatch.add_job(
                         provider_id,
                         backend_name,
-                        circuits[entry["circuit"]],
+                        circuits[index],
                         entry["shots"],
                         entry.get("options") or {},
                     )

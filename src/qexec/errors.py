@@ -68,7 +68,8 @@ class MergeError(PolicyError):
 
 
 class DispatchError(QExecError):
-    """A job whose shots are not an integer >= 1, added to a dispatch or submitted."""
+    """A job whose shots are not an integer >= 1, added to a dispatch or submitted,
+    or a stored dispatch job whose circuit index names no circuit."""
 
 
 class DispatchValidationError(QExecError):

@@ -195,9 +195,9 @@ class QuantumExecutor:
             except Exception as exc:
                 logger.debug("backend %s/%s of run %s failed", provider_id, backend_name,
                              collector.run_id, exc_info=True)
-                states = collector.states()
+                statuses = collector.status()
                 for spec in specs:
-                    if not states[spec.ordinal][0].terminal:
+                    if not statuses[spec.ordinal].state.terminal:
                         collector.record_failed(spec.ordinal, str(exc))
 
     def _run_backend(

@@ -172,6 +172,14 @@ def test_to_dict_serializes_each_circuit_once(bell, ghz3, monkeypatch):
     assert [entry["circuit"] for entry in entries["jobs"]["p2"]["b"]] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("index", [-1, 2, True, 0.0, "0"])
+def test_from_dict_refuses_a_circuit_index_that_names_no_circuit(bell, ghz3, index):
+    data = Dispatch().add_job("p", "b", bell, 8).add_job("p", "b", ghz3, 8).to_dict()
+    data["jobs"]["p"]["b"][0]["circuit"] = index
+    with pytest.raises(DispatchError, match="is not an index into the 2 circuits"):
+        Dispatch.from_dict(data)
+
+
 def test_same_build_sequence_equal(bell):
     a = Dispatch().add_job("p", "b", bell, 5).add_job("p", "b", bell, 7)
     b = Dispatch().add_job("p", "b", bell, 5).add_job("p", "b", bell, 7)

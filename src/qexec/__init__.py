@@ -6,59 +6,56 @@ simulators, mock devices, and remote services, and aggregates the results
 via pluggable merge policies behind one result interface.
 """
 
-from .circuit import Circuit, Gate, GateOp, parse_qasm, serialize_qasm
-from .collector import ResultCollector, RunState, to_table, tree_to_json
-from .dispatch import Dispatch, JobSpec
-from .executor import ExperimentSpec, QuantumExecutor
-from .policies import (
-    PolicyRegistry,
-    merge_sum,
-    merge_tvd,
-    split_even,
-    split_multiplier,
-    tvd,
-)
-from .providers import (
-    BackendDescriptor,
-    JobHandle,
-    JobState,
-    JobStatus,
-    ProviderConfig,
-    VirtualProvider,
-)
-from .simulator import NoiseSpec, Statevector, sample, sample_noisy, statevector
+import importlib
+
+# Each public name and the submodule that defines it. A name is imported
+# from its submodule the first time it is read (PEP 562), so importing one
+# submodule, such as qexec.server, loads only what that submodule needs.
+_EXPORTS = {
+    "Circuit": "circuit",
+    "Gate": "circuit",
+    "GateOp": "circuit",
+    "parse_qasm": "circuit",
+    "serialize_qasm": "circuit",
+    "NoiseSpec": "simulator",
+    "Statevector": "simulator",
+    "statevector": "simulator",
+    "sample": "simulator",
+    "sample_noisy": "simulator",
+    "Dispatch": "dispatch",
+    "JobSpec": "dispatch",
+    "PolicyRegistry": "policies",
+    "split_multiplier": "policies",
+    "split_even": "policies",
+    "merge_sum": "policies",
+    "merge_tvd": "policies",
+    "tvd": "policies",
+    "BackendDescriptor": "providers",
+    "ProviderConfig": "providers",
+    "VirtualProvider": "providers",
+    "JobHandle": "providers",
+    "JobState": "providers",
+    "JobStatus": "providers",
+    "ResultCollector": "collector",
+    "RunState": "collector",
+    "to_table": "collector",
+    "tree_to_json": "collector",
+    "ExperimentSpec": "executor",
+    "QuantumExecutor": "executor",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Circuit",
-    "Gate",
-    "GateOp",
-    "parse_qasm",
-    "serialize_qasm",
-    "NoiseSpec",
-    "Statevector",
-    "statevector",
-    "sample",
-    "sample_noisy",
-    "Dispatch",
-    "JobSpec",
-    "PolicyRegistry",
-    "split_multiplier",
-    "split_even",
-    "merge_sum",
-    "merge_tvd",
-    "tvd",
-    "BackendDescriptor",
-    "ProviderConfig",
-    "VirtualProvider",
-    "JobHandle",
-    "JobState",
-    "JobStatus",
-    "ResultCollector",
-    "RunState",
-    "to_table",
-    "tree_to_json",
-    "ExperimentSpec",
-    "QuantumExecutor",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

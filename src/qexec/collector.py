@@ -1,8 +1,9 @@
 """Run-lifecycle tracking and result aggregation.
 
-The collector is the live handle a run returns: executor workers write job
-completions into it while user threads poll status(), fetch partial or
-blocking result trees, and (once terminal) apply the run's merge policy.
+The collector is the live handle a run returns: the run's driver thread
+writes job completions into it while user threads poll status(), fetch
+partial or blocking result trees, and (once terminal) apply the run's merge
+policy.
 
 A ResultTree is the plain nested dict {provider: {backend: [counts, ...]}}
 with list order equal to dispatch job order for that backend. Partial trees
@@ -43,7 +44,7 @@ class RunState:
 class ResultCollector:
     """Tracks every job of one run and aggregates outputs.
 
-    Writers (executor lanes) call the record_* methods; readers may call
+    The run's driver thread calls the record_* methods; readers may call
     status()/get_results() from any thread at any time. Blocking retrieval
     parks on a condition variable, never busy-waits.
     """
@@ -62,7 +63,7 @@ class ResultCollector:
         self.policy_context = dict(policy_context or {})
 
         self._merge_lock = threading.Lock()
-        self._handles: dict[int, JobHandle] = {}  # each ordinal written once, by its lane
+        self._handles: dict[int, JobHandle] = {}  # each ordinal written once, by the driver
         self._job_site: dict[int, tuple[str, str]] = {}
         for provider_id, backend_name, spec in dispatch.jobs():
             self._job_site[spec.ordinal] = (provider_id, backend_name)

@@ -1,25 +1,18 @@
 """The principal orchestrator: wires registry, policies, dispatch, collector.
 
 Runs are declarative (run_experiment with an ExperimentSpec) or explicit
-(run_dispatch with a pre-built Dispatch). Either way, execution runs in
-lanes. A lane is a worker thread that takes its backends in canonical order
-and, for each, submits all its jobs in one batch call and then reads all its
-pending jobs in one call per poll until none is pending. Between two polls
-the lane waits through the registry, and the provider's adapter decides
-how: an in-process provider's runner blocks on its job table until its last
-pending job ends, so the lane wakes once its jobs are done, and a remote
-adapter sleeps for the lane's poll interval. Parallel runs give each backend
-a lane of its own; serial runs use one lane for all. Which jobs actually
-overlap is the providers' decision, not the lanes': the in-process
-simulators run every kernel on one worker per process, one at a time.
-Job k's seed is base_seed + ordinal(k), making serial and parallel runs of
-the same plan bit-identical on local simulators regardless of scheduling.
+(run_dispatch with a pre-built Dispatch). Either way, one driver thread per
+run submits every backend's jobs and polls them (see QuantumExecutor._drive).
+Which jobs overlap is the providers' decision, not the driver's: in-process
+simulators run every kernel on one worker per process, one at a time. Job
+k's seed is base_seed + ordinal(k), making serial and parallel runs of the
+same plan bit-identical on local simulators regardless of scheduling.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
@@ -139,13 +132,13 @@ class QuantumExecutor:
         """Submit every job of a dispatch that passes pre-flight and return the
         collector. Pre-flight and ``backend_info`` share one look-up per backend.
 
-        parallel=True gives each backend a lane of its own, so that one
-        backend's waits do not hold up another's; parallel=False runs every
-        backend in one lane, one after another. In-process kernels run one
-        at a time either way (see providers.JobRunner). wait=True blocks
-        until the run is terminal, wait=False returns a live collector whose
-        completion progresses in the background. merge_policy names a
-        registered merge policy; None or "" means no merge.
+        parallel=True submits every backend's jobs at once, so that one
+        backend's waits do not hold up another's; parallel=False submits each
+        backend once the one before is done. In-process kernels run one at a
+        time either way (see providers.JobRunner). wait=True blocks until the
+        run is terminal, wait=False returns a live collector whose completion
+        progresses in the background. merge_policy names a registered merge
+        policy; None or "" means no merge.
         """
         merge_fn = self.policies.resolve_merge(merge_policy) if merge_policy else None
         if dispatch.total_jobs() > 0 and not self.virtual_provider.providers():
@@ -171,50 +164,64 @@ class QuantumExecutor:
             dispatch, merge_policy=merge_policy or None, merge_fn=merge_fn, policy_context=context
         )
 
-        backends = [(p, b, dispatch.jobs_for(p, b)) for p, b in dispatch.backends()]
-        lanes = [[b] for b in backends] if parallel else [backends]
-        if backends:
-            pool = ThreadPoolExecutor(max_workers=len(lanes), thread_name_prefix="qexec-lane")
-            for lane in lanes:
-                pool.submit(self._run_lane, lane, base_seed, collector)
-            pool.shutdown(wait=False)
+        specs = {site: dispatch.jobs_for(*site) for site in dispatch.backends()}
+        if specs:
+            args = (specs, parallel, base_seed, collector)
+            threading.Thread(target=self._drive, args=args, name="qexec-run").start()
         if wait:
             collector.wait()
         return collector
 
-    def _run_lane(self, backends: list[tuple], base_seed: int, collector: ResultCollector) -> None:
-        """Run each backend's jobs to completion before the next backend's.
+    def _drive(self, specs: dict, parallel: bool, base_seed: int, collector: ResultCollector) -> None:
+        """Submit each backend's jobs in canonical order: all at once when
+        parallel, else each once every job of the one before is terminal. Each
+        poll reads a provider's pending jobs, across its backends, in one
+        status_batch call; a job's terminal status is recorded once, and a
+        non-terminal one only when it changed. Between polls the driver waits
+        through VirtualProvider.wait on the provider of the earliest-submitted
+        backend with pending jobs, with an interval that restarts after
+        progress and otherwise grows to MAX_WAIT. A fault in a backend's
+        submit, poll or wait fails only its jobs not yet terminal, once each."""
+        queued = list(specs)
+        pending: dict[tuple[str, str], dict[int, str]] = {}  # {ordinal: job id}, submission order
+        recorded: dict[int, JobState] = {}
+        interval = _POLL_INITIAL
+        while queued or pending:
+            progress = False
+            while queued and (parallel or not pending):
+                site, progress = queued.pop(0), True
+                try:
+                    if jobs := self._submit(site, specs[site], base_seed, collector):
+                        pending[site] = jobs
+                except Exception as exc:
+                    _fail_unfinished(collector, site, specs[site], exc)
+            for provider_id in dict.fromkeys(site[0] for site in pending):
+                sites = [site for site in pending if site[0] == provider_id]
+                job_ids = [job_id for site in sites for job_id in pending[site].values()]
+                try:
+                    read = dict(zip(job_ids, self.virtual_provider.status_batch(provider_id, job_ids)))
+                except Exception as exc:
+                    read = dict.fromkeys(job_ids, JobStatus(JobState.FAILED, str(exc)))
+                for site in sites:
+                    try:
+                        progress |= _record(collector, pending[site], read, recorded)
+                    except Exception as exc:
+                        _fail_unfinished(collector, site, specs[site], exc)
+                        pending[site].clear()
+            pending = {site: jobs for site, jobs in pending.items() if jobs}
+            if pending:
+                interval = _POLL_INITIAL if progress else min(interval * 1.5, MAX_WAIT)
+                site = next(iter(pending))
+                try:
+                    self.virtual_provider.wait(site[0], interval)
+                except Exception as exc:  # none of this backend's jobs can end
+                    _fail_unfinished(collector, site, specs[site], exc)
+                    del pending[site]
 
-        The pool drops this method's result, so a fault that escapes a
-        backend, such as an adapter status that is not a JobStatus, fails
-        that backend's jobs not yet terminal, with the fault's message, rather
-        than leave the run pending for ever; the lane goes on to the next."""
-        for provider_id, backend_name, specs in backends:
-            try:
-                self._run_backend(provider_id, backend_name, specs, base_seed, collector)
-            except Exception as exc:
-                logger.debug("backend %s/%s of run %s failed", provider_id, backend_name,
-                             collector.run_id, exc_info=True)
-                statuses = collector.status()
-                for spec in specs:
-                    if not statuses[spec.ordinal].state.terminal:
-                        collector.record_failed(spec.ordinal, str(exc))
-
-    def _run_backend(
-        self,
-        provider_id: str,
-        backend_name: str,
-        specs: list,
-        base_seed: int,
-        collector: ResultCollector,
-    ) -> None:
-        """Submit this backend's jobs in one batch, then read every pending job
-        in one call per poll and record each job's terminal status, counts and
-        all, once. Between polls the lane waits through VirtualProvider.wait.
-        The interval it passes restarts whenever a poll finds a job newly
-        terminal, and otherwise grows; a remote adapter sleeps for it, while
-        an in-process runner ignores it and returns once none of its jobs is
-        pending, or after MAX_WAIT. A fault fails only the jobs it touched."""
+    def _submit(self, site, specs, base_seed: int, collector: ResultCollector) -> dict[int, str]:
+        """Submit a backend's jobs in one batch and record each outcome; returns
+        the job id of each job accepted, by ordinal. A fault in the batch call
+        raises, and the driver fails the backend's jobs with its message."""
         ordinals, jobs = [], []
         for spec in specs:
             try:
@@ -224,48 +231,40 @@ class QuantumExecutor:
                 continue
             jobs.append((spec.circuit, spec.shots, options))
             ordinals.append(spec.ordinal)
-        try:
-            outcomes = self.virtual_provider.submit_batch(provider_id, backend_name, jobs)
-        except Exception as exc:
-            outcomes = [exc] * len(jobs)
-        pending: dict[int, str] = {}
+        outcomes = self.virtual_provider.submit_batch(*site, jobs)
+        accepted: dict[int, str] = {}
         for ordinal, outcome in zip(ordinals, outcomes):
             if isinstance(outcome, Exception):
                 collector.record_failed(ordinal, str(outcome))
             else:
                 collector.record_submitted(ordinal, outcome)
-                pending[ordinal] = outcome.job_id
-
-        interval = _POLL_INITIAL
-        while pending:
-            try:
-                statuses = self.virtual_provider.status_batch(provider_id, list(pending.values()))
-            except Exception as exc:
-                statuses = [JobStatus(JobState.FAILED, str(exc))] * len(pending)
-            finished = False
-            for ordinal, status in zip(list(pending), statuses):
-                if status.state.terminal:
-                    del pending[ordinal]
-                    finished = True
-                    _record_terminal(collector, ordinal, status)
-                else:
-                    collector.record_status(ordinal, status)
-            if pending:
-                if finished:
-                    interval = _POLL_INITIAL
-                try:
-                    self.virtual_provider.wait(provider_id, interval)
-                except Exception as exc:  # the lane cannot wait, so no job of it ends
-                    for ordinal in pending:
-                        collector.record_failed(ordinal, str(exc))
-                    return
-                interval = min(interval * 1.5, MAX_WAIT)
+                accepted[ordinal] = outcome.job_id
+        return accepted
 
 
-def _record_terminal(collector: ResultCollector, ordinal: int, status: JobStatus) -> None:
-    if status.state is JobState.FAILED:
-        collector.record_failed(ordinal, status.error_message or "job failed")
-    elif status.counts is None:
-        collector.record_failed(ordinal, "adapter reported DONE without counts")
-    else:
-        collector.record_result(ordinal, status.counts)
+def _record(collector: ResultCollector, jobs: dict[int, str], read: dict, recorded: dict) -> bool:
+    """Record a poll's status of each of a backend's pending jobs, if it read
+    one, and drop each job that ended from ``jobs``; True if one did."""
+    before = len(jobs)
+    for ordinal, status in [(o, read[j]) for o, j in jobs.items() if j in read]:
+        if not status.state.terminal:
+            if recorded.get(ordinal, JobState.QUEUED) is not status.state:
+                recorded[ordinal] = status.state
+                collector.record_status(ordinal, status)
+            continue
+        del jobs[ordinal]
+        if status.state is JobState.FAILED:
+            collector.record_failed(ordinal, status.error_message or "job failed")
+        elif status.counts is None:
+            collector.record_failed(ordinal, "adapter reported DONE without counts")
+        else:
+            collector.record_result(ordinal, status.counts)
+    return len(jobs) < before
+
+
+def _fail_unfinished(collector: ResultCollector, site: tuple, specs: list, exc: Exception) -> None:
+    logger.debug("backend %s/%s of run %s failed", *site, collector.run_id, exc_info=exc)
+    states = collector.states()
+    for spec in specs:
+        if not states[spec.ordinal][0].terminal:
+            collector.record_failed(spec.ordinal, str(exc))

@@ -18,18 +18,19 @@ that hosts the job service's backends. This module alone decides which
 jobs may overlap: the jobs of every runner with no delay run on one kernel
 worker per process, one at a time, in submission order, and a runner with a
 delay waits on a worker of its own. Every adapter takes a backend's jobs as
-one list and reads a list of job ids in one call; the registry's
-submit_batch and status_batch are those calls, and submit and status are
-their one-job cases. Between two reads a caller waits through the
-registry's wait, which a runner spends blocked on its job table and a
-remote adapter spends asleep. Submission
-is non-blocking for every kind: jobs enter QUEUED immediately and progress
-QUEUED -> RUNNING -> DONE/FAILED, observable through the status calls, the
-one way to read a job: a DONE status carries the job's counts. A job that
-cannot be submitted gets its error in place of an id, so one bad job never
-fails the jobs submitted with it. The registry holds its adapters and is
-safe for concurrent use; a job is known by (provider_id, job_id), the id
-that provider's adapter issued.
+one list and reads a list of job ids, of any of its backends, in one call;
+the registry's submit_batch and status_batch are those calls, and submit
+and status are their one-job cases. A run's one driver thread (see
+executor.QuantumExecutor._drive) makes one status_batch call per provider
+per poll, and between two polls waits through the registry's wait on one
+provider, which a runner spends blocked on its job table and a remote
+adapter spends asleep. Submission is non-blocking for every kind: jobs
+enter QUEUED immediately and progress QUEUED -> RUNNING -> DONE/FAILED,
+observable through the status calls, the one way to read a job: a DONE
+status carries the job's counts. A job that cannot be submitted gets its
+error in place of an id, so one bad job never fails the jobs submitted with
+it. The registry holds its adapters and is safe for concurrent use; a job
+is known by (provider_id, job_id), the id that provider's adapter issued.
 A provider's settings are checked when it is registered, so a providers file
 and a ProviderConfig built in Python meet the same checks.
 """
@@ -565,9 +566,9 @@ class VirtualProvider:
         return outcome
 
     def status_batch(self, provider_id: str, job_ids: Sequence[str]) -> list[JobStatus]:
-        """The statuses of jobs that ``provider_id`` issued, read in one adapter
-        call; once DONE a status carries the job's counts. UnknownJobError if
-        the provider issued none of that id."""
+        """The statuses of jobs that ``provider_id`` issued, on any of its
+        backends, read in one adapter call; once DONE a status carries the
+        job's counts. UnknownJobError if the provider issued none of that id."""
         with self._lock:
             adapter = self._adapters.get(provider_id)
         statuses = adapter.status(job_ids) if adapter is not None else [None] * len(job_ids)

@@ -239,11 +239,14 @@ def _evolve(circuits: Sequence[Circuit], states: np.ndarray, apply) -> None:
             apply(states, op)
         return
     for g in range(max(len(c.gates) for c in circuits)):
-        groups: dict[GateOp, list[int]] = {}
+        # Keyed by the op's plain fields, not by the GateOp, whose generated
+        # __hash__ and __eq__ (and the Gate enum's __hash__) run in Python.
+        groups: dict[tuple, tuple[GateOp, list[int]]] = {}
         for row, circuit in enumerate(circuits):
             if g < len(circuit.gates):
-                groups.setdefault(circuit.gates[g], []).append(row)
-        for op, rows in groups.items():
+                op = circuit.gates[g]
+                groups.setdefault((op.gate.value, op.qubits, op.angle), (op, []))[1].append(row)
+        for op, rows in groups.values():
             if len(rows) == len(states):
                 apply(states, op)
             else:

@@ -193,7 +193,7 @@ def test_run_dispatch_wait_false_progresses_in_background(bell):
 
 
 # --------------------------------------------------------------------------
-# lane: waiting for jobs
+# the driver: waiting for jobs
 # --------------------------------------------------------------------------
 
 
@@ -221,10 +221,10 @@ def test_lane_polls_jobs_in_order_not_in_rounds(bell, monkeypatch):
 
 
 def test_in_process_lane_waits_for_its_jobs_instead_of_polling(bell, monkeypatch):
-    # 200 jobs of about 1 ms each: a lane that sleep-polls every few
+    # 200 jobs of about 1 ms each: a driver that sleep-polls every few
     # milliseconds finds a job newly done at each poll and reads them more
-    # than 100 times; a lane that waits on the runner's table wakes when its
-    # last job ends, or every MAX_WAIT (50 ms) until then.
+    # than 100 times; a driver that waits on the runner's table wakes when
+    # its last job ends, or every MAX_WAIT (50 ms) until then.
     calls = []
     original_status = VirtualProvider.status_batch
     original_kernel = qexec.providers.sample_batch
@@ -251,7 +251,7 @@ def test_in_process_lane_waits_for_its_jobs_instead_of_polling(bell, monkeypatch
 
 
 def test_lane_that_cannot_wait_fails_its_pending_jobs(local_executor, bell):
-    # A fault while waiting ends the lane's pending jobs with its message
+    # A fault while waiting ends that backend's pending jobs with its message
     # instead of leaving the run pending for ever.
     executor = executor_with_broken(_StuckAdapter(), local_executor)
     dispatch = Dispatch().add_job("flaky", "device", bell, 8).add_job("local_ideal", "statevector", bell, 8)
@@ -263,9 +263,9 @@ def test_lane_that_cannot_wait_fails_its_pending_jobs(local_executor, bell):
 
 @pytest.mark.parametrize("parallel", [True, False], ids=["lane-per-backend", "one-lane"])
 def test_backend_fault_fails_its_jobs_instead_of_hanging_the_run(local_executor, bell, parallel):
-    # A fault outside the lane's own handlers, here a status without .state,
-    # fails that backend's jobs once. The other backend's job is untouched,
-    # also when it waits behind the faulty backend in the same lane.
+    # A fault in reading a poll, here a status without .state, fails that
+    # backend's jobs once. The other backend's job is untouched, also when
+    # it is submitted only after the faulty backend has ended.
     executor = executor_with_broken(_MalformedStatusAdapter(), local_executor)
     dispatch = Dispatch().add_job("flaky", "device", bell, 8).add_job("flaky", "device", bell, 8)
     dispatch.add_job("local_ideal", "statevector", bell, 8)
@@ -326,12 +326,12 @@ def test_done_without_counts_fails_the_job_with_a_reason(local_executor, bell):
 
 
 # --------------------------------------------------------------------------
-# lanes: which backends overlap
+# which backends overlap
 # --------------------------------------------------------------------------
 
 
 def test_in_process_backends_run_one_at_a_time(bell, monkeypatch):
-    # Each of the three in-process backends gets a lane of its own, but their
+    # The three in-process backends are submitted together, but their
     # kernels all run on the one kernel worker: one kernel call at a time.
     in_flight = count_kernels_in_flight(monkeypatch)
     targets = [("ideal_a", "statevector"), ("ideal_b", "statevector"), ("noisy", "noisy_statevector")]
@@ -352,7 +352,7 @@ def test_in_process_backends_run_one_at_a_time(bell, monkeypatch):
 
 
 def test_waiting_backends_keep_lanes_of_their_own(bell):
-    # Each mock_delay backend has a lane of its own and a worker of its own
+    # Each mock_delay backend is submitted at once and has a worker of its own
     # that waits on its clock, so the two overlap and the run takes about one
     # delay, not two.
     executor = QuantumExecutor(
@@ -371,8 +371,92 @@ def test_waiting_backends_keep_lanes_of_their_own(bell):
     assert collector.failed_jobs() == []
 
 
+def test_a_run_holds_one_thread_however_many_backends(bell, monkeypatch):
+    # Twelve in-process backends, their kernels held: the run adds its one
+    # driver thread and, if it has not started yet, the kernel worker, not a
+    # thread per backend.
+    release, entered = threading.Event(), threading.Event()
+    original = qexec.providers.sample_batch
+
+    def held_kernel(*args, **kwargs):
+        entered.set()
+        release.wait(10)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qexec.providers, "sample_batch", held_kernel)
+    ids = [f"p{i}" for i in range(12)]
+    executor = QuantumExecutor(providers=[ProviderConfig(p, "local_ideal") for p in ids])
+    dispatch = Dispatch()
+    for provider_id in ids:
+        dispatch.add_job(provider_id, "statevector", bell, 16)
+    before = threading.active_count()
+    try:
+        collector = executor.run_dispatch(dispatch, wait=False)
+        deadline = time.monotonic() + 5
+        while not all(handle for _, handle, _ in collector.run_state().jobs):
+            assert time.monotonic() < deadline, "not every backend was submitted"
+            time.sleep(0.005)
+        assert entered.wait(5), "the kernel never ran"
+        during = threading.active_count()
+    finally:
+        release.set()
+    assert collector.wait(timeout=10)
+    assert collector.failed_jobs() == []
+    assert during - before <= 2
+
+
+def test_each_poll_reads_all_of_a_providers_backends_in_one_call(remote_server, bell, monkeypatch):
+    # The job service hosts two backends. Each poll reads the pending jobs of
+    # both in one call, so the first read holds every job and later reads
+    # only shrink.
+    calls = []
+    original = VirtualProvider.status_batch
+
+    def counting_status(self, provider_id, job_ids):
+        calls.append(list(job_ids))
+        return original(self, provider_id, job_ids)
+
+    monkeypatch.setattr(VirtualProvider, "status_batch", counting_status)
+    executor = QuantumExecutor(
+        providers=[ProviderConfig("remote", "remote_http", endpoint=remote_server.endpoint)]
+    )
+    dispatch = Dispatch()
+    for backend_name in ("noisy_statevector", "statevector"):
+        for _ in range(3):
+            dispatch.add_job("remote", backend_name, bell, 16)
+    collector = executor.run_dispatch(dispatch, wait=True)
+    assert collector.failed_jobs() == []
+    assert len(calls[0]) == 6
+    assert all(set(later) <= set(earlier) for earlier, later in zip(calls, calls[1:]))
+
+
+def test_serial_run_submits_a_backend_once_the_one_before_has_ended(bell, monkeypatch):
+    # parallel=False: at each submission, every job submitted before it is
+    # terminal.
+    handles, states_at_submit = [], []
+    original = VirtualProvider.submit_batch
+
+    def checking_submit(self, provider_id, backend_name, jobs):
+        states_at_submit.append([self.status(handle).state for handle in handles])
+        outcomes = original(self, provider_id, backend_name, jobs)
+        handles.extend(outcomes)
+        return outcomes
+
+    monkeypatch.setattr(VirtualProvider, "submit_batch", checking_submit)
+    ids = ("mock_a", "mock_b", "mock_c")
+    executor = QuantumExecutor(providers=[ProviderConfig(p, "mock_delay", delay=0.05) for p in ids])
+    dispatch = Dispatch()
+    for provider_id in ids:
+        for _ in range(2):
+            dispatch.add_job(provider_id, "delayed_statevector", bell, 16)
+    collector = executor.run_dispatch(dispatch, parallel=False, wait=True)
+    assert collector.failed_jobs() == []
+    assert [len(states) for states in states_at_submit] == [0, 2, 4]
+    assert all(state.terminal for states in states_at_submit for state in states)
+
+
 def test_local_providers_share_one_kernel_worker(bell):
-    # Eight in-process providers run in eight lanes, and leave behind the one
+    # Eight in-process providers run in one run, and leave behind the one
     # kernel worker of the process, not a worker each.
     ids = [f"p{i}" for i in range(8)]
     executor = QuantumExecutor(providers=[ProviderConfig(p, "local_ideal") for p in ids])
@@ -636,7 +720,7 @@ def test_run_dispatch_unknown_merge_name_submits_nothing(local_executor, bell, s
 
 
 def test_lane_error_fails_only_its_own_job(local_executor, bell):
-    # base_seed=None makes building every job's seed raise inside the lane.
+    # base_seed=None makes building every job's seed raise inside the driver.
     dispatch = Dispatch()
     dispatch.add_job("local_ideal", "statevector", bell, 8)
     dispatch.add_job("local_ideal", "statevector", bell, 8)

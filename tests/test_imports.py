@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import qexec
+
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qexec").glob("*.py"))
 # The runtime dependencies that pyproject.toml declares, by import name.
 DECLARED = {"numpy", "yaml", "requests"}
@@ -51,16 +53,21 @@ WITH_REMOTE = (
 )
 
 
-def loads_requests(code: str) -> bool:
-    """Whether running ``code`` in a fresh interpreter imports requests."""
+def modules_loaded(code: str, names: set[str]) -> set[str]:
+    """Which of the modules ``names`` running ``code`` in a fresh interpreter imports."""
     path = [str(SOURCES[0].parent.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    probe = code + "\nimport sys\nprint('requests' in sys.modules)\n"
+    probe = code + f"\nimport sys\nprint(sorted(set({sorted(names)!r}) & set(sys.modules)))\n"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout.strip() == "True"
+    return set(ast.literal_eval(result.stdout.strip()))
+
+
+def loads_requests(code: str) -> bool:
+    """Whether running ``code`` in a fresh interpreter imports requests."""
+    return bool(modules_loaded(code, {"requests"}))
 
 
 @pytest.mark.parametrize(
@@ -74,3 +81,18 @@ def test_requests_is_not_loaded_without_a_remote_provider(code):
 
 def test_requests_is_loaded_once_a_remote_provider_is_registered():
     assert loads_requests(WITH_REMOTE)
+
+
+def test_job_service_loads_none_of_the_run_engine():
+    # The service hosts a runner and speaks the wire protocol. The package
+    # imports each public name when it is first read, so the modules that
+    # plan, drive and collect a run stay unloaded.
+    engine = {"qexec.collector", "qexec.dispatch", "qexec.executor", "qexec.policies", "uuid"}
+    assert modules_loaded("import qexec.server", engine) == set()
+
+
+def test_every_public_name_is_exported():
+    namespace: dict = {}
+    exec("from qexec import *", namespace)
+    assert set(qexec.__all__) <= namespace.keys()
+    assert set(qexec.__all__) <= set(dir(qexec))

@@ -33,11 +33,9 @@ _EXPORTS = {
     "BackendDescriptor": "providers",
     "ProviderConfig": "providers",
     "VirtualProvider": "providers",
-    "JobHandle": "providers",
     "JobState": "providers",
     "JobStatus": "providers",
     "ResultCollector": "collector",
-    "RunState": "collector",
     "to_table": "collector",
     "tree_to_json": "collector",
     "ExperimentSpec": "executor",

@@ -197,7 +197,7 @@ def _write_json(path: Path, payload) -> None:
 
 def _status_payload(collector: ResultCollector) -> dict:
     payload = {}
-    for ordinal, (state, error) in sorted(collector.states().items()):
+    for ordinal, (state, error) in sorted(collector.status().items()):
         provider_id, backend_name = collector.job_site(ordinal)
         payload[str(ordinal)] = {
             "provider": provider_id,

@@ -8,7 +8,9 @@ policy.
 A ResultTree is the plain nested dict {provider: {backend: [counts, ...]}}
 with list order equal to dispatch job order for that backend. Partial trees
 simply omit unfinished jobs (no placeholders): consumers distinguish
-"pending" via status(). FAILED jobs never contribute counts and never abort
+"pending" via status(), which maps each ordinal to its state and error
+message and copies no counts; only get_results() returns counts, and each
+call returns copies. FAILED jobs never contribute counts and never abort
 the run; they surface in status() and in merge metadata under "failed_jobs".
 """
 
@@ -18,35 +20,21 @@ import json
 import threading
 import time
 import uuid
-from dataclasses import dataclass
 
 from .dispatch import Dispatch
 from .errors import CollectorError, MergeError, ResultTimeoutError
-from .providers import JobHandle, JobState, JobStatus, JobTable
+from .providers import JobState, JobStatus, JobTable
 
-__all__ = ["ResultCollector", "RunState", "to_table", "tree_to_json"]
-
-
-@dataclass(frozen=True)
-class RunState:
-    """Snapshot of a run: identity, per-job lifecycle, wall-clock bounds."""
-
-    run_id: str
-    jobs: tuple[tuple[int, JobHandle | None, JobStatus], ...]
-    started_at: float
-    finished_at: float | None
-
-    @property
-    def terminal(self) -> bool:
-        return all(status.state.terminal for _, _, status in self.jobs)
+__all__ = ["ResultCollector", "to_table", "tree_to_json"]
 
 
 class ResultCollector:
     """Tracks every job of one run and aggregates outputs.
 
     The run's driver thread calls the record_* methods; readers may call
-    status()/get_results() from any thread at any time. Blocking retrieval
-    parks on a condition variable, never busy-waits.
+    status() for each job's state and get_results() for the counts, from
+    any thread at any time. Blocking retrieval parks on a condition
+    variable, never busy-waits.
     """
 
     def __init__(
@@ -63,7 +51,6 @@ class ResultCollector:
         self.policy_context = dict(policy_context or {})
 
         self._merge_lock = threading.Lock()
-        self._handles: dict[int, JobHandle] = {}  # each ordinal written once, by the driver
         self._job_site: dict[int, tuple[str, str]] = {}
         for provider_id, backend_name, spec in dispatch.jobs():
             self._job_site[spec.ordinal] = (provider_id, backend_name)
@@ -77,9 +64,6 @@ class ResultCollector:
         return self._table.finished_at
 
     # -- writer side -------------------------------------------------------
-
-    def record_submitted(self, ordinal: int, handle: JobHandle) -> None:
-        self._handles[ordinal] = handle
 
     def record_status(self, ordinal: int, status: JobStatus) -> None:
         """Upgrade a job's observed non-terminal status; terminal states only
@@ -98,22 +82,10 @@ class ResultCollector:
     def is_terminal(self) -> bool:
         return self.finished_at is not None
 
-    def status(self) -> dict[int, JobStatus]:
-        """Non-blocking snapshot, ordinal -> JobStatus."""
-        statuses, _ = self._table.snapshot()
-        return statuses
-
-    def states(self) -> dict[int, tuple[JobState, str | None]]:
-        """Non-blocking snapshot, ordinal -> (state, error message): status()
-        without the counts, so nothing is copied."""
+    def status(self) -> dict[int, tuple[JobState, str | None]]:
+        """Non-blocking snapshot, ordinal -> (state, error message or None),
+        read under one hold of the lock; no counts are copied."""
         return self._table.states()
-
-    def run_state(self) -> RunState:
-        statuses, finished_at = self._table.snapshot()
-        jobs = tuple(
-            (ordinal, self._handles.get(ordinal), statuses[ordinal]) for ordinal in sorted(statuses)
-        )
-        return RunState(self.run_id, jobs, self.started_at, finished_at)
 
     def job_site(self, ordinal: int) -> tuple[str, str]:
         return self._job_site[ordinal]

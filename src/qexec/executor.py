@@ -237,16 +237,16 @@ class QuantumExecutor:
             if isinstance(outcome, Exception):
                 collector.record_failed(ordinal, str(outcome))
             else:
-                collector.record_submitted(ordinal, outcome)
-                accepted[ordinal] = outcome.job_id
+                accepted[ordinal] = outcome
         return accepted
 
 
 def _record(collector: ResultCollector, jobs: dict[int, str], read: dict, recorded: dict) -> bool:
-    """Record a poll's status of each of a backend's pending jobs, if it read
-    one, and drop each job that ended from ``jobs``; True if one did."""
+    """Record a poll's status of each of a backend's pending jobs, and drop
+    each job that ended from ``jobs``; True if one did."""
     before = len(jobs)
-    for ordinal, status in [(o, read[j]) for o, j in jobs.items() if j in read]:
+    for ordinal, job_id in list(jobs.items()):
+        status = read[job_id]
         if not status.state.terminal:
             if recorded.get(ordinal, JobState.QUEUED) is not status.state:
                 recorded[ordinal] = status.state
@@ -264,7 +264,7 @@ def _record(collector: ResultCollector, jobs: dict[int, str], read: dict, record
 
 def _fail_unfinished(collector: ResultCollector, site: tuple, specs: list, exc: Exception) -> None:
     logger.debug("backend %s/%s of run %s failed", *site, collector.run_id, exc_info=exc)
-    states = collector.states()
+    states = collector.status()
     for spec in specs:
         if not states[spec.ordinal][0].terminal:
             collector.record_failed(spec.ordinal, str(exc))

@@ -19,8 +19,8 @@ jobs may overlap: the jobs of every runner with no delay run on one kernel
 worker per process, one at a time, in submission order, and a runner with a
 delay waits on a worker of its own. Every adapter takes a backend's jobs as
 one list and reads a list of job ids, of any of its backends, in one call;
-the registry's submit_batch and status_batch are those calls, and submit
-and status are their one-job cases. A run's one driver thread (see
+the registry's submit_batch and status_batch are those calls, and its one
+way to submit and one way to read a job. A run's one driver thread (see
 executor.QuantumExecutor._drive) makes one status_batch call per provider
 per poll, and between two polls waits through the registry's wait on one
 provider, which a runner spends blocked on its job table and a remote
@@ -56,6 +56,7 @@ from .errors import (
     DispatchError,
     DuplicateProviderError,
     ProviderConfigError,
+    ProviderError,
     QExecError,
     UnknownBackendError,
     UnknownJobError,
@@ -67,7 +68,6 @@ __all__ = [
     "MAX_WAIT",
     "JobState",
     "JobStatus",
-    "JobHandle",
     "BackendDescriptor",
     "ProviderConfig",
     "JobTable",
@@ -109,16 +109,6 @@ class JobStatus:
     state: JobState
     error_message: str | None = None
     counts: dict[str, int] | None = field(default=None, hash=False)
-
-
-@dataclass(frozen=True)
-class JobHandle:
-    """A submitted job: ``job_id`` is the id the ``provider_id`` adapter issued."""
-
-    job_id: str
-    provider_id: str
-    backend_name: str
-    submitted_at: float
 
 
 @dataclass(frozen=True)
@@ -200,7 +190,8 @@ class JobTable:
 
     A transition that would move a job backwards, or out of a terminal
     state, is ignored: the first terminal state recorded wins. A DONE
-    status holds the job's counts, and every reader gets a copy of them.
+    status holds a copy of the job's counts. Only statuses() and counts()
+    return counts, and each returns copies; states() returns none.
     The table counts its pending (non-terminal) jobs. ``finished_at`` is the
     wall-clock time at which the last pending job became terminal, and None
     exactly while a job is pending; wait() blocks until no job is pending.
@@ -267,12 +258,6 @@ class JobTable:
         lock; no counts are copied."""
         with self._cond:
             return {key: (s.state, s.error_message) for key, s in self._statuses.items()}
-
-    def snapshot(self) -> tuple[dict[Hashable, JobStatus], float | None]:
-        """Every job's status and ``finished_at``, read together."""
-        with self._cond:
-            statuses, finished_at = dict(self._statuses), self.finished_at
-        return {key: _copied(status) for key, status in statuses.items()}, finished_at
 
 
 def _copied(status: JobStatus) -> JobStatus:
@@ -488,7 +473,7 @@ def _checked(job: tuple) -> tuple | DispatchError:
 
 
 class VirtualProvider:
-    """Registry of provider adapters; routes each job handle to its adapter."""
+    """Registry of provider adapters; routes each job to its provider's adapter."""
 
     def __init__(self):
         self._adapters: dict[str, Any] = {}
@@ -530,56 +515,36 @@ class VirtualProvider:
 
     def submit_batch(
         self, provider_id: str, backend_name: str, jobs: Sequence[tuple]
-    ) -> list[JobHandle | QExecError]:
+    ) -> list[str | QExecError]:
         """Submit a backend's ``(circuit, shots, options)`` jobs in one adapter
-        call, with no discovery call. Returns, in order, each job's handle or
-        the error that refused it: bad shots or seed, a backend the adapter
-        does not host, a circuit that cannot run there. Nothing raises for
-        one job, so each job's outcome is recorded once."""
+        call, with no discovery call. Returns, in order, the id the adapter
+        issued each job or the error that refused it: bad shots or seed, a
+        backend the adapter does not host, a circuit that cannot run there.
+        Nothing raises for one job, so each job's outcome is recorded once."""
         with self._lock:
             adapter = self._adapters.get(provider_id)
         if adapter is None:
             unknown = UnknownBackendError(f"unknown backend {provider_id}/{backend_name}")
             return [unknown] * len(jobs)
         checked = [_checked(job) for job in jobs]
-        job_ids = submit_checked(checked, lambda batch: adapter.submit(backend_name, batch))
-        submitted_at = time.time()
-        return [
-            job_id
-            if isinstance(job_id, QExecError)
-            else JobHandle(job_id, provider_id, backend_name, submitted_at)
-            for job_id in job_ids
-        ]
-
-    def submit(
-        self,
-        provider_id: str,
-        backend_name: str,
-        circuit: Circuit,
-        shots: int,
-        options: Mapping[str, Any] | None = None,
-    ) -> JobHandle:
-        """One job of submit_batch; raises the error that refused it."""
-        [outcome] = self.submit_batch(provider_id, backend_name, [(circuit, shots, options or {})])
-        if isinstance(outcome, QExecError):
-            raise outcome
-        return outcome
+        return submit_checked(checked, lambda batch: adapter.submit(backend_name, batch))
 
     def status_batch(self, provider_id: str, job_ids: Sequence[str]) -> list[JobStatus]:
         """The statuses of jobs that ``provider_id`` issued, on any of its
         backends, read in one adapter call; once DONE a status carries the
-        job's counts. UnknownJobError if the provider issued none of that id."""
+        job's counts. UnknownJobError if the provider issued none of that id,
+        and ProviderError if its adapter read more or fewer statuses than ids."""
         with self._lock:
             adapter = self._adapters.get(provider_id)
         statuses = adapter.status(job_ids) if adapter is not None else [None] * len(job_ids)
+        if len(statuses) != len(job_ids):
+            raise ProviderError(
+                f"provider {provider_id!r} read {len(statuses)} statuses, not {len(job_ids)}"
+            )
         for job_id, status in zip(job_ids, statuses):
             if status is None:
                 raise UnknownJobError(f"no provider {provider_id!r} issued job {job_id!r}")
         return statuses
-
-    def status(self, handle: JobHandle) -> JobStatus:
-        """One job of status_batch."""
-        return self.status_batch(handle.provider_id, [handle.job_id])[0]
 
     def wait(self, provider_id: str, interval: float) -> None:
         """Wait before the next status_batch on ``provider_id``, as its adapter

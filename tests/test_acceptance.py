@@ -293,17 +293,16 @@ def test_a8_remote_equivalence():
         )
         seed = 998877
         registry = qe.virtual_provider
-        remote_handle = registry.submit("remote", "statevector", bell, 777, {"seed": seed})
-        local_handle = registry.submit("local_ideal", "statevector", bell, 777, {"seed": seed})
+        job = (bell, 777, {"seed": seed})
+        jobs = {p: registry.submit_batch(p, "statevector", [job]) for p in ("remote", "local_ideal")}
         deadline = time.time() + 10
         while time.time() < deadline:
-            if registry.status(remote_handle).state.terminal and registry.status(
-                local_handle
-            ).state.terminal:
+            statuses = {p: registry.status_batch(p, job_ids)[0] for p, job_ids in jobs.items()}
+            if all(status.state.terminal for status in statuses.values()):
                 break
             time.sleep(0.01)
-        remote_counts = registry.status(remote_handle).counts
-        local_counts = registry.status(local_handle).counts
+        remote_counts = statuses["remote"].counts
+        local_counts = statuses["local_ideal"].counts
         assert remote_counts is not None and remote_counts == local_counts
 
     with RemoteServer(ServerConfig(delay=0.5)) as server:

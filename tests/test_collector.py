@@ -23,7 +23,7 @@ def two_backend_dispatch(bell):
 
 def test_initial_statuses_queued(bell):
     collector = ResultCollector(two_backend_dispatch(bell))
-    assert all(s.state is JobState.QUEUED for s in collector.status().values())
+    assert all(state is JobState.QUEUED for state, _ in collector.status().values())
     assert not collector.is_terminal()
 
 
@@ -88,22 +88,20 @@ def test_failed_jobs_contribute_no_counts(bell):
     collector.record_result(1, {"00": 10})
     tree = collector.get_results(block=True)
     assert "p1" not in tree
-    statuses = collector.status()
-    assert statuses[0].state is JobState.FAILED
-    assert statuses[0].error_message == "backend exploded"
+    assert collector.status()[0] == (JobState.FAILED, "backend exploded")
 
 
 def test_record_status_upgrades_only(bell):
     collector = ResultCollector(two_backend_dispatch(bell))
     collector.record_status(0, JobStatus(JobState.RUNNING))
-    assert collector.status()[0].state is JobState.RUNNING
+    assert collector.status()[0] == (JobState.RUNNING, None)
     # Terminal states never enter through record_status.
     collector.record_status(0, JobStatus(JobState.DONE))
-    assert collector.status()[0].state is JobState.RUNNING
+    assert collector.status()[0] == (JobState.RUNNING, None)
     collector.record_result(0, {"00": 10})
     # Terminal is sticky.
     collector.record_failed(0, "late failure ignored")
-    assert collector.status()[0].state is JobState.DONE
+    assert collector.status()[0] == (JobState.DONE, None)
 
 
 def test_merged_sum_over_two_backends(bell):
@@ -152,16 +150,19 @@ def test_merged_requires_policy(bell):
 
 
 def test_readers_get_copies_of_the_counts(bell):
-    # Editing what a reader returned leaves the run's own counts as they were.
+    # Editing the counts a job was recorded with, or the counts get_results()
+    # returned, leaves the run's own counts as they were; status() returns
+    # no counts at all.
     collector = ResultCollector(
         two_backend_dispatch(bell), merge_policy="sum", merge_fn=merge_sum
     )
-    collector.record_result(0, {"00": 6, "11": 4})
+    recorded = {"00": 6, "11": 4}
+    collector.record_result(0, recorded)
     collector.record_result(1, {"00": 10})
+    recorded["11"] = 999
     tree = collector.get_results()
     tree["p1"]["b1"][0]["00"] = 999
-    collector.status()[1].counts["00"] = 999
-    collector.run_state().jobs[0][2].counts["11"] = 999
+    assert collector.status() == {0: (JobState.DONE, None), 1: (JobState.DONE, None)}
     assert collector.get_results() == {"p1": {"b1": [{"00": 6, "11": 4}]}, "p2": {"b1": [{"00": 10}]}}
     assert collector.get_merged_results()[0] == {"00": 16, "11": 4}
 
@@ -211,13 +212,14 @@ def test_merged_metadata_records_failures(bell):
 
 
 def test_run_state_snapshot(bell):
+    # status() holds every job of the run, terminal or not.
     collector = ResultCollector(two_backend_dispatch(bell))
-    state = collector.run_state()
-    assert not state.terminal
-    assert len(state.jobs) == 2
+    assert collector.status() == {0: (JobState.QUEUED, None), 1: (JobState.QUEUED, None)}
     collector.record_result(0, {"00": 10})
-    collector.record_result(1, {"00": 10})
-    assert collector.run_state().terminal
+    assert [state.terminal for state, _ in collector.status().values()] == [True, False]
+    collector.record_failed(1, "boom")
+    assert collector.status() == {0: (JobState.DONE, None), 1: (JobState.FAILED, "boom")}
+    assert collector.is_terminal()
 
 
 # --------------------------------------------------------------------------
@@ -261,15 +263,14 @@ def test_record_interleavings_property(n_jobs, ops):
         all_terminal = len(first_terminal) == n_jobs
         assert collector.is_terminal() is all_terminal
         assert (collector.finished_at is not None) is all_terminal
-        for ordinal, status in collector.status().items():
+        for ordinal, (state, error) in collector.status().items():
             if ordinal in first_terminal:
-                state, payload = first_terminal[ordinal]
-                assert status.state is state
-                if state is JobState.FAILED:
-                    assert status.error_message == payload
+                expected, payload = first_terminal[ordinal]
+                assert state is expected
+                assert error == (payload if expected is JobState.FAILED else None)
             else:
                 expected = JobState.RUNNING if ordinal in running else JobState.QUEUED
-                assert status.state is expected
+                assert (state, error) == (expected, None)
         done = {o for o, (state, _) in first_terminal.items() if state is JobState.DONE}
         partials.append((collector.get_results(block=False), done))
 
@@ -333,9 +334,15 @@ def test_concurrent_records_finish_exactly_once(bell):
             thread.start()
         deadline = time.monotonic() + 30
         while any(t.is_alive() for t in threads) and time.monotonic() < deadline:
-            # A doubled pending-count update sets finished_at early.
-            state = collector.run_state()
-            inconsistent += (state.finished_at is not None) != state.terminal
+            # finished_at is set exactly while no job is pending, and a
+            # terminal job stays terminal: so once finished_at reads set,
+            # every job reads terminal, and once every job reads terminal,
+            # finished_at reads set. A doubled pending-count update sets
+            # finished_at early.
+            before = collector.finished_at
+            terminal = all(state.terminal for state, _ in collector.status().values())
+            after = collector.finished_at
+            inconsistent += (before is not None and not terminal) or (terminal and after is None)
         for thread in threads:
             thread.join(timeout=1)
     finally:
@@ -344,7 +351,7 @@ def test_concurrent_records_finish_exactly_once(bell):
     assert inconsistent == 0
     # A lost pending-count update leaves the run non-terminal.
     assert collector.wait(timeout=0)
-    assert all(status.state.terminal for status in collector.status().values())
+    assert all(state.terminal for state, _ in collector.status().values())
 
 
 # --------------------------------------------------------------------------

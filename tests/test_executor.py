@@ -3,6 +3,8 @@ import time
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qexec.providers
 import qexec.server
@@ -12,8 +14,10 @@ from qexec import (
     NoiseSpec,
     ProviderConfig,
     QuantumExecutor,
+    ResultCollector,
     VirtualProvider,
     merge_sum,
+    parse_qasm,
     tree_to_json,
 )
 from qexec.errors import (
@@ -25,9 +29,9 @@ from qexec.errors import (
     UnknownBackendError,
     UnknownPolicyError,
 )
-from qexec.providers import JobState, JobStatus
+from qexec.providers import BackendDescriptor, JobState, JobStatus
 
-from conftest import count_kernels_in_flight
+from conftest import BELL_QASM, count_kernels_in_flight
 
 LOCAL_PAIR = {"local_ideal": ["statevector"], "local_noisy": ["noisy_statevector"]}
 
@@ -291,7 +295,7 @@ def test_lane_records_running_status(local_executor, bell, monkeypatch):
     try:
         collector = local_executor.run_dispatch(dispatch, wait=False)
         deadline = time.monotonic() + 5
-        while collector.status()[0].state is not JobState.RUNNING:
+        while collector.status()[0][0] is not JobState.RUNNING:
             assert time.monotonic() < deadline, "job never showed RUNNING"
             time.sleep(0.005)
     finally:
@@ -306,9 +310,11 @@ def test_lane_status_error_fails_only_that_job(local_executor, bell):
     for _ in range(3):
         dispatch.add_job("flaky", "device", bell, 8)
     collector = executor.run_dispatch(dispatch, wait=True)
-    statuses = collector.status()
-    assert [statuses[o].state for o in range(3)] == [JobState.DONE, JobState.FAILED, JobState.DONE]
-    assert statuses[1].error_message == "status check exploded"
+    assert collector.status() == {
+        0: (JobState.DONE, None),
+        1: (JobState.FAILED, "status check exploded"),
+        2: (JobState.DONE, None),
+    }
     assert collector.get_results()["flaky"]["device"] == [{"00": 8}, {"00": 8}]
 
 
@@ -323,6 +329,221 @@ def test_done_without_counts_fails_the_job_with_a_reason(local_executor, bell):
             "error": "adapter reported DONE without counts",
         }
     ]
+
+
+class _MiscountingAdapter(_BrokenAdapter):
+    """Reads ``extra`` more statuses than it is asked for, or fewer if
+    negative, each DONE; with ``extra`` set to 0 it reads them all."""
+
+    def __init__(self, extra):
+        super().__init__()
+        self.extra = extra
+
+    def status(self, job_ids):
+        return [JobStatus(JobState.DONE, counts={"00": 8})] * max(0, len(job_ids) + self.extra)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_a_status_list_of_the_wrong_length_fails_its_jobs_once(local_executor, bell, extra):
+    # A short list would leave the jobs it missed pending for ever, and a long
+    # one is matched to the ids by guesswork: either fails the jobs it was read
+    # for, with the provider and both lengths.
+    adapter = _MiscountingAdapter(extra)
+    executor = executor_with_broken(adapter, local_executor)
+    try:
+        collector = executor.run_dispatch(Dispatch().add_job("flaky", "device", bell, 8), wait=False)
+        assert collector.wait(5), "the run never ended"
+    finally:
+        adapter.extra = 0  # a driver that still polls the job reads it and ends
+    error = f"provider 'flaky' read {1 + extra} statuses, not 1"
+    assert collector.failed_jobs() == [
+        {"ordinal": 0, "provider": "flaky", "backend": "device", "error": error}
+    ]
+
+
+# --------------------------------------------------------------------------
+# the driver against scripted adapters
+# --------------------------------------------------------------------------
+
+# A job's script: the status it reads at each poll, the last one from then
+# on. The non-terminal states repeat and go backwards as they please.
+_SCRIPTS = st.tuples(
+    st.lists(st.sampled_from([JobState.QUEUED, JobState.RUNNING]).map(JobStatus), max_size=4),
+    st.sampled_from(
+        [
+            JobStatus(JobState.DONE, counts={"00": 8}),
+            JobStatus(JobState.DONE, counts={"11": 8}),
+            JobStatus(JobState.DONE),
+            JobStatus(JobState.FAILED, "device melted"),
+            JobStatus(JobState.FAILED),
+        ]
+    ),
+).map(lambda script: [*script[0], script[1]])
+
+_PROVIDERS = st.lists(
+    st.fixed_dictionaries(
+        {
+            # per backend: its jobs' scripts, and whether its submit raises
+            "backends": st.lists(
+                st.tuples(st.lists(_SCRIPTS, max_size=5), st.booleans()), min_size=1, max_size=3
+            ),
+            "status_fault": st.sampled_from([None, "raise", "short", "long", "none", "string"]),
+            "wait": st.sampled_from(["return", "sleep", "raise"]),
+            "fault_at": st.integers(0, 3),  # the first status or wait call that faults
+        }
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class _ScriptedAdapter:
+    """Plays a drawn plan: each job's script, looked up by its seed (the run's
+    base seed is 0, so a job's seed is its ordinal), and the faults of its
+    submit, status and wait calls, each status or wait call faulting from
+    the plan's ``fault_at`` on. Once ``mended`` it plays no fault, so a
+    driver that still polls it ends."""
+
+    def __init__(self, provider_id, plan, scripts, events):
+        self.provider_id, self.plan, self.scripts, self.events = provider_id, plan, scripts, events
+        self.mended = self.faulted = False
+        self.misread = set()  # the ordinals of every job a whole read failed for
+        self._polls = {}  # job id -> [ordinal, polls so far]
+        self._status_calls = self._wait_calls = 0
+
+    def backends(self):
+        return [
+            BackendDescriptor(self.provider_id, f"b{k}", True, 20, False)
+            for k in range(len(self.plan["backends"]))
+        ]
+
+    def submit(self, backend_name, jobs):
+        ordinals = [options["seed"] for _, _, options in jobs]
+        self.events.append(("submit", ordinals))
+        if self.plan["backends"][int(backend_name[1:])][1] and not self.mended:
+            raise ProviderError("submission refused")
+        job_ids = [f"{self.provider_id}-{len(self._polls) + k}" for k in range(len(jobs))]
+        self._polls.update((job_id, [ordinal, 0]) for job_id, ordinal in zip(job_ids, ordinals))
+        return job_ids
+
+    def status(self, job_ids):
+        fault = None if self.mended else self._fault("status", self._status_calls)
+        self._status_calls += 1
+        if fault in ("raise", "short", "long", "none"):
+            self.misread.update(self._polls[job_id][0] for job_id in job_ids)
+        if fault == "raise":
+            raise ProviderError("status check exploded")
+        statuses = []
+        for job_id in job_ids:
+            ordinal, polls = self._polls[job_id]
+            script = self.scripts[ordinal]
+            statuses.append(script[min(polls, len(script) - 1)])
+            self._polls[job_id][1] += 1
+        if fault == "short":
+            return statuses[:-1]
+        if fault == "long":
+            return statuses + statuses[:1]
+        if fault in ("none", "string"):
+            statuses[0] = None if fault == "none" else "DONE"
+        return statuses
+
+    def wait(self, interval):
+        fault = None if self.mended else self._fault("wait", self._wait_calls)
+        self._wait_calls += 1
+        if fault == "raise":
+            raise ProviderError("clock stopped")
+        if self.plan["wait"] == "sleep":
+            time.sleep(min(interval, 0.001))
+
+    def _fault(self, call, index):
+        fault = self.plan["status_fault"] if call == "status" else self.plan["wait"]
+        if fault not in (None, "return", "sleep") and index >= self.plan["fault_at"]:
+            self.faulted = True
+            return fault
+        return None
+
+
+def _expected(script) -> tuple[JobState, str | None]:
+    """The state and error message a job's script should end the run with."""
+    last = script[-1]
+    if last.state is JobState.FAILED:
+        return JobState.FAILED, last.error_message or "job failed"
+    if last.counts is None:
+        return JobState.FAILED, "adapter reported DONE without counts"
+    return JobState.DONE, None
+
+
+@given(plans=_PROVIDERS, parallel=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_the_driver_ends_every_scripted_run_with_one_record_per_job(plans, parallel):
+    circuit = parse_qasm(BELL_QASM, name="bell")
+    events = []
+    dispatch = Dispatch()
+    for p, plan in enumerate(plans):
+        for b, (scripts, _) in enumerate(plan["backends"]):
+            for _ in scripts:
+                dispatch.add_job(f"p{p}", f"b{b}", circuit, 8)
+    scripts = {}
+    for provider_id, backend_name in dispatch.backends():
+        drawn = plans[int(provider_id[1:])]["backends"][int(backend_name[1:])][0]
+        specs = dispatch.jobs_for(provider_id, backend_name)
+        scripts.update((spec.ordinal, script) for spec, script in zip(specs, drawn))
+    adapters = [_ScriptedAdapter(f"p{p}", plan, scripts, events) for p, plan in enumerate(plans)]
+    executor = QuantumExecutor()
+    for adapter in adapters:
+        executor_with_broken(adapter, executor)
+
+    originals = ResultCollector.record_result, ResultCollector.record_failed
+
+    def record_result(collector, ordinal, counts):
+        events.append(("terminal", ordinal))
+        originals[0](collector, ordinal, counts)
+
+    def record_failed(collector, ordinal, message):
+        events.append(("terminal", ordinal))
+        originals[1](collector, ordinal, message)
+
+    before = set(threading.enumerate())
+    ResultCollector.record_result, ResultCollector.record_failed = record_result, record_failed
+    try:
+        collector = executor.run_dispatch(dispatch, parallel=parallel, wait=False)
+        ended = collector.wait(5)
+    finally:
+        for adapter in adapters:
+            adapter.mended = True
+        for thread in set(threading.enumerate()) - before:
+            thread.join(5)
+        ResultCollector.record_result, ResultCollector.record_failed = originals
+    assert ended, "the run never ended"
+    assert threading.active_count() == len(before)
+
+    terminal = [ordinal for kind, ordinal in events if kind == "terminal"]
+    assert sorted(terminal) == sorted(scripts)  # one terminal record each
+    submitted = [o for kind, ordinals in events if kind == "submit" for o in ordinals]
+    assert sorted(submitted) == sorted(scripts)  # each job once
+
+    status, tree = collector.status(), collector.get_results()
+    for adapter in adapters:
+        # A read that raised, read the wrong number of statuses or a None
+        # fails every job it was asked about.
+        assert all(status[o][0] is JobState.FAILED for o in adapter.misread)
+    for p, (plan, adapter) in enumerate(zip(plans, adapters)):
+        for b, (backend_scripts, submit_raises) in enumerate(plan["backends"]):
+            if adapter.faulted or submit_raises or not backend_scripts:
+                continue
+            ordinals = [spec.ordinal for spec in dispatch.jobs_for(f"p{p}", f"b{b}")]
+            assert [status[o] for o in ordinals] == [_expected(scripts[o]) for o in ordinals]
+            done = [scripts[o][-1].counts for o in ordinals if _expected(scripts[o])[0] is JobState.DONE]
+            assert tree.get(f"p{p}", {}).get(f"b{b}", []) == done
+
+    if not parallel:
+        # Each backend is submitted once every job submitted before it has
+        # had its terminal record.
+        for index, event in enumerate(events):
+            if event[0] == "submit":
+                earlier = {o for kind, ordinals in events[:index] if kind == "submit" for o in ordinals}
+                recorded = {o for kind, o in events[:index] if kind == "terminal"}
+                assert earlier <= recorded
 
 
 # --------------------------------------------------------------------------
@@ -384,6 +605,15 @@ def test_a_run_holds_one_thread_however_many_backends(bell, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(qexec.providers, "sample_batch", held_kernel)
+    submitted = []
+    original_submit = VirtualProvider.submit_batch
+
+    def recording_submit(self, provider_id, backend_name, jobs):
+        outcomes = original_submit(self, provider_id, backend_name, jobs)
+        submitted.append(provider_id)
+        return outcomes
+
+    monkeypatch.setattr(VirtualProvider, "submit_batch", recording_submit)
     ids = [f"p{i}" for i in range(12)]
     executor = QuantumExecutor(providers=[ProviderConfig(p, "local_ideal") for p in ids])
     dispatch = Dispatch()
@@ -393,7 +623,7 @@ def test_a_run_holds_one_thread_however_many_backends(bell, monkeypatch):
     try:
         collector = executor.run_dispatch(dispatch, wait=False)
         deadline = time.monotonic() + 5
-        while not all(handle for _, handle, _ in collector.run_state().jobs):
+        while len(submitted) < len(ids):
             assert time.monotonic() < deadline, "not every backend was submitted"
             time.sleep(0.005)
         assert entered.wait(5), "the kernel never ran"
@@ -433,13 +663,13 @@ def test_each_poll_reads_all_of_a_providers_backends_in_one_call(remote_server, 
 def test_serial_run_submits_a_backend_once_the_one_before_has_ended(bell, monkeypatch):
     # parallel=False: at each submission, every job submitted before it is
     # terminal.
-    handles, states_at_submit = [], []
+    submitted, states_at_submit = [], []
     original = VirtualProvider.submit_batch
 
     def checking_submit(self, provider_id, backend_name, jobs):
-        states_at_submit.append([self.status(handle).state for handle in handles])
+        states_at_submit.append([self.status_batch(p, [j])[0].state for p, j in submitted])
         outcomes = original(self, provider_id, backend_name, jobs)
-        handles.extend(outcomes)
+        submitted.extend((provider_id, job_id) for job_id in outcomes)
         return outcomes
 
     monkeypatch.setattr(VirtualProvider, "submit_batch", checking_submit)
@@ -580,7 +810,7 @@ def test_remote_run_reads_each_job_through_its_status_only(remote_server, bell, 
     for _ in range(4):
         dispatch.add_job("remote", "statevector", bell, 16)
     collector = executor.run_dispatch(dispatch)
-    assert [s.state for s in collector.status().values()] == [JobState.DONE] * 4
+    assert [state for state, _ in collector.status().values()] == [JobState.DONE] * 4
     assert [sum(c.values()) for c in collector.get_results()["remote"]["statevector"]] == [16] * 4
     assert sent.count(("POST", "/jobs", None)) == 1
     reads = [params for method, path, params in sent if (method, path) == ("GET", "/jobs")]
@@ -614,8 +844,8 @@ def test_remote_done_without_counts_fails_only_that_job(remote_server, bell, mon
         dispatch.add_job("remote", "statevector", bell, 16)
     collector = executor.run_dispatch(dispatch)
     statuses = collector.status()
-    assert [statuses[o].state for o in range(3)] == [JobState.FAILED, JobState.DONE, JobState.DONE]
-    assert statuses[0].error_message.startswith("malformed status response")
+    assert [statuses[o][0] for o in range(3)] == [JobState.FAILED, JobState.DONE, JobState.DONE]
+    assert statuses[0][1].startswith("malformed status response")
     assert [sum(c.values()) for c in collector.get_results()["remote"]["statevector"]] == [16, 16]
 
 
@@ -676,7 +906,7 @@ def test_failed_backend_does_not_alter_others(local_executor, bell):
     flaky_ordinal = next(
         o for o, (p, _) in ((o, collector.job_site(o)) for o in statuses) if p == "flaky"
     )
-    assert statuses[flaky_ordinal].state is JobState.FAILED
+    assert statuses[flaky_ordinal] == (JobState.FAILED, "device melted")
     ideal_ordinal = 1 - flaky_ordinal
     # The healthy backend's counts match a solo run seeded with the same ordinal.
     solo = executor.run_dispatch(

@@ -29,16 +29,28 @@ from qexec.errors import (
     UnknownBackendError,
     UnknownJobError,
 )
-from qexec.providers import BackendDescriptor, JobHandle, JobRunner, JobState, JobStatus, JobTable
+from qexec.providers import BackendDescriptor, JobRunner, JobState, JobStatus, JobTable
 from qexec.server import RemoteServer, ServerConfig
 
 from conftest import MALFORMED_LISTINGS, drop_once, serve_listing
 
 
-def wait_terminal(registry, handle, timeout=5.0):
+def submit_one(registry, provider_id, backend_name, circuit, shots, options=None):
+    """A one-job submit_batch: the id the adapter issued, or the error that
+    refused the job."""
+    [outcome] = registry.submit_batch(provider_id, backend_name, [(circuit, shots, options or {})])
+    return outcome
+
+
+def status_of(registry, provider_id, job_id):
+    [status] = registry.status_batch(provider_id, [job_id])
+    return status
+
+
+def wait_terminal(registry, provider_id, job_id, timeout=5.0):
     deadline = time.time() + timeout
     while time.time() < deadline:
-        status = registry.status(handle)
+        status = status_of(registry, provider_id, job_id)
         if status.state.terminal:
             return status
         time.sleep(0.005)
@@ -218,31 +230,30 @@ def test_get_backends_deterministic(local_registry):
 
 
 # --------------------------------------------------------------------------
-# submit / status / result
+# submit_batch / status_batch
 # --------------------------------------------------------------------------
 
 
 def test_submit_returns_live_handle(local_registry, bell):
-    handle = local_registry.submit("local_ideal", "statevector", bell, 1024, {"seed": 1})
-    assert isinstance(handle, JobHandle)
-    assert handle.provider_id == "local_ideal"
-    status = local_registry.status(handle)
+    # The handle of a job is the id its provider's adapter issued.
+    job_id = submit_one(local_registry, "local_ideal", "statevector", bell, 1024, {"seed": 1})
+    assert isinstance(job_id, str)
+    status = status_of(local_registry, "local_ideal", job_id)
     assert status.state in (JobState.QUEUED, JobState.RUNNING, JobState.DONE)
 
 
 def test_submit_circuit_too_wide(local_registry):
-    with pytest.raises(CircuitError, match="exceeds"):
-        local_registry.submit("local_ideal", "statevector", Circuit(width=25), 10)
+    refused = submit_one(local_registry, "local_ideal", "statevector", Circuit(width=25), 10)
+    assert isinstance(refused, CircuitError) and "exceeds" in str(refused)
 
 
 def test_submit_unknown_provider(local_registry, bell):
-    with pytest.raises(UnknownBackendError):
-        local_registry.submit("nope", "statevector", bell, 10)
+    assert isinstance(submit_one(local_registry, "nope", "statevector", bell, 10), UnknownBackendError)
 
 
 def test_submit_unknown_local_backend(local_registry, bell):
-    with pytest.raises(UnknownBackendError, match="teleporter"):
-        local_registry.submit("local_ideal", "teleporter", bell, 10)
+    refused = submit_one(local_registry, "local_ideal", "teleporter", bell, 10)
+    assert isinstance(refused, UnknownBackendError) and "teleporter" in str(refused)
 
 
 def test_remote_submit_rejections_come_from_the_service(remote_server, bell):
@@ -250,36 +261,34 @@ def test_remote_submit_rejections_come_from_the_service(remote_server, bell):
     registry.register_provider(
         ProviderConfig("remote", "remote_http", endpoint=remote_server.endpoint)
     )
-    with pytest.raises(UnknownBackendError):
-        registry.submit("remote", "teleporter", bell, 10)
-    with pytest.raises(ProviderError, match="exceeds"):
-        registry.submit("remote", "statevector", Circuit(width=25), 10)
+    assert isinstance(submit_one(registry, "remote", "teleporter", bell, 10), UnknownBackendError)
+    refused = submit_one(registry, "remote", "statevector", Circuit(width=25), 10)
+    assert isinstance(refused, ProviderError) and "exceeds" in str(refused)
 
 
 def test_submit_offline_backend_rejected(bell):
     registry = VirtualProvider()
     registry.register_provider(ProviderConfig("mock", "mock_delay", delay=0.1, online=False))
-    with pytest.raises(BackendOfflineError):
-        registry.submit("mock", "delayed_statevector", bell, 10)
+    assert isinstance(submit_one(registry, "mock", "delayed_statevector", bell, 10), BackendOfflineError)
 
 
 def test_submit_zero_shots(local_registry, bell):
-    with pytest.raises(DispatchError, match="shots must be >= 1"):
-        local_registry.submit("local_ideal", "statevector", bell, 0)
+    refused = submit_one(local_registry, "local_ideal", "statevector", bell, 0)
+    assert isinstance(refused, DispatchError) and "shots must be >= 1" in str(refused)
 
 
 @pytest.mark.parametrize("shots", [2.5, 3.0, True, "8"])
 def test_submit_rejects_non_integer_shots(local_registry, bell, shots):
-    # Rejected before a job is queued, as Dispatch.add_job rejects it.
-    with pytest.raises(DispatchError, match="shots must be an integer"):
-        local_registry.submit("local_ideal", "statevector", bell, shots)
+    # Refused before a job is queued, with the error Dispatch.add_job raises.
+    refused = submit_one(local_registry, "local_ideal", "statevector", bell, shots)
+    assert isinstance(refused, DispatchError) and "shots must be an integer" in str(refused)
 
 
 def test_local_job_completes(local_registry, bell):
-    handle = local_registry.submit("local_ideal", "statevector", bell, 1024, {"seed": 3})
-    status = wait_terminal(local_registry, handle)
+    job_id = submit_one(local_registry, "local_ideal", "statevector", bell, 1024, {"seed": 3})
+    status = wait_terminal(local_registry, "local_ideal", job_id)
     assert status.state is JobState.DONE
-    counts = local_registry.status(handle).counts
+    counts = status_of(local_registry, "local_ideal", job_id).counts
     assert sum(counts.values()) == 1024
     assert set(counts) <= {"00", "11"}
 
@@ -287,11 +296,11 @@ def test_local_job_completes(local_registry, bell):
 def test_mock_delay_polled_immediately(bell):
     registry = VirtualProvider()
     registry.register_provider(ProviderConfig("mock", "mock_delay", delay=0.5))
-    handle = registry.submit("mock", "delayed_statevector", bell, 16)
-    status = registry.status(handle)
+    job_id = submit_one(registry, "mock", "delayed_statevector", bell, 16)
+    status = status_of(registry, "mock", job_id)
     assert status.state in (JobState.QUEUED, JobState.RUNNING)
     assert status.counts is None
-    assert wait_terminal(registry, handle).state is JobState.DONE
+    assert wait_terminal(registry, "mock", job_id).state is JobState.DONE
 
 
 def _runner(name):
@@ -349,27 +358,24 @@ def test_mock_delay_threads_bounded(bell):
     registry = VirtualProvider()
     registry.register_provider(ProviderConfig("mock", "mock_delay", delay=0.2))
     before = threading.active_count()
-    handles = [registry.submit("mock", "delayed_statevector", bell, 8) for _ in range(50)]
+    job_ids = [submit_one(registry, "mock", "delayed_statevector", bell, 8) for _ in range(50)]
     assert threading.active_count() - before <= 2
-    assert all(wait_terminal(registry, h).state is JobState.DONE for h in handles)
+    assert all(wait_terminal(registry, "mock", j).state is JobState.DONE for j in job_ids)
 
 
 def test_foreign_handle_rejected(local_registry):
-    foreign = JobHandle("job-999999", "local_ideal", "statevector", time.time())
-    with pytest.raises(UnknownJobError):
-        local_registry.status(foreign)
-    unregistered = JobHandle("job-1", "ghost", "statevector", time.time())
-    with pytest.raises(UnknownJobError):
-        local_registry.status(unregistered)
+    with pytest.raises(UnknownJobError, match="job-999999"):
+        local_registry.status_batch("local_ideal", ["job-999999"])
+    with pytest.raises(UnknownJobError, match="'ghost'"):
+        local_registry.status_batch("ghost", ["job-1"])
 
 
 def test_handle_carries_the_adapter_job_id(local_registry, bell):
-    handle = local_registry.submit("local_noisy", "noisy_statevector", bell, 4)
-    wait_terminal(local_registry, handle)
+    job_id = submit_one(local_registry, "local_noisy", "noisy_statevector", bell, 4)
+    wait_terminal(local_registry, "local_noisy", job_id)
     # The id is the adapter's own, so it resolves only under its own provider.
-    moved = JobHandle(handle.job_id, "local_ideal", "statevector", handle.submitted_at)
     with pytest.raises(UnknownJobError):
-        local_registry.status(moved)
+        local_registry.status_batch("local_ideal", [job_id])
 
 
 def test_failed_job_carries_message(local_registry, bell, monkeypatch):
@@ -379,8 +385,8 @@ def test_failed_job_carries_message(local_registry, bell, monkeypatch):
         raise RuntimeError("kernel out of range")
 
     monkeypatch.setattr(qexec.providers, "sample_batch", broken_kernel)
-    handle = local_registry.submit("local_ideal", "statevector", bell, 10)
-    status = wait_terminal(local_registry, handle)
+    job_id = submit_one(local_registry, "local_ideal", "statevector", bell, 10)
+    status = wait_terminal(local_registry, "local_ideal", job_id)
     assert status.state is JobState.FAILED
     assert "out of range" in (status.error_message or "")
     assert status.counts is None
@@ -451,12 +457,12 @@ def test_job_table_status_hands_out_a_copy_of_counts():
 def test_status_monotonic_sequence(bell):
     registry = VirtualProvider()
     registry.register_provider(ProviderConfig("mock", "mock_delay", delay=0.15))
-    handle = registry.submit("mock", "delayed_statevector", bell, 8)
+    job_id = submit_one(registry, "mock", "delayed_statevector", bell, 8)
     rank = {JobState.QUEUED: 0, JobState.RUNNING: 1, JobState.DONE: 2, JobState.FAILED: 2}
     observed = []
     deadline = time.time() + 3
     while time.time() < deadline:
-        observed.append(registry.status(handle).state)
+        observed.append(status_of(registry, "mock", job_id).state)
         if observed[-1].terminal:
             break
         time.sleep(0.01)
@@ -466,17 +472,16 @@ def test_status_monotonic_sequence(bell):
 
 
 def test_submission_isolation_distinct_ids(local_registry, bell):
-    handles = [
-        local_registry.submit("local_ideal", "statevector", bell, 4, {"seed": i})
-        for i in range(10)
-    ]
-    assert len({h.job_id for h in handles}) == 10
+    jobs = [(bell, 4, {"seed": i}) for i in range(10)]
+    job_ids = local_registry.submit_batch("local_ideal", "statevector", jobs)
+    job_ids += [submit_one(local_registry, "local_ideal", "statevector", bell, 4) for _ in range(10)]
+    assert all(isinstance(job_id, str) for job_id in job_ids)
+    assert len(set(job_ids)) == 20
 
 
 def test_noisy_backend_executes_with_noise(local_registry, bell):
-    handle = local_registry.submit("local_noisy", "noisy_statevector", bell, 4096, {"seed": 7})
-    wait_terminal(local_registry, handle)
-    counts = local_registry.status(handle).counts
+    job_id = submit_one(local_registry, "local_noisy", "noisy_statevector", bell, 4096, {"seed": 7})
+    counts = wait_terminal(local_registry, "local_noisy", job_id).counts
     assert sum(counts.values()) == 4096
 
 
@@ -548,8 +553,8 @@ def remote_registry(endpoint: str, provider_id: str = "remote") -> VirtualProvid
 def test_remote_adapter_keeps_one_connection(remote_server, bell, accepted_connections):
     registry = remote_registry(remote_server.endpoint)
     assert registry.find_backend("remote", "statevector") is not None
-    handles = [registry.submit("remote", "statevector", bell, 16, {"seed": k}) for k in range(10)]
-    assert all(wait_terminal(registry, h).state is JobState.DONE for h in handles)
+    job_ids = [submit_one(registry, "remote", "statevector", bell, 16, {"seed": k}) for k in range(10)]
+    assert all(wait_terminal(registry, "remote", j).state is JobState.DONE for j in job_ids)
     assert len(accepted_connections) == 1
 
 
@@ -587,7 +592,7 @@ def test_remote_batch_refuses_only_the_bad_jobs(remote_server, bell):
     first, too_wide, bad_shots, last = registry.submit_batch("remote", "statevector", jobs)
     assert isinstance(too_wide, ProviderError) and "width 25 exceeds" in str(too_wide)
     assert isinstance(bad_shots, DispatchError)
-    statuses = [wait_terminal(registry, handle) for handle in (first, last)]
+    statuses = [wait_terminal(registry, "remote", job_id) for job_id in (first, last)]
     assert [s.counts for s in statuses] == [sample(bell, 8, seed=1), sample(bell, 8, seed=2)]
 
 
@@ -616,9 +621,9 @@ def test_remote_request_fault_fails_each_job_once(bell, monkeypatch):
 
 def test_remote_unknown_id_reads_as_failed_not_found(remote_server, bell):
     registry = remote_registry(remote_server.endpoint)
-    known = registry.submit("remote", "statevector", bell, 8)
-    wait_terminal(registry, known)
-    lost, found = registry.status_batch("remote", ["rjob-999999", known.job_id])
+    known = submit_one(registry, "remote", "statevector", bell, 8)
+    wait_terminal(registry, "remote", known)
+    lost, found = registry.status_batch("remote", ["rjob-999999", known])
     assert lost == JobStatus(JobState.FAILED, "remote job not found")
     assert found.state is JobState.DONE
 

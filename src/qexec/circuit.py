@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -127,6 +128,17 @@ _ANGLE_RE = re.compile(  # a signed pi, k*pi, pi/m, k*pi/m or number k; k/m is m
 )
 _INDEX_FIELDS = (("lb", "'['", None), ("index", "integer index", None), ("rb", "']'", None))
 
+# Gate statements that passed every check, process-wide: (the statement's text
+# from its first word through its ';', the qreg name, the width) -> its GateOp.
+# Only a statement that parsed is stored, so a hit skips checks it has passed
+# and every error is raised as without the cache. A statement longer than
+# _GATE_CACHE_TEXT characters is not stored, and a full cache is emptied
+# before the next store, so it holds at most _GATE_CACHE_SIZE short entries.
+_GATE_CACHE_SIZE = 4096
+_GATE_CACHE_TEXT = 128
+_GATE_CACHE: dict[tuple[str, str, int], GateOp] = {}
+_GATE_CACHE_LOCK = threading.Lock()  # for stores; a lookup is one dict.get
+
 
 def _error(text: str, offset: int, message: str) -> QasmError:
     """QasmError at ``offset``, or at the first stray character after it: the text before
@@ -199,6 +211,10 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
             if word == "qreg":
                 width = int(m["index"])
         else:
+            key = (text[start:pos], registers["qreg"], width)
+            if (op := _GATE_CACHE.get(key)) is not None:
+                gates.append(op)
+                continue
             op, after = _parse_gate(text, word, start, end, registers["qreg"], width)
         if text[after:end].strip() or not statement["semi"]:
             raise _unexpected(text, after, "';'")
@@ -206,6 +222,11 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
             if len(set(op.qubits)) != len(op.qubits):
                 raise _error(text, start, "duplicate qubit in gate")
             gates.append(op)
+            if pos - start <= _GATE_CACHE_TEXT:
+                with _GATE_CACHE_LOCK:
+                    if len(_GATE_CACHE) >= _GATE_CACHE_SIZE:
+                        _GATE_CACHE.clear()
+                    _GATE_CACHE[key] = op
     if not registers["qreg"]:
         raise _error(text, 0, "missing qreg declaration")
     return Circuit(width=width, gates=tuple(gates), measured=measured, name=name)

@@ -21,7 +21,14 @@ from .collector import ResultCollector
 from .dispatch import Dispatch
 from .errors import DispatchValidationError, ExperimentError, ProviderError, UnknownBackendError
 from .policies import PolicyRegistry
-from .providers import MAX_WAIT, JobState, JobStatus, ProviderConfig, VirtualProvider
+from .providers import (
+    MAX_WAIT,
+    BackendDescriptor,
+    JobState,
+    JobStatus,
+    ProviderConfig,
+    VirtualProvider,
+)
 
 __all__ = ["ExperimentSpec", "QuantumExecutor"]
 
@@ -90,18 +97,19 @@ class QuantumExecutor:
         """Resolve targets, build the dispatch via the split policy, execute.
 
         Accepts an ExperimentSpec or the same fields as keywords. All policy
-        and backend resolution happens before anything is submitted.
+        and backend resolution happens before anything is submitted: each
+        provider the spec names is listed once, and its descriptors serve
+        both the check here and run_dispatch's pre-flight.
         """
         if spec is None:
             spec = ExperimentSpec(**kwargs)
         split_fn = self.policies.resolve_split(spec.split_policy)
 
-        targets: list[tuple[str, str]] = []
-        for provider_id in sorted(spec.backends):
-            for backend_name in sorted(spec.backends[provider_id]):
-                if self.virtual_provider.find_backend(provider_id, backend_name) is None:
-                    raise UnknownBackendError(f"unknown backend {provider_id}/{backend_name}")
-                targets.append((provider_id, backend_name))
+        targets = [(p, b) for p in sorted(spec.backends) for b in sorted(spec.backends[p])]
+        descriptors = self._list(targets)
+        for provider_id, backend_name in targets:
+            if descriptors[provider_id, backend_name] is None:
+                raise UnknownBackendError(f"unknown backend {provider_id}/{backend_name}")
 
         dispatch = split_fn(spec.circuits, spec.shots, targets, spec.policy_context)
         foreign = set(dispatch.backends()) - set(targets)
@@ -118,6 +126,7 @@ class QuantumExecutor:
             merge_policy=spec.merge_policy,
             base_seed=spec.base_seed,
             policy_context=spec.policy_context,
+            descriptors=descriptors,
         )
 
     def run_dispatch(
@@ -128,9 +137,15 @@ class QuantumExecutor:
         merge_policy: str | None = None,
         base_seed: int = 0,
         policy_context: Mapping[str, Any] | None = None,
+        *,
+        descriptors: Mapping[tuple[str, str], BackendDescriptor | None] | None = None,
     ) -> ResultCollector:
         """Submit every job of a dispatch that passes pre-flight and return the
-        collector. Pre-flight and ``backend_info`` share one look-up per backend.
+        collector. Pre-flight and ``backend_info`` share one listing per
+        provider per run: ``descriptors`` maps each (provider_id, backend_name)
+        target to the descriptor a caller listed this run, as run_experiment
+        does, and None lists each provider the dispatch names once. A target
+        it does not map is an unknown backend.
 
         parallel=True submits every backend's jobs at once, so that one
         backend's waits do not hold up another's; parallel=False submits each
@@ -143,7 +158,8 @@ class QuantumExecutor:
         merge_fn = self.policies.resolve_merge(merge_policy) if merge_policy else None
         if dispatch.total_jobs() > 0 and not self.virtual_provider.providers():
             raise ProviderError("no providers registered")
-        descriptors = {t: self.virtual_provider.find_backend(*t) for t in dispatch.backends()}
+        listed = self._list(dispatch.backends()) if descriptors is None else descriptors
+        descriptors = {site: listed.get(site) for site in dispatch.backends()}
         violations = dispatch.validate_against(descriptors)
         if violations:
             raise DispatchValidationError(violations)
@@ -171,6 +187,16 @@ class QuantumExecutor:
         if wait:
             collector.wait()
         return collector
+
+    def _list(self, sites: list[tuple[str, str]]) -> dict[tuple[str, str], BackendDescriptor | None]:
+        """Each (provider_id, backend_name) site's descriptor, or None if its
+        provider does not list it; each provider is listed once."""
+        listed = {
+            (provider_id, d.backend_name): d
+            for provider_id in dict.fromkeys(provider_id for provider_id, _ in sites)
+            for d in self.virtual_provider.list_backends(provider_id)
+        }
+        return {site: listed.get(site) for site in sites}
 
     def _drive(self, specs: dict, parallel: bool, base_seed: int, collector: ResultCollector) -> None:
         """Submit each backend's jobs in canonical order: all at once when

@@ -507,10 +507,15 @@ class VirtualProvider:
                 out[provider_id] = descriptors
         return out
 
-    def find_backend(self, provider_id: str, backend_name: str) -> BackendDescriptor | None:
+    def list_backends(self, provider_id: str) -> list[BackendDescriptor]:
+        """One provider's backends, in one adapter listing (a remote provider's
+        is one GET /backends); none for a provider not registered."""
         with self._lock:
             adapter = self._adapters.get(provider_id)
-        backends = adapter.backends() if adapter is not None else ()
+        return adapter.backends() if adapter is not None else []
+
+    def find_backend(self, provider_id: str, backend_name: str) -> BackendDescriptor | None:
+        backends = self.list_backends(provider_id)
         return next((d for d in backends if d.backend_name == backend_name), None)
 
     def submit_batch(
@@ -520,14 +525,24 @@ class VirtualProvider:
         call, with no discovery call. Returns, in order, the id the adapter
         issued each job or the error that refused it: bad shots or seed, a
         backend the adapter does not host, a circuit that cannot run there.
-        Nothing raises for one job, so each job's outcome is recorded once."""
+        Nothing raises for one job, so each job's outcome is recorded once;
+        ProviderError if the adapter issued more or fewer ids than it was given
+        jobs, since no id could then be matched to its job."""
         with self._lock:
             adapter = self._adapters.get(provider_id)
         if adapter is None:
             unknown = UnknownBackendError(f"unknown backend {provider_id}/{backend_name}")
             return [unknown] * len(jobs)
-        checked = [_checked(job) for job in jobs]
-        return submit_checked(checked, lambda batch: adapter.submit(backend_name, batch))
+
+        def submit(batch: list[tuple]) -> list[str | QExecError]:
+            issued = adapter.submit(backend_name, batch)
+            if len(issued) != len(batch):
+                raise ProviderError(
+                    f"provider {provider_id!r} issued {len(issued)} job ids, not {len(batch)}"
+                )
+            return issued
+
+        return submit_checked([_checked(job) for job in jobs], submit)
 
     def status_batch(self, provider_id: str, job_ids: Sequence[str]) -> list[JobStatus]:
         """The statuses of jobs that ``provider_id`` issued, on any of its

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qexec.circuit
 from qexec import Circuit, Gate, GateOp, parse_qasm, serialize_qasm
 from qexec.errors import CircuitError, QasmError
 
@@ -175,6 +178,142 @@ def test_parse_rotation_requires_angle():
 def test_parse_angle_on_fixed_gate_rejected():
     with pytest.raises(QasmError, match="takes no angle"):
         parse_qasm("OPENQASM 2.0; qreg q[1]; h(0.5) q[0];")
+
+
+# --------------------------------------------------------------------------
+# The gate statement cache
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def cold_cache():
+    qexec.circuit._GATE_CACHE.clear()
+    yield qexec.circuit._GATE_CACHE
+    qexec.circuit._GATE_CACHE.clear()
+
+
+def _outcome(text: str, name: str = "circuit") -> tuple:
+    """What parse_qasm makes of ``text``: the circuit and its name, or the
+    error's message, line and column."""
+    try:
+        circuit = parse_qasm(text, name=name)
+    except QasmError as exc:
+        return ("error", exc.message, exc.line, exc.column)
+    return ("circuit", circuit, circuit.name)
+
+
+@pytest.mark.parametrize(
+    "warm, text, message",
+    [
+        # warmed under a wider qreg
+        ("qreg q[4]; h q[3];", "qreg q[2]; h q[3];", "qubit index out of range: 3 >= 2"),
+        # warmed under a qreg of another name
+        ("qreg q[2]; cx q[0],q[1];", "qreg r[2]; cx q[0],q[1];", "expected register 'r', got 'q'"),
+        # warmed before a terminal measure
+        (
+            "qreg q[2]; creg c[2]; h q[0];",
+            "qreg q[2]; creg c[2]; measure q -> c; h q[0];",
+            "statements after terminal measure",
+        ),
+    ],
+    ids=["width", "qreg-name", "after-measure"],
+)
+def test_a_cached_statement_still_fails_where_its_context_refuses_it(cold_cache, warm, text, message):
+    text = "OPENQASM 2.0;\n" + text.replace("; ", ";\n")
+    cold = _outcome(text)
+    assert cold[:2] == ("error", message)
+    parse_qasm("OPENQASM 2.0;\n" + warm)
+    assert cold_cache  # the statement that the text repeats is cached
+    assert _outcome(text) == cold
+
+
+_STATEMENTS = [
+    "h q[0];", "h q[3];", "x r[1];", "t q[2];", "cx q[0],q[1];", "cx q[1], q[0] ;",
+    "cz q[2],q[3];", "rz(pi/2) q[1];", "rx(-0.5) q[0];", "ry(2*pi/3) r[0];",
+    # broken: a repeated qubit, no ';' before the next statement, a stray
+    # operand, a missing or unexpected angle, an unknown gate, an empty
+    # statement, a measure with or without a creg to write
+    "cx q[0],q[0];", "h q[1]", "h q[0] q[1];", "rx q[0];", "h(0.1) q[0];", "foo q[0];", ";",
+    "measure q -> c;",
+]
+
+
+@st.composite
+def qasm_texts(draw, pool: list[str]):
+    """A header, maybe a qreg of 1 to 4 qubits named q or r and a creg, and
+    up to 8 statements drawn from ``pool``."""
+    width, reg = draw(st.integers(1, 4)), draw(st.sampled_from("qr"))
+    qreg, creg = f"qreg {reg}[{width}];", f"creg c[{width}];"
+    declarations = draw(st.sampled_from([[qreg], [qreg, creg], []]))
+    statements = draw(st.lists(st.sampled_from(pool), max_size=8))
+    layout = draw(st.sampled_from(["\n", " ", "\n  "]))
+    return "OPENQASM 2.0;\n" + layout.join(declarations + statements)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_cache_never_changes_what_a_text_parses_to(data):
+    # The texts of one example draw from one small pool of statements, so
+    # that each statement recurs under other registers, widths and neighbours.
+    pool = data.draw(st.lists(st.sampled_from(_STATEMENTS), min_size=1, max_size=4, unique=True))
+    texts = data.draw(st.lists(qasm_texts(pool), min_size=2, max_size=6))
+    cold = []
+    for i, text in enumerate(texts):
+        qexec.circuit._GATE_CACHE.clear()
+        cold.append(_outcome(text, f"t{i}"))
+    qexec.circuit._GATE_CACHE.clear()
+    for _ in range(2):  # the first pass warms the cache across texts, the second reads it
+        assert [_outcome(text, f"t{i}") for i, text in enumerate(texts)] == cold
+
+
+def test_the_cache_holds_at_most_its_bound(cold_cache):
+    size = qexec.circuit._GATE_CACHE_SIZE
+    statements = [f"rz({k}) q[0];" for k in range(size + 10)]
+    circuit = parse_qasm("OPENQASM 2.0; qreg q[1]; " + " ".join(statements))
+    assert [op.angle for op in circuit.gates] == list(range(size + 10))
+    assert 0 < len(cold_cache) <= size
+
+
+def test_a_long_statement_is_not_cached(cold_cache):
+    padding = " " * qexec.circuit._GATE_CACHE_TEXT
+    circuit = parse_qasm(f"OPENQASM 2.0; qreg q[1]; h{padding}q[0];")
+    assert circuit.gates == (GateOp(Gate.H, (0,)),)
+    assert not cold_cache
+
+
+def test_threads_parsing_at_once_each_get_their_own_circuits(cold_cache):
+    texts = [
+        f"OPENQASM 2.0; qreg {reg}[{width}]; h {reg}[0]; cx {reg}[0],{reg}[{width - 1}]; "
+        f"rz(pi/{width}) {reg}[1]; h {reg}[3];"
+        for reg in "qr"
+        for width in (2, 3, 4)
+    ]
+    expected = [_outcome(text, f"t{i}") for i, text in enumerate(texts)]
+    assert [outcome[0] for outcome in expected] == ["error", "error", "circuit"] * 2
+    start, seen, lock = threading.Barrier(4), [], threading.Lock()
+
+    def parse_all(offset):
+        start.wait()
+        for round_ in range(50):
+            if round_ % 10 == offset:
+                qexec.circuit._GATE_CACHE.clear()
+            order = texts[offset:] + texts[:offset]
+            outcomes = [_outcome(t, f"t{texts.index(t)}") for t in order]
+            with lock:
+                seen.append(outcomes == expected[offset:] + expected[:offset])
+
+    threads = [threading.Thread(target=parse_all, args=(offset,)) for offset in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-parse and mid-store
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [True] * 200
 
 
 # --------------------------------------------------------------------------

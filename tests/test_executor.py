@@ -1,5 +1,6 @@
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 import requests
@@ -31,7 +32,7 @@ from qexec.errors import (
 )
 from qexec.providers import BackendDescriptor, JobState, JobStatus
 
-from conftest import BELL_QASM, count_kernels_in_flight
+from conftest import BELL_QASM, count_kernels_in_flight, serve_listing
 
 LOCAL_PAIR = {"local_ideal": ["statevector"], "local_noisy": ["noisy_statevector"]}
 
@@ -358,6 +359,36 @@ def test_a_status_list_of_the_wrong_length_fails_its_jobs_once(local_executor, b
     error = f"provider 'flaky' read {1 + extra} statuses, not 1"
     assert collector.failed_jobs() == [
         {"ordinal": 0, "provider": "flaky", "backend": "device", "error": error}
+    ]
+
+
+class _MisissuingAdapter(_BrokenAdapter):
+    """Issues ``extra`` more job ids than it is given jobs, or fewer if
+    negative; each job it issued is DONE."""
+
+    def __init__(self, extra):
+        super().__init__()
+        self.extra = extra
+
+    def submit(self, backend_name, jobs):
+        return super().submit(backend_name, [*jobs, *jobs][: max(0, len(jobs) + self.extra)])
+
+    def status(self, job_ids):
+        return [JobStatus(JobState.DONE, counts={"00": 8})] * len(job_ids)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_an_id_list_of_the_wrong_length_fails_each_job_with_both_lengths(local_executor, bell, extra):
+    # No id of such a list can be matched to its job: a short one once failed
+    # the jobs with an empty message, and a long one ran them on guesswork.
+    executor = executor_with_broken(_MisissuingAdapter(extra), local_executor)
+    dispatch = Dispatch().add_job("flaky", "device", bell, 8).add_job("flaky", "device", bell, 8)
+    collector = executor.run_dispatch(dispatch, wait=False)
+    assert collector.wait(5), "the run never ended"
+    error = f"provider 'flaky' issued {2 + extra} job ids, not 2"
+    assert collector.failed_jobs() == [
+        {"ordinal": ordinal, "provider": "flaky", "backend": "device", "error": error}
+        for ordinal in (0, 1)
     ]
 
 
@@ -768,8 +799,93 @@ def test_run_experiment_discovers_per_backend_not_per_job(local_executor, bell):
     )
     assert collector.dispatch.total_jobs() == 40
     assert collector.failed_jobs() == []
-    assert set(discoveries) == set(LOCAL_PAIR)
-    assert all(calls <= 3 for calls in discoveries.values())
+    assert discoveries == dict.fromkeys(LOCAL_PAIR, 1)
+
+
+REMOTE_PAIR = {"remote": ["noisy_statevector", "statevector"]}
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """(method, path) of every request a client session sends in the test."""
+    sent = []
+    original_request = requests.Session.request
+
+    def recording_request(session, method, url, *args, **kwargs):
+        sent.append((method, urlsplit(url).path))
+        return original_request(session, method, url, *args, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "request", recording_request)
+    return sent
+
+
+def remote_executor(server) -> QuantumExecutor:
+    return QuantumExecutor(
+        providers=[ProviderConfig("remote", "remote_http", endpoint=server.endpoint)]
+    )
+
+
+def test_run_experiment_lists_a_remote_provider_once(remote_server, bell, ghz3, sent):
+    collector = remote_executor(remote_server).run_experiment(
+        circuits=[bell, ghz3], shots=8, backends=REMOTE_PAIR
+    )
+    assert collector.failed_jobs() == []
+    assert collector.dispatch.total_jobs() == 4
+    assert sent.count(("GET", "/backends")) == 1
+    assert sent.index(("GET", "/backends")) < sent.index(("POST", "/jobs"))
+    info = collector.policy_context["backend_info"]
+    assert sorted(info) == ["remote/noisy_statevector", "remote/statevector"]
+
+
+def test_run_dispatch_lists_a_remote_provider_once(remote_server, bell, sent):
+    dispatch = Dispatch()
+    for backend in REMOTE_PAIR["remote"]:
+        dispatch.add_job("remote", backend, bell, 8).add_job("remote", backend, bell, 8)
+    collector = remote_executor(remote_server).run_dispatch(dispatch)
+    assert collector.failed_jobs() == []
+    assert sent.count(("GET", "/backends")) == 1
+    assert sent.count(("POST", "/jobs")) == 2
+
+
+@pytest.mark.parametrize(
+    "listed, refused",
+    [({"online": False}, "is offline"), ({"max_qubits": 2}, "width 3 exceeds")],
+    ids=["offline", "too-wide"],
+)
+@pytest.mark.parametrize("entry", ["experiment", "dispatch"])
+def test_preflight_refuses_from_the_one_listing_before_posting(
+    remote_server, bell, ghz3, sent, monkeypatch, listed, refused, entry
+):
+    serve_listing(
+        monkeypatch,
+        [{"name": "noisy_statevector"}, {"name": "statevector", **listed}],
+    )
+    executor = remote_executor(remote_server)
+    with pytest.raises(DispatchValidationError, match=refused):
+        if entry == "experiment":
+            executor.run_experiment(circuits=[bell, ghz3], shots=8, backends=REMOTE_PAIR)
+        else:
+            dispatch = Dispatch().add_job("remote", "noisy_statevector", bell, 8)
+            executor.run_dispatch(dispatch.add_job("remote", "statevector", ghz3, 8))
+    assert sent == [("GET", "/backends")]
+
+
+def test_run_experiment_refuses_an_unknown_remote_backend_before_the_split(
+    remote_server, bell, sent
+):
+    def split(*args):
+        pytest.fail("the split ran for an unknown backend")
+
+    executor = remote_executor(remote_server)
+    executor.add_policy("never", split_policy=split)
+    with pytest.raises(UnknownBackendError, match="unknown backend remote/teleporter"):
+        executor.run_experiment(
+            circuits=bell,
+            shots=8,
+            backends={"remote": ["statevector", "teleporter"]},
+            split_policy="never",
+        )
+    assert sent == [("GET", "/backends")]
 
 
 def test_run_dispatch_rejects_wide_remote_job_before_posting(remote_server, monkeypatch):

@@ -110,9 +110,9 @@ _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _NUMBER = r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?"  # ASCII digits only
 _LEXEME = rf'{_NUMBER}|{_ID}|"[^"{_BREAKS}]*"|->|[;,\[\]()*/+-]'
 _LEXEME_RE = re.compile(rf"\s*({_LEXEME})?")  # group 1 is None at the end or a stray character
-_STATEMENT_RE = re.compile(  # to its ';', but an include names one lexeme of any kind: ';' or "a;b"
-    rf"\s*(?=\S)(?P<body>(?P<include>include{_WORD_END}\s*(?:{_LEXEME})?)|(?P<word>{_ID})?[^;]*)"
-    r"\s*(?P<semi>;?)"
+_STATEMENT_RE = re.compile(  # to its ';', but an include's file name may hold one: "a;b"
+    rf'\s*(?=\S)(?P<body>(?P<include>include{_WORD_END}\s*(?P<file>"[^"{_BREAKS}]*"|{_ID})?)'
+    rf"|(?P<word>{_ID})?[^;]*)\s*(?P<semi>;?)"
 )
 # A statement's fields after its first word are optional: a broken one matches up to its break.
 _HEADER_RE = re.compile(rf"\s*(?P<header>OPENQASM{_WORD_END})?\s*(?P<version>{_LEXEME})?\s*(?P<semi>;)?")
@@ -177,10 +177,11 @@ def _require(text: str, m: re.Match, *fields: tuple[str, str, str | None]) -> in
 def parse_qasm(text: str, name: str = "circuit") -> Circuit:
     """Parse the supported OpenQASM 2.0 subset into a :class:`Circuit`.
 
-    Accepts the ``OPENQASM 2.0;`` header, then ``;``-terminated statements: any ``include``,
-    one ``qreg``, at most one ``creg``, gates of the supported kinds and an optional terminal
-    ``measure q -> c;``. Comments (``//``) and whitespace are ignored, also inside a statement.
-    Raises :class:`QasmError` at the offending lexeme's line and column; never crashes.
+    Accepts the ``OPENQASM 2.0;`` header, then ``;``-terminated statements: any ``include`` of
+    a string or a bare name, one ``qreg``, at most one ``creg``, gates of the supported kinds and
+    an optional terminal ``measure q -> c;``. Comments (``//``) and whitespace are ignored, also
+    inside a statement. Raises :class:`QasmError` at the offending lexeme's line and column;
+    never crashes.
     """
     text = _COMMENT_RE.sub(lambda c: " " * len(c.group()), text)
     header = _HEADER_RE.match(text)
@@ -193,6 +194,8 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
         if measured:
             raise _error(text, start, "statements after terminal measure")
         if statement["include"] is not None:
+            if statement["file"] is None:
+                raise _unexpected(text, start + 7, "file name")
             after = end
         elif word is None:
             raise _unexpected(text, start, "statement")

@@ -10,8 +10,8 @@ tables) uses it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterator, Mapping
 
 from .circuit import Circuit, parse_qasm, serialize_qasm
 from .errors import BackendOfflineError, CircuitError, DispatchError
@@ -22,16 +22,16 @@ __all__ = ["JobSpec", "Dispatch"]
 
 @dataclass
 class JobSpec:
-    """One planned job: circuit, shot count, backend-specific options.
+    """One planned job: its circuit and shot count.
 
     ``ordinal`` is the job's 0-based position in the canonical flattened
     order over the whole dispatch; the first jobs() or jobs_for() after an
     add_job renumbers, so ordinals read through them are exactly 0..N-1.
+    The run gives the job the seed base_seed + ordinal.
     """
 
     circuit: Circuit
     shots: int
-    options: dict[str, Any] = field(default_factory=dict)
     ordinal: int = -1
 
 
@@ -42,18 +42,11 @@ class Dispatch:
         self._assignments: dict[str, dict[str, list[JobSpec]]] = {}
         self._numbered = True
 
-    def add_job(
-        self,
-        provider_id: str,
-        backend_name: str,
-        circuit: Circuit,
-        shots: int,
-        options: dict[str, Any] | None = None,
-    ) -> "Dispatch":
+    def add_job(self, provider_id: str, backend_name: str, circuit: Circuit, shots: int) -> "Dispatch":
         """Append a job to that backend's list; duplicates are legal (repeat runs)."""
         check_shots(shots)
         backend_jobs = self._assignments.setdefault(provider_id, {}).setdefault(backend_name, [])
-        backend_jobs.append(JobSpec(circuit=circuit, shots=shots, options=dict(options or {})))
+        backend_jobs.append(JobSpec(circuit, shots))
         self._numbered = False
         return self
 
@@ -114,7 +107,7 @@ class Dispatch:
 
     def to_dict(self) -> dict:
         """JSON-ready form {"circuits": [qasm, ...], "jobs": {provider: {backend:
-        [{circuit, shots, options}]}}}, canonically ordered. ``circuit`` indexes
+        [{circuit, shots}]}}}, canonically ordered. ``circuit`` indexes
         ``circuits``, which holds each Circuit object once, in first-use order,
         however many jobs run it."""
         circuits: list[str] = []
@@ -126,7 +119,7 @@ class Dispatch:
                 index[key] = len(circuits)
                 circuits.append(serialize_qasm(spec.circuit))
             jobs.setdefault(provider_id, {}).setdefault(backend_name, []).append(
-                {"circuit": index[key], "shots": spec.shots, "options": dict(spec.options)}
+                {"circuit": index[key], "shots": spec.shots}
             )
         return {"circuits": circuits, "jobs": jobs}
 
@@ -138,7 +131,8 @@ class Dispatch:
     def from_dict(cls, data: dict) -> "Dispatch":
         """The dispatch of a to_dict form; the jobs that share a circuit index
         share one parsed Circuit. DispatchError for an index that is not a
-        position in ``circuits``."""
+        position in ``circuits``. A job entry's other keys, such as the
+        ``options`` that older records hold, are not read."""
         circuits = [parse_qasm(text) for text in data["circuits"]]
         jobs = data["jobs"]
         dispatch = cls()
@@ -153,13 +147,7 @@ class Dispatch:
                             f"job of {provider_id}/{backend_name}: circuit {index!r} is not "
                             f"an index into the {len(circuits)} circuits"
                         )
-                    dispatch.add_job(
-                        provider_id,
-                        backend_name,
-                        circuits[index],
-                        entry["shots"],
-                        entry.get("options") or {},
-                    )
+                    dispatch.add_job(provider_id, backend_name, circuits[index], entry["shots"])
         return dispatch
 
     @classmethod
@@ -169,8 +157,8 @@ class Dispatch:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dispatch):
             return NotImplemented
-        mine = [(p, b, s.circuit, s.shots, s.options, s.ordinal) for p, b, s in self.jobs()]
-        theirs = [(p, b, s.circuit, s.shots, s.options, s.ordinal) for p, b, s in other.jobs()]
+        mine = [(p, b, s.circuit, s.shots, s.ordinal) for p, b, s in self.jobs()]
+        theirs = [(p, b, s.circuit, s.shots, s.ordinal) for p, b, s in other.jobs()]
         return mine == theirs
 
     def __repr__(self) -> str:

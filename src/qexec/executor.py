@@ -202,15 +202,14 @@ class QuantumExecutor:
         """Submit each backend's jobs in canonical order: all at once when
         parallel, else each once every job of the one before is terminal. Each
         poll reads a provider's pending jobs, across its backends, in one
-        status_batch call; a job's terminal status is recorded once, and a
-        non-terminal one only when it changed. Between polls the driver waits
-        through VirtualProvider.wait on the provider of the earliest-submitted
-        backend with pending jobs, with an interval that restarts after
-        progress and otherwise grows to MAX_WAIT. A fault in a backend's
+        status_batch call and hands each status to the collector, whose job
+        table keeps only a state that moves its job forward. Between polls the
+        driver waits through VirtualProvider.wait on the provider of the
+        earliest-submitted backend with pending jobs, with an interval that
+        restarts after progress and otherwise grows to MAX_WAIT. A fault in a backend's
         submit, poll or wait fails only its jobs not yet terminal, once each."""
         queued = list(specs)
         pending: dict[tuple[str, str], dict[int, str]] = {}  # {ordinal: job id}, submission order
-        recorded: dict[int, JobState] = {}
         interval = _POLL_INITIAL
         while queued or pending:
             progress = False
@@ -230,7 +229,7 @@ class QuantumExecutor:
                     read = dict.fromkeys(job_ids, JobStatus(JobState.FAILED, str(exc)))
                 for site in sites:
                     try:
-                        progress |= _record(collector, pending[site], read, recorded)
+                        progress |= _record(collector, pending[site], read)
                     except Exception as exc:
                         _fail_unfinished(collector, site, specs[site], exc)
                         pending[site].clear()
@@ -245,38 +244,30 @@ class QuantumExecutor:
                     del pending[site]
 
     def _submit(self, site, specs, base_seed: int, collector: ResultCollector) -> dict[int, str]:
-        """Submit a backend's jobs in one batch and record each outcome; returns
-        the job id of each job accepted, by ordinal. A fault in the batch call
-        raises, and the driver fails the backend's jobs with its message."""
-        ordinals, jobs = [], []
-        for spec in specs:
-            try:
-                options = {**spec.options, "seed": base_seed + spec.ordinal}
-            except Exception as exc:
-                collector.record_failed(spec.ordinal, str(exc))
-                continue
-            jobs.append((spec.circuit, spec.shots, options))
-            ordinals.append(spec.ordinal)
+        """Submit a backend's ``(circuit, shots, seed)`` jobs in one batch and
+        record each outcome; returns the job id of each job accepted, by
+        ordinal. A fault in the batch call, or a base_seed that cannot be added
+        to an ordinal, raises, and the driver fails the backend's jobs with
+        its message."""
+        jobs = [(spec.circuit, spec.shots, base_seed + spec.ordinal) for spec in specs]
         outcomes = self.virtual_provider.submit_batch(*site, jobs)
         accepted: dict[int, str] = {}
-        for ordinal, outcome in zip(ordinals, outcomes):
+        for spec, outcome in zip(specs, outcomes):
             if isinstance(outcome, Exception):
-                collector.record_failed(ordinal, str(outcome))
+                collector.record_failed(spec.ordinal, str(outcome))
             else:
-                accepted[ordinal] = outcome
+                accepted[spec.ordinal] = outcome
         return accepted
 
 
-def _record(collector: ResultCollector, jobs: dict[int, str], read: dict, recorded: dict) -> bool:
+def _record(collector: ResultCollector, jobs: dict[int, str], read: dict) -> bool:
     """Record a poll's status of each of a backend's pending jobs, and drop
     each job that ended from ``jobs``; True if one did."""
     before = len(jobs)
     for ordinal, job_id in list(jobs.items()):
         status = read[job_id]
         if not status.state.terminal:
-            if recorded.get(ordinal, JobState.QUEUED) is not status.state:
-                recorded[ordinal] = status.state
-                collector.record_status(ordinal, status)
+            collector.record_status(ordinal, status)
             continue
         del jobs[ordinal]
         if status.state is JobState.FAILED:

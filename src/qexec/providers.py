@@ -18,21 +18,23 @@ that hosts the job service's backends. This module alone decides which
 jobs may overlap: the jobs of every runner with no delay run on one kernel
 worker per process, one at a time, in submission order, and a runner with a
 delay waits on a worker of its own. Every adapter takes a backend's jobs as
-one list and reads a list of job ids, of any of its backends, in one call;
-the registry's submit_batch and status_batch are those calls, and its one
-way to submit and one way to read a job. A run's one driver thread (see
-executor.QuantumExecutor._drive) makes one status_batch call per provider
-per poll, and between two polls waits through the registry's wait on one
-provider, which a runner spends blocked on its job table and a remote
-adapter spends asleep. Submission is non-blocking for every kind: jobs
-enter QUEUED immediately and progress QUEUED -> RUNNING -> DONE/FAILED,
+one list of ``(circuit, shots, seed)`` tuples, the shape the kernel's
+sample_batch takes, and reads a list of job ids, of any of its backends, in
+one call; the registry's submit_batch and status_batch are those calls, and
+its one way to submit and one way to read a job. A run's one driver thread
+(see executor.QuantumExecutor._drive) makes one status_batch call per
+provider per poll, and between two polls waits through the registry's wait
+on one provider, which a runner spends blocked on its job table and a
+remote adapter spends asleep. Submission is non-blocking for every kind:
+jobs enter QUEUED immediately and progress QUEUED -> RUNNING -> DONE/FAILED,
 observable through the status calls, the one way to read a job: a DONE
-status carries the job's counts. A job that cannot be submitted gets its
-error in place of an id, so one bad job never fails the jobs submitted with
-it. The registry holds its adapters and is safe for concurrent use; a job
-is known by (provider_id, job_id), the id that provider's adapter issued.
-A provider's settings are checked when it is registered, so a providers file
-and a ProviderConfig built in Python meet the same checks.
+status carries the job's counts. A job that cannot be submitted, such as
+one whose shots or seed is not an integer, gets its error in place of an
+id, so one bad job never fails the jobs submitted with it. The registry
+holds its adapters and is safe for concurrent use; a job is known by
+(provider_id, job_id), the id that provider's adapter issued. A provider's
+settings are checked when it is registered, so a providers file and a
+ProviderConfig built in Python meet the same checks.
 """
 
 from __future__ import annotations
@@ -315,7 +317,7 @@ class JobRunner:
         return [descriptor for descriptor, _ in self._backends.values()]
 
     def submit(self, backend_name: str, jobs: Sequence[tuple]) -> list[str | QExecError]:
-        """Queue each ``(circuit, shots, options)`` job and return its id, or
+        """Queue each ``(circuit, shots, seed)`` job and return its id, or
         the error that kept it from the queue; the jobs run under the
         backend's noise, if it has any. Every job of a backend this runner
         does not host gets UnknownBackendError."""
@@ -325,15 +327,15 @@ class JobRunner:
         due = time.monotonic() + self._delay
         job_ids: list[str | QExecError] = []
         accepted = []
-        for circuit, shots, options in jobs:
+        for job in jobs:
             try:
-                descriptor.check(circuit)
+                descriptor.check(job[0])
             except QExecError as exc:
                 job_ids.append(exc)
                 continue
             job_id = f"{self._name}-{next(_JOB_COUNTER)}"
             self._table.create(job_id)
-            accepted.append((job_id, (circuit, shots, options.get("seed", 0))))
+            accepted.append((job_id, job))
             job_ids.append(job_id)
         if accepted:
             self._pool.submit(self._run, due, descriptor, noise, accepted)
@@ -459,14 +461,13 @@ def check_shots(shots: int) -> None:
 
 
 def _checked(job: tuple) -> tuple | DispatchError:
-    """The ``(circuit, shots, options)`` job, or the error that refuses it:
+    """The ``(circuit, shots, seed)`` job, or the error that refuses it:
     shots or a seed that are not integers would fail it only in the kernel."""
-    _, shots, options = job
+    _, shots, seed = job
     try:
         check_shots(shots)
     except DispatchError as exc:
         return exc
-    seed = options.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         return DispatchError(f"seed must be an integer, got {seed!r}")
     return job
@@ -521,7 +522,7 @@ class VirtualProvider:
     def submit_batch(
         self, provider_id: str, backend_name: str, jobs: Sequence[tuple]
     ) -> list[str | QExecError]:
-        """Submit a backend's ``(circuit, shots, options)`` jobs in one adapter
+        """Submit a backend's ``(circuit, shots, seed)`` jobs in one adapter
         call, with no discovery call. Returns, in order, the id the adapter
         issued each job or the error that refused it: bad shots or seed, a
         backend the adapter does not host, a circuit that cannot run there.

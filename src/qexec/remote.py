@@ -81,7 +81,7 @@ class RemoteHttpAdapter:
         return descriptors
 
     def submit(self, backend_name: str, jobs: Sequence[tuple]) -> list[str | QExecError]:
-        """Post the ``(circuit, shots, options)`` jobs, at most MAX_BATCH_JOBS a
+        """Post the ``(circuit, shots, seed)`` jobs, at most MAX_BATCH_JOBS a
         request, and return each job's id or the error that refused it. A
         fault of a whole request fails each of its jobs once, with its message."""
         return _in_batches(jobs, lambda batch: self._post_jobs(backend_name, batch))
@@ -92,8 +92,8 @@ class RemoteHttpAdapter:
         body = {
             "backend": backend_name,
             "jobs": [
-                {"qasm": serialize_qasm(circuit), "shots": shots, "seed": options.get("seed", 0)}
-                for circuit, shots, options in jobs
+                {"qasm": serialize_qasm(circuit), "shots": shots, "seed": seed}
+                for circuit, shots, seed in jobs
             ],
         }
         try:

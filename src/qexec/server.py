@@ -205,8 +205,8 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def _wire_job(entry) -> tuple:
-    """One entry of a POST /jobs body as a runner job; ValueError names what
-    is wrong with it."""
+    """One entry of a POST /jobs body as a runner's ``(circuit, shots, seed)``
+    job; ValueError names what is wrong with it."""
     if not isinstance(entry, dict):
         raise ValueError("a job must be a JSON object")
     shots, seed = entry.get("shots", 0), entry.get("seed", 0)
@@ -221,7 +221,7 @@ def _wire_job(entry) -> tuple:
         circuit = parse_qasm(qasm)
     except QExecError as exc:
         raise ValueError(f"bad qasm: {exc}") from exc
-    return circuit, shots, {"seed": seed}
+    return circuit, shots, seed
 
 
 def _job_entry(job_id: str, status: JobStatus | None) -> dict:

@@ -1,3 +1,4 @@
+import json
 import threading
 import time
 
@@ -158,6 +159,51 @@ def drop_once(monkeypatch, route: str) -> list[str]:
 
     monkeypatch.setattr(_Handler, route, dropping)
     return seen
+
+
+def drop_always(monkeypatch, route: str) -> list[str]:
+    """Make _Handler.<route> close its connection without replying every time
+    it runs; returns the path of every call."""
+    seen = []
+
+    def dropping(self, *args):
+        seen.append(self.path)
+        self.close_connection = True
+
+    monkeypatch.setattr(_Handler, route, dropping)
+    return seen
+
+
+def serve_jobs_reply(monkeypatch, route: str, code: int, reply) -> None:
+    """Make _Handler.<route>, ``_get_jobs`` or ``_post_jobs``, answer a request
+    about n jobs with ``code`` and the body ``reply(n)``: bytes as they are,
+    anything else as JSON."""
+
+    def replying(self, arg):
+        if route == "_get_jobs":  # arg is the ids values of the query
+            n = sum(1 for value in arg for job_id in value.split(",") if job_id)
+        else:  # arg is the raw body of a POST /jobs
+            n = len(json.loads(arg)["jobs"])
+        body = reply(n)
+        if not isinstance(body, bytes):
+            body = json.dumps(body).encode("utf-8")
+        self.send_response(code)
+        self.send_header("Content-Type", "application/json; charset=utf-8")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    monkeypatch.setattr(_Handler, route, replying)
+
+
+# Replies to a request about n jobs that no client can read as one entry per job
+MALFORMED_JOB_REPLIES = {
+    "too-few": lambda n: {"jobs": [{"job_id": "x", "state": "DONE"}] * (n - 1)},
+    "too-many": lambda n: {"jobs": [{"job_id": "x", "state": "DONE"}] * (n + 1)},
+    "not-objects": lambda n: {"jobs": ["DONE"] * n},
+    "no-jobs": lambda n: {"entries": []},
+    "not-json": lambda n: b"<html>busy</html>",
+}
 
 
 # GET /backends bodies that no client can read as a backend listing

@@ -293,7 +293,7 @@ def test_a8_remote_equivalence():
         )
         seed = 998877
         registry = qe.virtual_provider
-        job = (bell, 777, {"seed": seed})
+        job = (bell, 777, seed)
         jobs = {p: registry.submit_batch(p, "statevector", [job]) for p in ("remote", "local_ideal")}
         deadline = time.time() + 10
         while time.time() < deadline:

@@ -93,6 +93,12 @@ def test_parse_layout_variants(text, bell):
         ("rx(pi\n*2) q[0];", "expected ')'", 4, "*2) q[0];"),
         ("cx q[0],\n  q[5];", "out of range", 4, "q[5];"),
         ("creg c[2];\nmeasure q -> c;\nx q[0];", "after terminal measure", 5, "x q[0];"),
+        ("include;", "expected file name, got ';'", 3, ";"),
+        ("include ;;", "expected file name, got ';'", 3, ";;"),
+        ("include 5;", "expected file name, got '5'", 3, "5;"),
+        ("include -> ;", "expected file name, got '->'", 3, "-> ;"),
+        ("include", "unexpected end of input", 3, "include"),
+        ('include "a.inc" b;', "expected ';', got 'b'", 3, "b;"),
     ],
 )
 def test_parse_error_position(body, fragment, line, statement):

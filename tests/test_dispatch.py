@@ -17,10 +17,11 @@ def test_add_job_single(bell):
 
 def test_add_job_duplicates_legal(bell):
     dispatch = Dispatch()
-    dispatch.add_job("p1", "b1", bell, 10, {"tag": "first"})
-    dispatch.add_job("p1", "b1", bell, 10, {"tag": "second"})
+    dispatch.add_job("p1", "b1", bell, 10)
+    dispatch.add_job("p1", "b1", bell, 10)
+    dispatch.add_job("p1", "b1", bell, 20)
     specs = dispatch.jobs_for("p1", "b1")
-    assert [s.options["tag"] for s in specs] == ["first", "second"]
+    assert [(s.shots, s.ordinal) for s in specs] == [(10, 0), (10, 1), (20, 2)]
 
 
 def test_add_job_rejects_zero_shots(bell):
@@ -78,15 +79,15 @@ def test_ordinals_numbered_on_read_in_canonical_order(bell):
     dispatch = Dispatch()
     for index in range(3):
         for provider_id, backend_name in (("zeta", "b"), ("alpha", "y"), ("alpha", "x")):
-            dispatch.add_job(provider_id, backend_name, bell, 1, {"index": index})
+            dispatch.add_job(provider_id, backend_name, bell, index + 1)
     canonical = [
-        (p, b, i) for p, b in (("alpha", "x"), ("alpha", "y"), ("zeta", "b")) for i in range(3)
+        (p, b, i + 1) for p, b in (("alpha", "x"), ("alpha", "y"), ("zeta", "b")) for i in range(3)
     ]
-    assert [(p, b, s.options["index"]) for p, b, s in dispatch.jobs()] == canonical
+    assert [(p, b, s.shots) for p, b, s in dispatch.jobs()] == canonical
     assert [s.ordinal for _, _, s in dispatch.jobs()] == list(range(9))
     assert [s.ordinal for s in dispatch.jobs_for("alpha", "y")] == [3, 4, 5]
 
-    dispatch.add_job("alpha", "x", bell, 1, {"index": 3})
+    dispatch.add_job("alpha", "x", bell, 4)
     assert [s.ordinal for s in dispatch.jobs_for("alpha", "x")] == [0, 1, 2, 3]
     assert [s.ordinal for s in dispatch.jobs_for("zeta", "b")] == [7, 8, 9]
     assert [s.ordinal for _, _, s in dispatch.jobs()] == list(range(10))
@@ -129,7 +130,7 @@ def test_validate_against_width_overflow(local_registry):
 
 def test_json_round_trip(bell, ghz3):
     dispatch = Dispatch()
-    dispatch.add_job("p1", "b1", bell, 64, {"priority": "low"})
+    dispatch.add_job("p1", "b1", bell, 64)
     dispatch.add_job("p1", "b2", ghz3, 32)
     restored = Dispatch.from_json(dispatch.to_json())
     assert restored == dispatch
@@ -140,16 +141,35 @@ FIXED_DISPATCH_JSON = (
     '{"circuits": ["OPENQASM 2.0;\\ninclude \\"qelib1.inc\\";\\nqreg q[1];\\nrz(0.25) q[0];\\n", '
     '"OPENQASM 2.0;\\ninclude \\"qelib1.inc\\";\\nqreg q[2];\\ncreg c[2];\\nh q[0];\\n'
     'cx q[0],q[1];\\nmeasure q -> c;\\n"], '
+    '"jobs": {"p1": {"b": [{"circuit": 0, "shots": 4}, {"circuit": 1, "shots": 8}]}, '
+    '"p2": {"b": [{"circuit": 1, "shots": 8}]}}}'
+)
+
+# The same dispatch's text as records held it while each job entry carried an
+# "options" mapping, which no backend read.
+OPTIONS_DISPATCH_JSON = (
+    '{"circuits": ["OPENQASM 2.0;\\ninclude \\"qelib1.inc\\";\\nqreg q[1];\\nrz(0.25) q[0];\\n", '
+    '"OPENQASM 2.0;\\ninclude \\"qelib1.inc\\";\\nqreg q[2];\\ncreg c[2];\\nh q[0];\\n'
+    'cx q[0],q[1];\\nmeasure q -> c;\\n"], '
     '"jobs": {"p1": {"b": [{"circuit": 0, "options": {"tag": "x"}, "shots": 4}, '
     '{"circuit": 1, "options": {}, "shots": 8}]}, '
     '"p2": {"b": [{"circuit": 1, "options": {}, "shots": 8}]}}}'
 )
 
 
-def test_to_json_text_is_unchanged(bell):
+def fixed_dispatch(bell):
     rz = Circuit(width=1, gates=(GateOp(Gate.RZ, (0,), 0.25),))
-    dispatch = Dispatch().add_job("p2", "b", bell, 8).add_job("p1", "b", rz, 4, {"tag": "x"})
-    assert dispatch.add_job("p1", "b", bell, 8).to_json() == FIXED_DISPATCH_JSON
+    return Dispatch().add_job("p2", "b", bell, 8).add_job("p1", "b", rz, 4).add_job("p1", "b", bell, 8)
+
+
+def test_to_json_text_is_unchanged(bell):
+    assert fixed_dispatch(bell).to_json() == FIXED_DISPATCH_JSON
+
+
+def test_a_record_with_job_options_loads_without_them(bell):
+    loaded = Dispatch.from_json(OPTIONS_DISPATCH_JSON)
+    assert loaded == fixed_dispatch(bell)
+    assert loaded.to_json() == FIXED_DISPATCH_JSON
 
 
 def test_to_dict_serializes_each_circuit_once(bell, ghz3, monkeypatch):

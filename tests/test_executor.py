@@ -449,7 +449,7 @@ class _ScriptedAdapter:
         ]
 
     def submit(self, backend_name, jobs):
-        ordinals = [options["seed"] for _, _, options in jobs]
+        ordinals = [seed for _, _, seed in jobs]
         self.events.append(("submit", ordinals))
         if self.plan["backends"][int(backend_name[1:])][1] and not self.mended:
             raise ProviderError("submission refused")

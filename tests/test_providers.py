@@ -32,13 +32,20 @@ from qexec.errors import (
 from qexec.providers import BackendDescriptor, JobRunner, JobState, JobStatus, JobTable
 from qexec.server import RemoteServer, ServerConfig
 
-from conftest import MALFORMED_LISTINGS, drop_once, serve_listing
+from conftest import (
+    MALFORMED_JOB_REPLIES,
+    MALFORMED_LISTINGS,
+    drop_always,
+    drop_once,
+    serve_jobs_reply,
+    serve_listing,
+)
 
 
-def submit_one(registry, provider_id, backend_name, circuit, shots, options=None):
+def submit_one(registry, provider_id, backend_name, circuit, shots, seed=0):
     """A one-job submit_batch: the id the adapter issued, or the error that
     refused the job."""
-    [outcome] = registry.submit_batch(provider_id, backend_name, [(circuit, shots, options or {})])
+    [outcome] = registry.submit_batch(provider_id, backend_name, [(circuit, shots, seed)])
     return outcome
 
 
@@ -236,7 +243,7 @@ def test_get_backends_deterministic(local_registry):
 
 def test_submit_returns_live_handle(local_registry, bell):
     # The handle of a job is the id its provider's adapter issued.
-    job_id = submit_one(local_registry, "local_ideal", "statevector", bell, 1024, {"seed": 1})
+    job_id = submit_one(local_registry, "local_ideal", "statevector", bell, 1024, 1)
     assert isinstance(job_id, str)
     status = status_of(local_registry, "local_ideal", job_id)
     assert status.state in (JobState.QUEUED, JobState.RUNNING, JobState.DONE)
@@ -284,8 +291,19 @@ def test_submit_rejects_non_integer_shots(local_registry, bell, shots):
     assert isinstance(refused, DispatchError) and "shots must be an integer" in str(refused)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "3", None])
+def test_submit_batch_refuses_a_seed_that_is_not_an_integer(local_registry, bell, seed):
+    # Refused in its job's place before it is queued; the batch's other jobs run.
+    jobs = [(bell, 8, 1), (bell, 8, seed), (bell, 8, 2)]
+    first, refused, last = local_registry.submit_batch("local_ideal", "statevector", jobs)
+    assert isinstance(refused, DispatchError)
+    assert str(refused) == f"seed must be an integer, got {seed!r}"
+    statuses = [wait_terminal(local_registry, "local_ideal", j) for j in (first, last)]
+    assert [s.counts for s in statuses] == [sample(bell, 8, seed=1), sample(bell, 8, seed=2)]
+
+
 def test_local_job_completes(local_registry, bell):
-    job_id = submit_one(local_registry, "local_ideal", "statevector", bell, 1024, {"seed": 3})
+    job_id = submit_one(local_registry, "local_ideal", "statevector", bell, 1024, 3)
     status = wait_terminal(local_registry, "local_ideal", job_id)
     assert status.state is JobState.DONE
     counts = status_of(local_registry, "local_ideal", job_id).counts
@@ -322,7 +340,7 @@ def test_stopped_runner_leaves_the_shared_kernel_worker_to_the_others(bell, monk
 
     monkeypatch.setattr(qexec.providers, "sample_batch", blocked_kernel)
     kept, stopped = _runner("kept"), _runner("stopped")
-    job = (bell, 16, {})
+    job = (bell, 16, 0)
     kept_ids = kept.submit("statevector", [job])
     try:
         assert started.wait(5), "the kernel worker never started the first job"
@@ -344,7 +362,7 @@ def test_shutdown_ends_a_worker_that_waits_out_its_delay(bell):
     # wait short: the worker ends at once, and the batch's job stays QUEUED.
     descriptor = BackendDescriptor("waiting", "statevector", True, 20, True)
     runner = JobRunner("waiting", [(descriptor, None)], delay=3.0)
-    [job_id] = runner.submit("statevector", [(bell, 16, {})])
+    [job_id] = runner.submit("statevector", [(bell, 16, 0)])
     time.sleep(0.1)
     workers = [t for t in threading.enumerate() if t.name.startswith("waiting-worker")]
     assert len(workers) == 1
@@ -417,8 +435,8 @@ def test_runner_fails_each_faulty_job_of_a_batch_alone(bell, monkeypatch, noise)
     monkeypatch.setattr(qexec.simulator, "_apply_gate", poisoned)
     raising = Circuit(width=2, gates=bell.gates + (GateOp(Gate.RX, (1,), 0.5),))
     runner = JobRunner("batch", [(BackendDescriptor("batch", "sv", True, 2, noise is None), noise)])
-    jobs = [(bell, 16, {"seed": 1}), (bell, 0, {"seed": 2}), (Circuit(width=3), 16, {}),
-            (raising, 16, {"seed": 4}), (bell, 16, {"seed": 5})]
+    jobs = [(bell, 16, 1), (bell, 0, 2), (Circuit(width=3), 16, 0),
+            (raising, 16, 4), (bell, 16, 5)]
     ids = runner.submit("sv", jobs)
     assert isinstance(ids[2], CircuitError) and "limit 2" in str(ids[2])
     ids = [ids[0], ids[1], ids[3], ids[4]]
@@ -472,7 +490,7 @@ def test_status_monotonic_sequence(bell):
 
 
 def test_submission_isolation_distinct_ids(local_registry, bell):
-    jobs = [(bell, 4, {"seed": i}) for i in range(10)]
+    jobs = [(bell, 4, i) for i in range(10)]
     job_ids = local_registry.submit_batch("local_ideal", "statevector", jobs)
     job_ids += [submit_one(local_registry, "local_ideal", "statevector", bell, 4) for _ in range(10)]
     assert all(isinstance(job_id, str) for job_id in job_ids)
@@ -480,7 +498,7 @@ def test_submission_isolation_distinct_ids(local_registry, bell):
 
 
 def test_noisy_backend_executes_with_noise(local_registry, bell):
-    job_id = submit_one(local_registry, "local_noisy", "noisy_statevector", bell, 4096, {"seed": 7})
+    job_id = submit_one(local_registry, "local_noisy", "noisy_statevector", bell, 4096, 7)
     counts = wait_terminal(local_registry, "local_noisy", job_id).counts
     assert sum(counts.values()) == 4096
 
@@ -553,7 +571,7 @@ def remote_registry(endpoint: str, provider_id: str = "remote") -> VirtualProvid
 def test_remote_adapter_keeps_one_connection(remote_server, bell, accepted_connections):
     registry = remote_registry(remote_server.endpoint)
     assert registry.find_backend("remote", "statevector") is not None
-    job_ids = [submit_one(registry, "remote", "statevector", bell, 16, {"seed": k}) for k in range(10)]
+    job_ids = [submit_one(registry, "remote", "statevector", bell, 16, k) for k in range(10)]
     assert all(wait_terminal(registry, "remote", j).state is JobState.DONE for j in job_ids)
     assert len(accepted_connections) == 1
 
@@ -577,7 +595,7 @@ def test_remote_submit_is_not_resent_after_a_dropped_connection(remote_server, b
     # jobs twice: each job of the batch fails once instead.
     posts = drop_once(monkeypatch, "do_POST")
     registry = remote_registry(remote_server.endpoint)
-    jobs = [(bell, 16, {"seed": k}) for k in range(3)]
+    jobs = [(bell, 16, k) for k in range(3)]
     outcomes = registry.submit_batch("remote", "statevector", jobs)
     assert len(outcomes) == 3
     assert all(isinstance(o, ProviderError) for o in outcomes)
@@ -588,7 +606,7 @@ def test_remote_submit_is_not_resent_after_a_dropped_connection(remote_server, b
 def test_remote_batch_refuses_only_the_bad_jobs(remote_server, bell):
     registry = remote_registry(remote_server.endpoint)
     wide = Circuit(width=25, name="wide")
-    jobs = [(bell, 8, {"seed": 1}), (wide, 8, {}), (bell, 2.5, {}), (bell, 8, {"seed": 2})]
+    jobs = [(bell, 8, 1), (wide, 8, 0), (bell, 2.5, 0), (bell, 8, 2)]
     first, too_wide, bad_shots, last = registry.submit_batch("remote", "statevector", jobs)
     assert isinstance(too_wide, ProviderError) and "width 25 exceeds" in str(too_wide)
     assert isinstance(bad_shots, DispatchError)
@@ -612,7 +630,7 @@ def test_remote_request_fault_fails_each_job_once(bell, monkeypatch):
         registry.register_provider(
             ProviderConfig("remote", "remote_http", endpoint=server.endpoint, credentials=wrong_key)
         )
-        outcomes = registry.submit_batch("remote", "statevector", [(bell, 8, {})] * 3)
+        outcomes = registry.submit_batch("remote", "statevector", [(bell, 8, 0)] * 3)
     assert len(posts) == 1
     assert [type(o) for o in outcomes] == [ProviderError] * 3
     assert len({str(o) for o in outcomes}) == 1
@@ -651,6 +669,70 @@ def test_remote_unknown_backend_fails_each_job_of_its_batch_once(remote_server, 
     assert sorted(failures) == [(k, "remote backend 'ghost' not found") for k in range(3)]
     assert [job["ordinal"] for job in collector.failed_jobs()] == [0, 1, 2]
     assert [method for method, _ in sent].count("POST") == 1
+
+
+def recorded_failures(monkeypatch) -> list[tuple[int, str]]:
+    """(ordinal, message) of every ResultCollector.record_failed call in the test."""
+    failures = []
+    original_record_failed = ResultCollector.record_failed
+
+    def counting_record_failed(collector, ordinal, message):
+        failures.append((ordinal, message))
+        original_record_failed(collector, ordinal, message)
+
+    monkeypatch.setattr(ResultCollector, "record_failed", counting_record_failed)
+    return failures
+
+
+def start_remote_run(endpoint: str, circuit, n_jobs: int) -> ResultCollector:
+    """The live collector of a run of ``n_jobs`` jobs on the service's statevector."""
+    executor = QuantumExecutor(providers=[ProviderConfig("remote", "remote_http", endpoint=endpoint)])
+    dispatch = Dispatch()
+    for _ in range(n_jobs):
+        dispatch.add_job("remote", "statevector", circuit, 8)
+    return executor.run_dispatch(dispatch, wait=False)
+
+
+def test_remote_status_read_dropped_on_every_try_fails_each_job_once(
+    remote_server, bell, monkeypatch
+):
+    # The GET /jobs?ids= is sent, then resent twice, and each time the service
+    # closes the connection without replying.
+    polls = drop_always(monkeypatch, "_get_jobs")
+    failures = recorded_failures(monkeypatch)
+    collector = start_remote_run(remote_server.endpoint, bell, 3)
+    assert collector.wait(10), "the run never ended"
+    assert sorted(ordinal for ordinal, _ in failures) == [0, 1, 2]
+    assert all(message.startswith("remote status check failed") for _, message in failures)
+    assert len(polls) == 3
+
+
+@pytest.mark.parametrize("reply", MALFORMED_JOB_REPLIES.values(), ids=MALFORMED_JOB_REPLIES)
+def test_remote_malformed_status_reply_fails_each_job_once(remote_server, bell, monkeypatch, reply):
+    serve_jobs_reply(monkeypatch, "_get_jobs", 200, reply)
+    failures = recorded_failures(monkeypatch)
+    collector = start_remote_run(remote_server.endpoint, bell, 3)
+    assert collector.wait(10), "the run never ended"
+    assert sorted(ordinal for ordinal, _ in failures) == [0, 1, 2]
+    assert all(message.startswith("malformed status response") for _, message in failures)
+
+
+MALFORMED_SUBMISSION_REPLIES = {**MALFORMED_JOB_REPLIES, "no-id-or-error": lambda n: {"jobs": [{}] * n}}
+
+
+@pytest.mark.parametrize(
+    "reply", MALFORMED_SUBMISSION_REPLIES.values(), ids=MALFORMED_SUBMISSION_REPLIES
+)
+def test_remote_malformed_submission_reply_fails_each_job_once(
+    remote_server, bell, monkeypatch, reply
+):
+    # The POST /jobs answers 201, with a body that names no job's outcome.
+    serve_jobs_reply(monkeypatch, "_post_jobs", 201, reply)
+    failures = recorded_failures(monkeypatch)
+    collector = start_remote_run(remote_server.endpoint, bell, 3)
+    assert collector.wait(10), "the run never ended"
+    assert sorted(ordinal for ordinal, _ in failures) == [0, 1, 2]
+    assert all(message.startswith("malformed submission response") for _, message in failures)
 
 
 def test_remote_backend_of_257_jobs_sends_two_posts(remote_server, bell, monkeypatch):

@@ -107,14 +107,16 @@ def test_submit_bad_qasm(remote_server):
 
 def test_one_bad_entry_fails_only_its_own_job(remote_server, bell):
     wide = "OPENQASM 2.0; qreg q[25];"
+    no_qasm = {"shots": 8, "seed": 0}
     jobs = [bell_job(seed=1), bell_job(qasm="nope"), bell_job(qasm=wide), bell_job(shots=2.5), 7]
-    response = post_jobs(remote_server.endpoint, "statevector", *jobs, bell_job(seed=2))
+    response = post_jobs(remote_server.endpoint, "statevector", *jobs, no_qasm, bell_job(seed=2))
     assert response.status_code == 201
     entries = response.json()["jobs"]
-    assert [sorted(entry) for entry in entries] == [["job_id"]] + [["error"]] * 4 + [["job_id"]]
+    assert [sorted(entry) for entry in entries] == [["job_id"]] + [["error"]] * 5 + [["job_id"]]
     assert "exceeds" in entries[2]["error"]
     assert entries[4] == {"error": "a job must be a JSON object"}
-    ids = [entries[0]["job_id"], entries[5]["job_id"]]
+    assert entries[5] == {"error": "missing qasm"}
+    ids = [entries[0]["job_id"], entries[6]["job_id"]]
     assert wait_done(remote_server.endpoint, *ids) == ["DONE", "DONE"]
     counts = [entry["counts"] for entry in read_jobs(remote_server.endpoint, *ids)]
     assert counts == [sample(bell, 8, seed=1), sample(bell, 8, seed=2)]

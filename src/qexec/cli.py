@@ -326,7 +326,16 @@ def cmd_results(args) -> int:
     if args.merged:
         merged_path = run_dir / "merged.json"
         if not merged_path.exists():
-            print(f"run {args.run_id} has no merge policy", file=sys.stderr)
+            # A finalized record, one with results.json, has its final meta.json.
+            if not (run_dir / "results.json").exists():
+                print(f"run {args.run_id} is not finalized yet", file=sys.stderr)
+                return EXIT_SCHEMA
+            policy = json.loads((run_dir / "meta.json").read_text(encoding="utf-8"))["merge_policy"]
+            if policy is None:
+                print(f"run {args.run_id} has no merge policy", file=sys.stderr)
+            else:
+                message = f"merge policy {policy!r} gave no merged output"
+                print(f"run {args.run_id}: {message}", file=sys.stderr)
             return EXIT_SCHEMA
         print(merged_path.read_text(encoding="utf-8"), end="")
         return EXIT_OK

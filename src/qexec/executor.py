@@ -25,7 +25,6 @@ from .providers import (
     MAX_WAIT,
     BackendDescriptor,
     JobState,
-    JobStatus,
     ProviderConfig,
     VirtualProvider,
 )
@@ -200,16 +199,17 @@ class QuantumExecutor:
 
     def _drive(self, specs: dict, parallel: bool, base_seed: int, collector: ResultCollector) -> None:
         """Submit each backend's jobs in canonical order: all at once when
-        parallel, else each once every job of the one before is terminal. Each
-        poll reads a provider's pending jobs, across its backends, in one
-        status_batch call and hands each status to the collector, whose job
-        table keeps only a state that moves its job forward. Between polls the
-        driver waits through VirtualProvider.wait on the provider of the
-        earliest-submitted backend with pending jobs, with an interval that
-        restarts after progress and otherwise grows to MAX_WAIT. A fault in a backend's
-        submit, poll or wait fails only its jobs not yet terminal, once each."""
+        parallel, else each once every job of the one before is terminal.
+        Pending jobs are kept by provider, in submission order. Each poll reads
+        a provider's pending jobs in one status_batch call and hands each status
+        to the collector. Between polls the driver waits through
+        VirtualProvider.wait on the earliest-submitted provider with pending
+        jobs, with an interval that restarts after progress and otherwise
+        grows to MAX_WAIT. A fault fails the jobs of the call that raised, once
+        each: a backend's jobs if its submit raised, and a provider's pending
+        jobs if its read, the recording of that read, or its wait raised."""
         queued = list(specs)
-        pending: dict[tuple[str, str], dict[int, str]] = {}  # {ordinal: job id}, submission order
+        pending: dict[str, dict[int, str]] = {}  # provider id -> {ordinal: job id}
         interval = _POLL_INITIAL
         while queued or pending:
             progress = False
@@ -217,31 +217,24 @@ class QuantumExecutor:
                 site, progress = queued.pop(0), True
                 try:
                     if jobs := self._submit(site, specs[site], base_seed, collector):
-                        pending[site] = jobs
+                        pending.setdefault(site[0], {}).update(jobs)
                 except Exception as exc:
-                    _fail_unfinished(collector, site, specs[site], exc)
-            for provider_id in dict.fromkeys(site[0] for site in pending):
-                sites = [site for site in pending if site[0] == provider_id]
-                job_ids = [job_id for site in sites for job_id in pending[site].values()]
+                    _fail(collector, [spec.ordinal for spec in specs[site]], exc)
+            for provider_id, jobs in pending.items():
                 try:
-                    read = dict(zip(job_ids, self.virtual_provider.status_batch(provider_id, job_ids)))
+                    statuses = self.virtual_provider.status_batch(provider_id, list(jobs.values()))
+                    progress |= _record(collector, jobs, statuses)
                 except Exception as exc:
-                    read = dict.fromkeys(job_ids, JobStatus(JobState.FAILED, str(exc)))
-                for site in sites:
-                    try:
-                        progress |= _record(collector, pending[site], read)
-                    except Exception as exc:
-                        _fail_unfinished(collector, site, specs[site], exc)
-                        pending[site].clear()
-            pending = {site: jobs for site, jobs in pending.items() if jobs}
+                    _fail(collector, jobs, exc)
+                    jobs.clear()
+            pending = {provider_id: jobs for provider_id, jobs in pending.items() if jobs}
             if pending:
                 interval = _POLL_INITIAL if progress else min(interval * 1.5, MAX_WAIT)
-                site = next(iter(pending))
+                provider_id = next(iter(pending))
                 try:
-                    self.virtual_provider.wait(site[0], interval)
-                except Exception as exc:  # none of this backend's jobs can end
-                    _fail_unfinished(collector, site, specs[site], exc)
-                    del pending[site]
+                    self.virtual_provider.wait(provider_id, interval)
+                except Exception as exc:  # none of this provider's jobs can end
+                    _fail(collector, pending.pop(provider_id), exc)
 
     def _submit(self, site, specs, base_seed: int, collector: ResultCollector) -> dict[int, str]:
         """Submit a backend's ``(circuit, shots, seed)`` jobs in one batch and
@@ -260,28 +253,27 @@ class QuantumExecutor:
         return accepted
 
 
-def _record(collector: ResultCollector, jobs: dict[int, str], read: dict) -> bool:
-    """Record a poll's status of each of a backend's pending jobs, and drop
-    each job that ended from ``jobs``; True if one did."""
+def _record(collector: ResultCollector, jobs: dict[int, str], statuses: list) -> bool:
+    """Record a poll's status of each of a provider's pending jobs, in order,
+    dropping a job from ``jobs`` only once its terminal state is recorded; True if one was."""
     before = len(jobs)
-    for ordinal, job_id in list(jobs.items()):
-        status = read[job_id]
+    for ordinal, status in zip(list(jobs), statuses):
         if not status.state.terminal:
             collector.record_status(ordinal, status)
             continue
-        del jobs[ordinal]
         if status.state is JobState.FAILED:
             collector.record_failed(ordinal, status.error_message or "job failed")
         elif status.counts is None:
             collector.record_failed(ordinal, "adapter reported DONE without counts")
         else:
             collector.record_result(ordinal, status.counts)
+        del jobs[ordinal]
     return len(jobs) < before
 
 
-def _fail_unfinished(collector: ResultCollector, site: tuple, specs: list, exc: Exception) -> None:
-    logger.debug("backend %s/%s of run %s failed", *site, collector.run_id, exc_info=exc)
-    states = collector.status()
-    for spec in specs:
-        if not states[spec.ordinal][0].terminal:
-            collector.record_failed(spec.ordinal, str(exc))
+def _fail(collector: ResultCollector, ordinals: Iterable[int], exc: Exception) -> None:
+    """Record each of ``ordinals``, jobs with no terminal record, as failed
+    with the fault's message."""
+    logger.debug("jobs of run %s failed", collector.run_id, exc_info=exc)
+    for ordinal in ordinals:
+        collector.record_failed(ordinal, str(exc))

@@ -167,9 +167,7 @@ class ProviderConfig:
             noise = noise["p_depolarizing"]
         if noise is not None:
             noise = NoiseSpec(noise)
-        credentials = {}
-        if "api_key" in data:
-            credentials["api_key"] = str(data["api_key"])
+        credentials = {"api_key": data["api_key"]} if "api_key" in data else {}
         return cls(
             provider_id=provider_id,
             kind=str(data.get("kind", "")),
@@ -405,8 +403,9 @@ def submit_checked(jobs: Sequence, submit) -> list:
 def _build_adapter(config: ProviderConfig):
     """The adapter for a provider, once its settings pass the checks that every
     ProviderConfig meets: a known kind, the settings that kind needs and only
-    those, and endpoint, max_qubits, delay and online of their types. The
-    JobRunner of a local kind checks its delay."""
+    those, and endpoint, api_key, max_qubits, delay and online of their
+    types; an api_key of None is no key. The JobRunner of a local kind checks
+    its delay."""
     if config.kind not in _KINDS:
         raise ProviderConfigError(
             f"unknown provider kind {config.kind!r} (expected one of {sorted(_KINDS)})"
@@ -425,13 +424,13 @@ def _build_adapter(config: ProviderConfig):
             raise ProviderConfigError(
                 f"provider {config.provider_id!r}: {setting} applies only to {kind}, not {config.kind}"
             )
-    for setting, types, what in (
-        ("endpoint", (str, type(None)), "a string"),
-        ("max_qubits", int, "an integer"),
-        ("delay", (int, float, type(None)), "a number"),
-        ("online", bool, "a boolean"),
+    for setting, value, types, what in (
+        ("endpoint", config.endpoint, (str, type(None)), "a string"),
+        ("api_key", config.credentials.get("api_key"), (str, type(None)), "a string"),
+        ("max_qubits", config.max_qubits, int, "an integer"),
+        ("delay", config.delay, (int, float, type(None)), "a number"),
+        ("online", config.online, bool, "a boolean"),
     ):
-        value = getattr(config, setting)
         # A bool is an int to Python, but only online may be one.
         if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
             raise ProviderConfigError(f"provider {config.provider_id!r}: {setting} must be {what}")

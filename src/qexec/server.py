@@ -18,19 +18,21 @@ all its jobs at once: 401 without the api key, 400 for a malformed body and
 404 for an unknown backend.
 
 JSON bodies, UTF-8, no auth unless an api_key is configured (then every
-request must carry a matching X-API-Key header). The service speaks
-HTTP/1.1 and keeps each connection open for the client's next request. It
-reads a request's whole body, framed by Content-Length, before it replies,
-so an early 401 or 404 leaves the connection in step; a Content-Length that
-is not an integer gets 400 and the connection is closed. stop() closes the
-kept connections too, so nothing is served after it. The service's backends
-are one JobRunner, the runner each in-process provider uses: it checks a job
-against its backend and runs its jobs in submission order, each starting no
-earlier than ``delay`` seconds after its submission. With no delay they run
-on the process's one kernel worker, one at a time with every other
-in-process kernel; with a delay, on a worker of the service's own. A delay
-that is negative, infinite or NaN is refused when the service is built. Jobs
-live in memory only; a restart loses them and clients see 404.
+request must carry a matching X-API-Key header). The service speaks HTTP/1.1
+and keeps each connection open for the client's next request. It reads a
+request's whole body, framed by Content-Length, before it replies, so an
+early 401 or 404 leaves the connection in step; a Content-Length that is not
+an integer gets 400 and the connection is closed. A kept connection idle for
+_IDLE_TIMEOUT seconds is closed. stop() ends the serve loop within
+_SHUTDOWN_POLL seconds and closes the kept connections too, so nothing is
+served after it. The service's backends are one JobRunner, the runner each
+in-process provider uses: it checks a job against its backend and runs its
+jobs in submission order, each starting no earlier than ``delay`` seconds
+after its submission. With no delay they run on the process's one kernel
+worker, one at a time with every other in-process kernel; with a delay, on a
+worker of the service's own. A delay that is negative, infinite or NaN is
+refused when the service is built. Jobs live in memory only; a restart loses
+them and clients see 404.
 
 Run standalone with ``python -m qexec.server --port 8748``.
 """
@@ -55,6 +57,13 @@ from .simulator import MAX_WIDTH_DEFAULT, NoiseSpec
 __all__ = ["ServerBackend", "ServerConfig", "RemoteServer", "main"]
 
 logger = logging.getLogger(__name__)
+
+# How often the serve loop checks whether stop() asked it to end, in seconds.
+_SHUTDOWN_POLL = 0.05
+# How long a kept connection may sit idle before the service closes it, in
+# seconds: long enough for a client's next poll, short enough that a client
+# that never closes its connection does not hold a service thread for ever.
+_IDLE_TIMEOUT = 30.0
 
 
 @dataclass(frozen=True)
@@ -91,6 +100,7 @@ class _Handler(BaseHTTPRequestHandler):
     # with Nagle's algorithm on the body would wait for the client's delayed ACK.
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    timeout = _IDLE_TIMEOUT
 
     # -- plumbing ------------------------------------------------------------
 
@@ -296,13 +306,16 @@ class RemoteServer:
         return f"http://{self.config.host}:{self.port}"
 
     def start(self) -> "RemoteServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(_SHUTDOWN_POLL,), daemon=True
+        )
         self._thread.start()
         logger.info("remote service listening on %s", self.endpoint)
         return self
 
     def stop(self) -> None:
-        self._httpd.shutdown()
+        if self._thread is not None:  # shutdown() waits for a serve loop that started
+            self._httpd.shutdown()
         self._httpd.close_connections()
         self._httpd.server_close()
         if self._thread is not None:

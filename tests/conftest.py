@@ -89,6 +89,22 @@ def accepted_connections(monkeypatch):
     return accepted
 
 
+@pytest.fixture
+def handler_threads(monkeypatch):
+    """The thread of every connection a job service accepts during the test,
+    each of which idles out after 0.2 s instead of the service's own timeout."""
+    threads = []
+    original = _Handler.setup
+
+    def recording_setup(self):
+        threads.append(threading.current_thread())
+        original(self)
+
+    monkeypatch.setattr(_Handler, "setup", recording_setup)
+    monkeypatch.setattr(_Handler, "timeout", 0.2)
+    return threads
+
+
 def count_kernels_in_flight(monkeypatch) -> list[int]:
     """Wrap the simulator kernels that job runners call so that each call
     lasts at least 2 ms and is counted while it runs; returns [now, most seen]."""

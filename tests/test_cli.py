@@ -415,6 +415,34 @@ def test_merged_without_merge_policy_exit1(tmp_path, store):
     assert "no merge policy" in merged.stderr
 
 
+def test_merged_after_a_merge_that_raised_names_the_policy(tmp_path, store):
+    # tvd compares one run per backend, so two circuits on one backend make
+    # the merge raise: the run has a merge policy, and no merged output.
+    payload = dict(INLINE_EXPERIMENT, circuits=[BELL_QASM, BELL_QASM], merge_policy="tvd")
+    payload["backends"] = {"local_ideal": ["statevector"]}
+    exp = write_experiment(tmp_path, payload)
+    result = run_cli("--store", str(store), "run", str(exp))
+    assert result.returncode == 2
+    run_id = result.stdout.splitlines()[0].strip()
+    merged = run_cli("--store", str(store), "results", run_id, "--merged")
+    assert merged.returncode == 1
+    assert "merge policy 'tvd' gave no merged output" in merged.stderr
+
+
+def test_merged_of_a_run_not_finalized(tmp_path, store):
+    # A run whose process ended before it finalized the record: meta.json
+    # names its merge policy, and there is no results.json yet.
+    exp = write_experiment(tmp_path, INLINE_EXPERIMENT)
+    result = run_cli("--store", str(store), "run", str(exp))
+    assert result.returncode == 0
+    run_id = result.stdout.splitlines()[0].strip()
+    (store / run_id / "merged.json").unlink()
+    (store / run_id / "results.json").unlink()
+    merged = run_cli("--store", str(store), "results", run_id, "--merged")
+    assert merged.returncode == 1
+    assert "not finalized yet" in merged.stderr
+
+
 def test_status_unknown_run(store):
     result = run_cli("--store", str(store), "status", "nope")
     assert result.returncode == 1

@@ -266,6 +266,82 @@ def test_lane_that_cannot_wait_fails_its_pending_jobs(local_executor, bell):
     assert sum(collector.get_results()["local_ideal"]["statevector"][0].values()) == 8
 
 
+class _TwoBackendsAdapter(_BrokenAdapter):
+    """Hosts backends d0 and d1."""
+
+    def backends(self):
+        return [BackendDescriptor(self.provider_id, name, True, 20, False) for name in ("d0", "d1")]
+
+
+class _TwoBackendsWaitRaisingOnce(_TwoBackendsAdapter):
+    """Its jobs stay QUEUED until its first wait, which raises; from then on
+    every job it is read for is DONE."""
+
+    waited = False
+
+    def status(self, job_ids):
+        if self.waited:
+            return [JobStatus(JobState.DONE, counts={"00": 8})] * len(job_ids)
+        return [JobStatus(JobState.QUEUED)] * len(job_ids)
+
+    def wait(self, interval):
+        if not self.waited:
+            self.waited = True
+            raise ProviderError("clock stopped")
+
+
+def test_a_wait_that_raises_fails_every_pending_job_of_its_provider_once(
+    local_executor, bell, monkeypatch
+):
+    # The wait was on the provider, so none of its pending jobs, on either
+    # backend, can be trusted to end; the other provider's jobs run on.
+    executor = executor_with_broken(_TwoBackendsWaitRaisingOnce(), local_executor)
+    records = []
+    original = ResultCollector.record_failed
+
+    def counting_record_failed(collector, ordinal, message):
+        records.append(ordinal)
+        original(collector, ordinal, message)
+
+    monkeypatch.setattr(ResultCollector, "record_failed", counting_record_failed)
+    dispatch = Dispatch()
+    for backend_name in ("d0", "d0", "d1", "d1"):
+        dispatch.add_job("flaky", backend_name, bell, 8)
+    dispatch.add_job("local_ideal", "statevector", bell, 8).add_job("local_ideal", "statevector", bell, 8)
+    collector = executor.run_dispatch(dispatch, wait=False)
+    assert collector.wait(timeout=5), "the run never ended"
+    assert sorted(records) == [0, 1, 2, 3]
+    assert [(job["ordinal"], job["error"]) for job in collector.failed_jobs()] == [
+        (ordinal, "clock stopped") for ordinal in range(4)
+    ]
+    assert [sum(c.values()) for c in collector.get_results()["local_ideal"]["statevector"]] == [8, 8]
+
+
+class _TwoBackendsMisreadingOne(_TwoBackendsAdapter):
+    """Every job is DONE at its first read, except that the second status of
+    each read is a string, not a JobStatus."""
+
+    def status(self, job_ids):
+        statuses = [JobStatus(JobState.DONE, counts={"00": 8})] * len(job_ids)
+        return [statuses[0], "DONE", *statuses[2:]][: len(job_ids)]
+
+
+def test_a_malformed_status_fails_every_job_its_read_had_not_recorded(local_executor, bell):
+    # The read is one call for the provider's jobs on both backends: the job
+    # before the malformed entry is recorded DONE, and every job from it on
+    # fails once with the fault's message.
+    executor = executor_with_broken(_TwoBackendsMisreadingOne(), local_executor)
+    dispatch = Dispatch()
+    for backend_name in ("d0", "d0", "d1", "d1"):
+        dispatch.add_job("flaky", backend_name, bell, 8)
+    collector = executor.run_dispatch(dispatch, wait=False)
+    assert collector.wait(timeout=5), "the run never ended"
+    assert collector.get_results()["flaky"] == {"d0": [{"00": 8}]}
+    failed = collector.failed_jobs()
+    assert [job["ordinal"] for job in failed] == [1, 2, 3]
+    assert all("has no attribute 'state'" in job["error"] for job in failed)
+
+
 @pytest.mark.parametrize("parallel", [True, False], ids=["lane-per-backend", "one-lane"])
 def test_backend_fault_fails_its_jobs_instead_of_hanging_the_run(local_executor, bell, parallel):
     # A fault in reading a poll, here a status without .state, fails that

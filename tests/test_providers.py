@@ -30,7 +30,7 @@ from qexec.errors import (
     UnknownJobError,
 )
 from qexec.providers import BackendDescriptor, JobRunner, JobState, JobStatus, JobTable
-from qexec.server import RemoteServer, ServerConfig
+from qexec.server import RemoteServer, ServerConfig, _Handler
 
 from conftest import (
     MALFORMED_JOB_REPLIES,
@@ -194,6 +194,8 @@ def test_noise_spec_rejects_non_numbers(p):
         ({"kind": "mock_delay", "delay": float("nan")}, "delay must be finite and >= 0"),
         # time.sleep cannot wait that long, so its jobs would stay QUEUED.
         ({"kind": "mock_delay", "delay": float("inf")}, "delay must be finite and >= 0"),
+        ({"kind": "remote_http", "endpoint": "http://h", "api_key": True}, "api_key must be a string"),
+        ({"kind": "remote_http", "endpoint": "http://h", "api_key": 123}, "api_key must be a string"),
     ],
 )
 def test_register_rejects_settings_that_would_crash_or_be_ignored(entry, message):
@@ -201,6 +203,27 @@ def test_register_rejects_settings_that_would_crash_or_be_ignored(entry, message
     # left to fail later with an error that is not a ProviderConfigError.
     with pytest.raises(ProviderConfigError, match=message):
         VirtualProvider().register_provider(ProviderConfig.from_dict("p", entry))
+
+
+def test_a_null_api_key_is_no_key(remote_server, monkeypatch):
+    # Not the text "None": a local provider takes it, and a remote_http
+    # provider sends no X-API-Key header.
+    VirtualProvider().register_provider(
+        ProviderConfig.from_dict("i", {"kind": "local_ideal", "api_key": None})
+    )
+    keys = []
+    original = _Handler.do_GET
+
+    def recording_get(self):
+        keys.append(self.headers.get("X-API-Key"))
+        return original(self)
+
+    monkeypatch.setattr(_Handler, "do_GET", recording_get)
+    registry = VirtualProvider()
+    entry = {"kind": "remote_http", "endpoint": remote_server.endpoint, "api_key": None}
+    registry.register_provider(ProviderConfig.from_dict("remote", entry))
+    assert registry.find_backend("remote", "statevector") is not None
+    assert keys == [None]
 
 
 # --------------------------------------------------------------------------
@@ -600,6 +623,29 @@ def test_remote_submit_is_not_resent_after_a_dropped_connection(remote_server, b
     assert len(outcomes) == 3
     assert all(isinstance(o, ProviderError) for o in outcomes)
     assert all(str(o).startswith("remote submission failed") for o in outcomes)
+    assert posts == ["/jobs"]
+
+
+def test_remote_submit_goes_out_once_after_the_service_closed_an_idle_connection(
+    remote_server, bell, monkeypatch, handler_threads
+):
+    # The client sees the kept connection closed before it reuses it, so the
+    # POST goes out once, on a new connection, and is not lost.
+    posts = []
+    original_post = _Handler.do_POST
+
+    def counting_post(self):
+        posts.append(self.path)
+        return original_post(self)
+
+    monkeypatch.setattr(_Handler, "do_POST", counting_post)
+    registry = remote_registry(remote_server.endpoint)
+    assert registry.find_backend("remote", "statevector") is not None
+    [idle] = handler_threads
+    idle.join(5)
+    assert not idle.is_alive(), "the service kept the idle connection"
+    job_id = submit_one(registry, "remote", "statevector", bell, 16, 3)
+    assert wait_terminal(registry, "remote", job_id).counts == sample(bell, 16, seed=3)
     assert posts == ["/jobs"]
 
 

@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import pytest
 import requests
@@ -327,3 +328,39 @@ def test_stop_closes_kept_connections(remote_server):
         assert sock.recv(4096).startswith(b"HTTP/1.1 200 ")
         remote_server.stop()
         read_to_eof(sock)  # returns only once the service has closed the connection
+
+
+def test_an_idle_service_stops_at_once():
+    server = RemoteServer(ServerConfig()).start()
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 0.25
+
+
+def test_stop_on_a_service_never_started_returns():
+    # shutdown() waits for a serve loop to end, and none ever began; run on a
+    # daemon thread so that a stop() that hangs fails the test, not the suite.
+    server = RemoteServer(ServerConfig())
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(5)
+    assert not stopper.is_alive(), "stop() never returned"
+    with pytest.raises(OSError):
+        socket.create_connection(("127.0.0.1", server.port), timeout=1).close()
+    assert server._runner._stopped.is_set()
+
+
+def test_idle_connections_are_closed_and_their_threads_end(remote_server, handler_threads):
+    sockets = [socket.create_connection(("127.0.0.1", remote_server.port), timeout=5) for _ in range(3)]
+    try:
+        for sock in sockets:
+            sock.sendall(b"GET /backends HTTP/1.1\r\nHost: qexec\r\n\r\n")
+        for sock in sockets:
+            assert read_to_eof(sock).startswith(b"HTTP/1.1 200 ")  # then the service closed it
+    finally:
+        for sock in sockets:
+            sock.close()
+    assert len(handler_threads) == 3
+    for thread in handler_threads:
+        thread.join(5)
+        assert not thread.is_alive()

@@ -1,6 +1,9 @@
+import faulthandler
 import json
+import sys
 import threading
 import time
+import traceback
 
 import pytest
 import requests
@@ -28,6 +31,57 @@ cx q[0],q[1];
 cx q[0],q[2];
 measure q -> c;
 """
+
+
+# A test that runs this long is taken to hang: every thread's stack is
+# printed and the process exits with status 1.
+HANG_TIMEOUT = 60.0
+# How long after its test a run's driver thread (named qexec-run) may take to end.
+RUN_THREAD_GRACE = 2.0
+
+
+def _run_threads() -> set[threading.Thread]:
+    return {thread for thread in threading.enumerate() if thread.name == "qexec-run"}
+
+
+@pytest.fixture(autouse=True)
+def no_hang():
+    """Fail a test that hangs, or that leaves a run's driver thread running.
+
+    Set up before, and torn down after, every other fixture of the test. A
+    driver thread the test started that is still running RUN_THREAD_GRACE
+    seconds after it fails the test, with the thread's stack."""
+    before = _run_threads()
+    faulthandler.dump_traceback_later(HANG_TIMEOUT, exit=True)
+    yield
+    deadline = time.monotonic() + RUN_THREAD_GRACE
+    stuck = []
+    for thread in _run_threads() - before:
+        thread.join(max(0.0, deadline - time.monotonic()))
+        if thread.is_alive():
+            stuck.append(thread)
+    faulthandler.cancel_dump_traceback_later()
+    if stuck:
+        frames = sys._current_frames()
+        stacks = "\n".join(
+            f"thread {thread.name} ({thread.ident}):\n"
+            + "".join(traceback.format_stack(frames[thread.ident]))
+            for thread in stuck
+            if thread.ident in frames
+        )
+        pytest.fail(
+            f"{len(stuck)} qexec-run thread(s) still running {RUN_THREAD_GRACE} s "
+            f"after the test:\n{stacks}",
+            pytrace=False,
+        )
+
+
+def pytest_unconfigure(config):
+    """A driver thread that never ends keeps the interpreter from exiting once
+    the tests are done: if one is left, the process prints every thread's
+    stack and exits with status 1 after RUN_THREAD_GRACE seconds."""
+    if any(thread.is_alive() for thread in _run_threads()):
+        faulthandler.dump_traceback_later(RUN_THREAD_GRACE, exit=True)
 
 
 @pytest.fixture

@@ -439,6 +439,26 @@ def test_ideal_counts_of_sweep_shaped_circuits_are_pinned():
     assert digest == "e07fa126975ebc85f24f4d38791e19a9787ad675f50fd713c90c5fa25a08c216"
 
 
+@pytest.mark.parametrize(
+    ("p", "expected"),
+    [
+        (0.01, "bd9713767a2705a17ce3345e82e3910767d6a54c2bdb14f18b5888e593ded3e2"),
+        (0.05, "4130be730da28ddb2551a82b962f92d780862edb17b622ff0dab0b60a621b51b"),
+    ],
+)
+def test_noisy_counts_of_sweep_shaped_circuits_are_pinned(p, expected):
+    # Seeded noisy counts of 60 density-matrix jobs of 3 to 5 qubits, 16
+    # shots each at seed 1000 + k, run as one batch, hashed. A change to the
+    # arithmetic of the density-matrix kernel, or to how a batch's rows are
+    # normalized and drawn, shows here.
+    rng = random.Random(f"pinned-noisy-counts-{p}")
+    circuits = [sweep_shaped_circuit(rng, width) for width in (3, 4, 5) for _ in range(20)]
+    jobs = [(c, 16, 1000 + k) for k, c in enumerate(circuits)]
+    counts = qexec.simulator.sample_batch(jobs, NoiseSpec(p))
+    digest = hashlib.sha256(json.dumps(counts, sort_keys=True).encode()).hexdigest()
+    assert digest == expected
+
+
 # --------------------------------------------------------------------------
 # sample_batch
 # --------------------------------------------------------------------------

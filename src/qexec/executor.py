@@ -2,7 +2,8 @@
 
 Runs are declarative (run_experiment with an ExperimentSpec) or explicit
 (run_dispatch with a pre-built Dispatch). Either way, one driver thread per
-run submits every backend's jobs and polls them (see QuantumExecutor._drive).
+run submits every backend's jobs and polls them (see QuantumExecutor._drive),
+and records each poll in the run's collector under one hold of its lock.
 Which jobs overlap is the providers' decision, not the driver's: in-process
 simulators run every kernel on one worker per process, one at a time. Job
 k's seed is base_seed + ordinal(k), making serial and parallel runs of the
@@ -25,6 +26,7 @@ from .providers import (
     MAX_WAIT,
     BackendDescriptor,
     JobState,
+    JobStatus,
     ProviderConfig,
     VirtualProvider,
 )
@@ -201,11 +203,11 @@ class QuantumExecutor:
         """Submit each backend's jobs in canonical order: all at once when
         parallel, else each once every job of the one before is terminal.
         Pending jobs are kept by provider, in submission order. Each poll reads
-        a provider's pending jobs in one status_batch call and hands each status
-        to the collector. Between polls the driver waits through
-        VirtualProvider.wait on the earliest-submitted provider with pending
-        jobs, with an interval that restarts after progress and otherwise
-        grows to MAX_WAIT. A fault fails the jobs of the call that raised, once
+        a provider's pending jobs in one status_batch call and hands its RUNNING
+        and DONE statuses to the collector in one call (see _record). Between
+        polls the driver waits through VirtualProvider.wait on the
+        earliest-submitted provider with pending jobs, with an interval that
+        restarts after progress and otherwise grows to MAX_WAIT. A fault fails the jobs of the call that raised, once
         each: a backend's jobs if its submit raised, and a provider's pending
         jobs if its read, the recording of that read, or its wait raised."""
         queued = list(specs)
@@ -254,21 +256,33 @@ class QuantumExecutor:
 
 
 def _record(collector: ResultCollector, jobs: dict[int, str], statuses: list) -> bool:
-    """Record a poll's status of each of a provider's pending jobs, in order,
-    dropping a job from ``jobs`` only once its terminal state is recorded; True if one was."""
-    before = len(jobs)
-    for ordinal, status in zip(list(jobs), statuses):
-        if not status.state.terminal:
-            collector.record_status(ordinal, status)
-            continue
-        if status.state is JobState.FAILED:
-            collector.record_failed(ordinal, status.error_message or "job failed")
-        elif status.counts is None:
-            collector.record_failed(ordinal, "adapter reported DONE without counts")
-        else:
-            collector.record_result(ordinal, status.counts)
-        del jobs[ordinal]
-    return len(jobs) < before
+    """Record a poll's status of each of a provider's pending jobs, in order:
+    the RUNNING and DONE ones in one record_statuses call, and each failure
+    through record_failed. A malformed status raises once every status
+    before it is recorded. A job leaves ``jobs`` only once its terminal
+    state is recorded; True if one did."""
+    updates: list[tuple[int, JobStatus]] = []
+    ended: list[int] = []
+    try:
+        for ordinal, status in zip(jobs, statuses):
+            state = status.state
+            if state is JobState.RUNNING:
+                updates.append((ordinal, status))
+            elif state is JobState.DONE and status.counts is not None:
+                updates.append((ordinal, status))
+                ended.append(ordinal)
+            elif state.terminal:
+                if state is JobState.FAILED:
+                    message = status.error_message or "job failed"
+                else:
+                    message = "adapter reported DONE without counts"
+                collector.record_failed(ordinal, message)
+                ended.append(ordinal)
+    finally:
+        collector.record_statuses(updates)
+        for ordinal in ended:
+            del jobs[ordinal]
+    return bool(ended)
 
 
 def _fail(collector: ResultCollector, ordinals: Iterable[int], exc: Exception) -> None:

@@ -25,7 +25,9 @@ its one way to submit and one way to read a job. A run's one driver thread
 (see executor.QuantumExecutor._drive) makes one status_batch call per
 provider per poll, and between two polls waits through the registry's wait
 on one provider, which a runner spends blocked on its job table and a
-remote adapter spends asleep. Submission is non-blocking for every kind:
+remote adapter spends asleep. A runner's job table takes a batch's new
+jobs, a chunk's RUNNING marks and a chunk's outcomes each under one hold
+of its lock. Submission is non-blocking for every kind:
 jobs enter QUEUED immediately and progress QUEUED -> RUNNING -> DONE/FAILED,
 observable through the status calls, the one way to read a job: a DONE
 status carries the job's counts. A job that cannot be submitted, such as
@@ -102,6 +104,7 @@ class JobState(str, Enum):
 
 
 _STATE_RANK = {JobState.QUEUED: 0, JobState.RUNNING: 1, JobState.DONE: 2, JobState.FAILED: 2}
+_TERMINAL_RANK = 2
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,11 @@ class JobStatus:
     state: JobState
     error_message: str | None = None
     counts: dict[str, int] | None = field(default=None, hash=False)
+
+
+# The statuses that carry nothing of their job: one instance serves every job.
+_QUEUED = JobStatus(JobState.QUEUED)
+_RUNNING = JobStatus(JobState.RUNNING)
 
 
 @dataclass(frozen=True)
@@ -189,12 +197,15 @@ class JobTable:
     """Thread-safe job store enforcing QUEUED -> RUNNING -> DONE/FAILED.
 
     A transition that would move a job backwards, or out of a terminal
-    state, is ignored: the first terminal state recorded wins. A DONE
-    status holds a copy of the job's counts. Only statuses() and counts()
-    return counts, and each returns copies; states() returns none.
-    The table counts its pending (non-terminal) jobs. ``finished_at`` is the
-    wall-clock time at which the last pending job became terminal, and None
-    exactly while a job is pending; wait() blocks until no job is pending.
+    state, is ignored: the first terminal state recorded wins. Jobs are
+    created, and their transitions applied, many under one hold of the
+    lock: set_statuses is the one way to change a job, and set_done and
+    set_failed are its one-job case. A DONE status holds counts that no one
+    edits once recorded. Only statuses() and counts() return counts, and
+    each returns copies; states() returns none. The table counts its
+    pending (non-terminal) jobs. ``finished_at`` is the wall-clock time at
+    which the last pending job became terminal, and None exactly while a
+    job is pending; wait() blocks until no job is pending.
     """
 
     def __init__(self, keys: Iterable[Hashable] = ()):
@@ -202,36 +213,48 @@ class JobTable:
         self._pending = 0
         self._cond = threading.Condition()
         self.finished_at: float | None = time.time()
-        for key in keys:
-            self.create(key)
+        self.create(keys)
 
-    def create(self, key: Hashable) -> None:
+    def create(self, keys: Iterable[Hashable]) -> None:
+        """Add each key as a QUEUED job, under one hold of the lock;
+        ValueError, and no key added, if one is already a job or repeats."""
         with self._cond:
-            if key in self._statuses:
-                raise ValueError(f"job {key!r} already exists")
-            self._statuses[key] = JobStatus(JobState.QUEUED)
-            self._pending += 1
-            self.finished_at = None
+            fresh = {}
+            for key in keys:
+                if key in fresh or key in self._statuses:
+                    raise ValueError(f"job {key!r} already exists")
+                fresh[key] = _QUEUED
+            if fresh:
+                self._statuses.update(fresh)
+                self._pending += len(fresh)
+                self.finished_at = None
 
-    def _transition(self, key: Hashable, status: JobStatus) -> None:
+    def set_statuses(self, updates: Iterable[tuple[Hashable, JobStatus]]) -> None:
+        """Apply each ``(key, status)`` transition, in order, under one hold of
+        the lock; KeyError for a key the table never created, once the
+        transitions before it are applied. Each status is kept as given, so a
+        caller hands over a DONE status's counts and edits them no more. If the
+        last pending job ends among them, ``finished_at`` is set and every
+        wait() returns."""
         with self._cond:
-            if _STATE_RANK[status.state] <= _STATE_RANK[self._statuses[key].state]:
-                return
-            self._statuses[key] = status
-            if status.state.terminal:
-                self._pending -= 1
-                if not self._pending:
+            statuses = self._statuses
+            try:
+                for key, status in updates:
+                    rank = _STATE_RANK[status.state]
+                    if rank > _STATE_RANK[statuses[key].state]:
+                        statuses[key] = status
+                        if rank == _TERMINAL_RANK:
+                            self._pending -= 1
+            finally:
+                if not self._pending and self.finished_at is None:
                     self.finished_at = time.time()
                     self._cond.notify_all()
 
-    def set_running(self, key: Hashable) -> None:
-        self._transition(key, JobStatus(JobState.RUNNING))
-
     def set_done(self, key: Hashable, counts: dict[str, int]) -> None:
-        self._transition(key, JobStatus(JobState.DONE, counts=dict(counts)))
+        self.set_statuses([(key, JobStatus(JobState.DONE, counts=dict(counts)))])
 
     def set_failed(self, key: Hashable, message: str) -> None:
-        self._transition(key, JobStatus(JobState.FAILED, message))
+        self.set_statuses([(key, JobStatus(JobState.FAILED, message))])
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until no job is pending; returns False on timeout."""
@@ -279,10 +302,12 @@ class JobRunner:
 
     Each local provider is one runner with one backend, and the job service
     is one runner with all of its backends. A runner's jobs run in
-    submission order. Each submit call queues one work item that runs the
-    jobs it accepted in chunks of consecutive jobs, each chunk in one
-    sample_batch call that marks its jobs RUNNING together, within the
-    kernel's 16 MB budget of amplitudes. With no delay that item goes to
+    submission order. Each submit call creates the jobs it accepted in one
+    call to the table and queues one work item that runs them in chunks of
+    consecutive jobs, each chunk in one sample_batch call, within the
+    kernel's 16 MB budget of amplitudes. A chunk's jobs are marked RUNNING
+    in one table call, with one shared status, and its outcomes recorded in
+    another. With no delay that item goes to
     the shared kernel worker, so the jobs of all such runners run one at a
     time. With a delay, the batch runs no earlier than ``delay`` seconds
     after its submission, on a worker of the runner's own that waits once
@@ -332,10 +357,10 @@ class JobRunner:
                 job_ids.append(exc)
                 continue
             job_id = f"{self._name}-{next(_JOB_COUNTER)}"
-            self._table.create(job_id)
             accepted.append((job_id, job))
             job_ids.append(job_id)
         if accepted:
+            self._table.create([job_id for job_id, _ in accepted])
             self._pool.submit(self._run, due, descriptor, noise, accepted)
         return job_ids
 
@@ -347,18 +372,13 @@ class JobRunner:
             if self._stopped.is_set():
                 return
             job_ids = [job_id for job_id, _ in jobs[chunk]]
-            for job_id in job_ids:
-                self._table.set_running(job_id)
+            self._table.set_statuses([(job_id, _RUNNING) for job_id in job_ids])
             try:
                 results = sample_batch([job for _, job in jobs[chunk]], noise, descriptor.max_qubits)
             except Exception as exc:
                 results = [exc] * len(job_ids)
-            for job_id, result in zip(job_ids, results):
-                if isinstance(result, Exception):
-                    logger.debug("job %s failed", job_id, exc_info=result)
-                    self._table.set_failed(job_id, str(result))
-                else:
-                    self._table.set_done(job_id, result)
+            outcomes = [(job_id, _outcome(job_id, result)) for job_id, result in zip(job_ids, results)]
+            self._table.set_statuses(outcomes)
 
     def status(self, job_ids: Sequence[str]) -> list[JobStatus | None]:
         """Each job's status; None for an id this runner never issued."""
@@ -377,6 +397,15 @@ class JobRunner:
         self._stopped.set()
         if self._pool is not _KERNELS:
             self._pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _outcome(job_id: str, result: dict[str, int] | Exception) -> JobStatus:
+    """The terminal status of a job the kernel ran: DONE with the counts it
+    returned, which no one else holds, or FAILED with its error's message."""
+    if isinstance(result, Exception):
+        logger.debug("job %s failed", job_id, exc_info=result)
+        return JobStatus(JobState.FAILED, str(result))
+    return JobStatus(JobState.DONE, counts=result)
 
 
 # --------------------------------------------------------------------------

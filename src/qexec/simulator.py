@@ -9,7 +9,10 @@ each ``(circuit, shots, seed)``, and returns each job's counts or the
 exception that failed it alone. ``sample`` and ``sample_noisy`` are its
 one-job case. The circuits of one width evolve together, one row each, and
 a row's arithmetic does not depend on the other rows, so a job's counts do
-not depend on the batch it runs in.
+not depend on the batch it runs in. The rest is done once per batch of one
+width too: the rows' distributions are normalized as one array, each job
+draws from its own seed into its row of one tally, and every histogram is
+read off that tally in one pass.
 
 Noise is depolarizing: after each gate, each qubit the gate touched suffers
 with probability ``p`` a uniformly random non-identity Pauli (X, Y, or Z).
@@ -239,13 +242,14 @@ def _evolve(circuits: Sequence[Circuit], states: np.ndarray, apply) -> None:
             apply(states, op)
         return
     for g in range(max(len(c.gates) for c in circuits)):
-        # Keyed by the op's plain fields, not by the GateOp, whose generated
-        # __hash__ and __eq__ (and the Gate enum's __hash__) run in Python.
+        # Keyed by the op's plain fields, the gate by the identity of its enum
+        # member, not by the GateOp, whose generated __hash__ and __eq__ (and
+        # the Gate enum's __hash__ and value) run in Python.
         groups: dict[tuple, tuple[GateOp, list[int]]] = {}
         for row, circuit in enumerate(circuits):
             if g < len(circuit.gates):
                 op = circuit.gates[g]
-                groups.setdefault((op.gate.value, op.qubits, op.angle), (op, []))[1].append(row)
+                groups.setdefault((id(op.gate), op.qubits, op.angle), (op, []))[1].append(row)
         for op, rows in groups.values():
             if len(rows) == len(states):
                 apply(states, op)
@@ -268,19 +272,18 @@ def _ideal_states(circuits: Sequence[Circuit]) -> np.ndarray:
     return states
 
 
-def _ideal_probabilities(circuits: Sequence[Circuit]) -> list[np.ndarray]:
-    probabilities = []
-    for row in _ideal_states(circuits):
-        p = np.abs(row) ** 2
-        probabilities.append(p / p.sum())
+def _ideal_probabilities(circuits: Sequence[Circuit]) -> np.ndarray:
+    """Each circuit's outcome distribution, one row each."""
+    probabilities = np.abs(_ideal_states(circuits)) ** 2
+    probabilities /= probabilities.sum(axis=1, keepdims=True)
     return probabilities
 
 
-def _noisy_probabilities(circuits: Sequence[Circuit], p: float) -> list[np.ndarray]:
-    """The exact outcome distribution of each circuit under the noise, from
-    its density matrix, held as a 2*width-qubit vector: qubit q of the
-    circuit is qubit q (the ket) and qubit width+q (the bra) of the vector,
-    and a gate U on q is U on the ket and its conjugate on the bra."""
+def _noisy_probabilities(circuits: Sequence[Circuit], p: float) -> np.ndarray:
+    """The exact outcome distribution of each circuit under the noise, one
+    row each, from its density matrix, held as a 2*width-qubit vector: qubit
+    q of the circuit is qubit q (the ket) and qubit width+q (the bra) of the
+    vector, and a gate U on q is U on the ket and its conjugate on the bra."""
     width = circuits[0].width
 
     def apply(rho: np.ndarray, op: GateOp) -> None:
@@ -291,10 +294,8 @@ def _noisy_probabilities(circuits: Sequence[Circuit], p: float) -> list[np.ndarr
 
     rho = _ground(len(circuits), 1 << 2 * width)
     _evolve(circuits, rho, apply)
-    probabilities = []
-    for row in rho:
-        diagonal = np.maximum(row[:: (1 << width) + 1].real, 0.0)
-        probabilities.append(diagonal / diagonal.sum())
+    probabilities = np.maximum(rho[:, :: (1 << width) + 1].real, 0.0)
+    probabilities /= probabilities.sum(axis=1, keepdims=True)
     return probabilities
 
 
@@ -306,10 +307,16 @@ def _too_wide(circuit: Circuit, max_width: int) -> CircuitError | None:
     return None
 
 
-def _histogram(tally: np.ndarray, width: int) -> dict[str, int]:
-    """bitstring -> count for the nonzero entries of a tally over basis states."""
-    hit = np.flatnonzero(tally)
-    return dict(zip((format(i, f"0{width}b") for i in hit.tolist()), tally[hit].tolist()))
+def _histograms(tallies: np.ndarray, width: int) -> list[dict[str, int]]:
+    """bitstring -> count for the nonzero entries of each row of a tally over
+    basis states, in basis order; each outcome that occurs is formatted once."""
+    rows, hits = np.nonzero(tallies)
+    counts = tallies[rows, hits].tolist()
+    hits = hits.tolist()
+    label = {i: format(i, f"0{width}b") for i in set(hits)}
+    keys = [label[i] for i in hits]
+    ends = np.searchsorted(rows, np.arange(1, len(tallies) + 1)).tolist()
+    return [dict(zip(keys[start:end], counts[start:end])) for start, end in zip([0] + ends, ends)]
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -364,39 +371,36 @@ def sample_batch(
                 results[k] = exc
         else:
             by_width.setdefault(circuit.width, []).append(k)
-    for ks in by_width.values():
-        for k, probabilities in zip(ks, _batch_probabilities([jobs[k][0] for k in ks], noise)):
-            if isinstance(probabilities, Exception):
-                results[k] = probabilities
+    for width, ks in by_width.items():
+        tallies = np.zeros((len(ks), 1 << width), dtype=np.int64)
+        for row, (k, p) in enumerate(zip(ks, _batch_probabilities([jobs[k][0] for k in ks], noise))):
+            if isinstance(p, Exception):
+                results[k] = p
                 continue
-            circuit, shots, seed = jobs[k]
+            _, shots, seed = jobs[k]
             try:  # this job's draw only: a seed numpy refuses fails no other job
-                results[k] = _histogram(_rng(seed).multinomial(shots, probabilities), circuit.width)
+                tallies[row] = _rng(seed).multinomial(shots, p)
             except Exception as exc:
                 results[k] = exc
+        for k, histogram in zip(ks, _histograms(tallies, width)):
+            if results[k] is None:
+                results[k] = histogram
     return results
 
 
 def _batch_probabilities(
     circuits: Sequence[Circuit], noise: NoiseSpec | None
-) -> list[np.ndarray | Exception]:
-    """Each circuit's outcome distribution, or, if the circuits cannot run
-    together, each one's run alone or the exception that stopped it."""
-
-    def run(part: Sequence[Circuit]) -> list[np.ndarray]:
-        if noise is None:
-            return _ideal_probabilities(part)
-        return _noisy_probabilities(part, noise.p_depolarizing)
-
+) -> np.ndarray | list[np.ndarray | Exception]:
+    """Each circuit's outcome distribution, one row each, or, if the circuits
+    cannot run together, each one's run alone or the exception that stopped it."""
     try:
-        return run(circuits)
+        if noise is None:
+            return _ideal_probabilities(circuits)
+        return _noisy_probabilities(circuits, noise.p_depolarizing)
     except Exception as exc:
         if len(circuits) == 1:
             return [exc]
-    alone: list[np.ndarray | Exception] = []
-    for circuit in circuits:
-        alone += _batch_probabilities([circuit], noise)
-    return alone
+    return [_batch_probabilities([circuit], noise)[0] for circuit in circuits]
 
 
 def _one(results: list[dict[str, int] | Exception]) -> dict[str, int]:
@@ -491,7 +495,7 @@ def _sample_trajectories(circuit: Circuit, shots: int, noise: NoiseSpec, seed: i
             outcomes = np.minimum((cumulative <= draws[:, None]).sum(axis=1), tally.size - 1)
             tally += np.bincount(outcomes, minlength=tally.size)
     tally += rng.multinomial(clean, statevector(circuit).probabilities())
-    return _histogram(tally, width)
+    return _histograms(tally[None], width)[0]
 
 
 def _replay(circuit: Circuit, paulis: np.ndarray, first_gate: np.ndarray) -> np.ndarray:

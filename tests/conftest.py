@@ -1,5 +1,6 @@
 import faulthandler
 import json
+import os
 import sys
 import threading
 import time
@@ -38,6 +39,14 @@ measure q -> c;
 HANG_TIMEOUT = 60.0
 # How long after its test a run's driver thread (named qexec-run) may take to end.
 RUN_THREAD_GRACE = 2.0
+# Where the stacks go: a copy of the stderr that pytest does not capture,
+# made while it captures nothing.
+_stderr = 2
+
+
+def pytest_configure(config):
+    global _stderr
+    _stderr = os.dup(sys.stderr.fileno())
 
 
 def _run_threads() -> set[threading.Thread]:
@@ -52,7 +61,7 @@ def no_hang():
     driver thread the test started that is still running RUN_THREAD_GRACE
     seconds after it fails the test, with the thread's stack."""
     before = _run_threads()
-    faulthandler.dump_traceback_later(HANG_TIMEOUT, exit=True)
+    faulthandler.dump_traceback_later(HANG_TIMEOUT, exit=True, file=_stderr)
     yield
     deadline = time.monotonic() + RUN_THREAD_GRACE
     stuck = []
@@ -81,7 +90,7 @@ def pytest_unconfigure(config):
     the tests are done: if one is left, the process prints every thread's
     stack and exits with status 1 after RUN_THREAD_GRACE seconds."""
     if any(thread.is_alive() for thread in _run_threads()):
-        faulthandler.dump_traceback_later(RUN_THREAD_GRACE, exit=True)
+        faulthandler.dump_traceback_later(RUN_THREAD_GRACE, exit=True, file=_stderr)
 
 
 @pytest.fixture

@@ -600,18 +600,15 @@ def test_the_driver_ends_every_scripted_run_with_one_record_per_job(plans, paral
     for adapter in adapters:
         executor_with_broken(adapter, executor)
 
-    originals = ResultCollector.record_result, ResultCollector.record_failed
+    original = ResultCollector.record_statuses
 
-    def record_result(collector, ordinal, counts):
-        events.append(("terminal", ordinal))
-        originals[0](collector, ordinal, counts)
-
-    def record_failed(collector, ordinal, message):
-        events.append(("terminal", ordinal))
-        originals[1](collector, ordinal, message)
+    def record_statuses(collector, updates):
+        updates = list(updates)
+        events.extend(("terminal", ordinal) for ordinal, status in updates if status.state.terminal)
+        original(collector, updates)
 
     before = set(threading.enumerate())
-    ResultCollector.record_result, ResultCollector.record_failed = record_result, record_failed
+    ResultCollector.record_statuses = record_statuses
     try:
         collector = executor.run_dispatch(dispatch, parallel=parallel, wait=False)
         ended = collector.wait(5)
@@ -620,7 +617,7 @@ def test_the_driver_ends_every_scripted_run_with_one_record_per_job(plans, paral
             adapter.mended = True
         for thread in set(threading.enumerate()) - before:
             thread.join(5)
-        ResultCollector.record_result, ResultCollector.record_failed = originals
+        ResultCollector.record_statuses = original
     assert ended, "the run never ended"
     assert threading.active_count() == len(before)
 

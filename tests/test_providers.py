@@ -441,11 +441,12 @@ def test_runner_fails_each_faulty_job_of_a_batch_alone(bell, monkeypatch, noise)
     # alone. Every job of the runner moves QUEUED -> RUNNING -> terminal,
     # each state recorded once.
     transitions = []
-    original_transition = JobTable._transition
+    original_set_statuses = JobTable.set_statuses
 
-    def recording_transition(self, key, status):
-        transitions.append((key, status.state))
-        original_transition(self, key, status)
+    def recording_set_statuses(self, updates):
+        updates = list(updates)
+        transitions.extend((key, status.state) for key, status in updates)
+        original_set_statuses(self, updates)
 
     original_apply = qexec.simulator._apply_gate
 
@@ -454,7 +455,7 @@ def test_runner_fails_each_faulty_job_of_a_batch_alone(bell, monkeypatch, noise)
             raise FloatingPointError("poisoned angle")
         original_apply(states, op, *args, **kwargs)
 
-    monkeypatch.setattr(JobTable, "_transition", recording_transition)
+    monkeypatch.setattr(JobTable, "set_statuses", recording_set_statuses)
     monkeypatch.setattr(qexec.simulator, "_apply_gate", poisoned)
     raising = Circuit(width=2, gates=bell.gates + (GateOp(Gate.RX, (1,), 0.5),))
     runner = JobRunner("batch", [(BackendDescriptor("batch", "sv", True, 2, noise is None), noise)])
@@ -493,6 +494,71 @@ def test_job_table_status_hands_out_a_copy_of_counts():
     assert [s.counts for s in table.statuses(["pending", "failed"])] == [None, None]
     assert table.statuses(["never"]) == [None]
     assert table.counts() == {"done": {"00": 3, "11": 5}}
+
+
+def test_job_table_applies_each_transition_of_a_batch_by_its_own_key():
+    table = JobTable(["a", "b", "c"])
+    table.set_statuses(
+        [
+            ("a", JobStatus(JobState.RUNNING)),
+            ("a", JobStatus(JobState.DONE, counts={"0": 4})),
+            ("a", JobStatus(JobState.RUNNING)),  # after DONE: ignored
+            ("b", JobStatus(JobState.RUNNING)),
+            ("c", JobStatus(JobState.FAILED, "boom")),
+            ("c", JobStatus(JobState.DONE, counts={"1": 4})),  # after FAILED: ignored
+            ("b", JobStatus(JobState.QUEUED)),  # backwards: ignored
+        ]
+    )
+    assert table.states() == {
+        "a": (JobState.DONE, None),
+        "b": (JobState.RUNNING, None),
+        "c": (JobState.FAILED, "boom"),
+    }
+    assert table.counts() == {"a": {"0": 4}}
+    assert table.finished_at is None and not table.wait(0)
+
+
+def test_job_table_wakes_its_waiters_when_the_last_pending_job_ends_inside_a_batch():
+    table = JobTable(["a", "b", "c"])
+    woken = []
+    waiter = threading.Thread(target=lambda: woken.append((table.wait(5), time.time())))
+    waiter.start()
+    table.set_statuses(
+        [("a", JobStatus(JobState.DONE, counts={"0": 1})), ("b", JobStatus(JobState.RUNNING))]
+    )
+    waiter.join(0.05)
+    assert waiter.is_alive() and table.finished_at is None  # b and c are pending
+    before = time.time()
+    table.set_statuses(
+        [
+            ("c", JobStatus(JobState.FAILED, "boom")),
+            ("b", JobStatus(JobState.DONE, counts={"1": 1})),  # the last pending job
+            ("b", JobStatus(JobState.FAILED, "late")),  # ignored
+        ]
+    )
+    after = time.time()
+    waiter.join(5)
+    assert not waiter.is_alive()
+    [(ended, woken_at)] = woken
+    assert ended and woken_at >= before
+    assert before <= table.finished_at <= after
+    finished_at = table.finished_at
+    table.set_statuses([("a", JobStatus(JobState.FAILED, "late"))])  # nothing left to end
+    assert table.finished_at == finished_at
+
+
+def test_job_table_creates_no_job_of_a_batch_that_repeats_one():
+    table = JobTable(["a"])
+    table.set_done("a", {"0": 1})
+    finished_at = table.finished_at
+    for keys in (["b", "a", "c"], ["b", "c", "b"]):
+        with pytest.raises(ValueError, match="already exists"):
+            table.create(keys)
+        assert table.statuses(["b", "c"]) == [None, None]
+    assert table.finished_at == finished_at and table.wait(0)
+    table.create(["b", "c"])
+    assert [s.state for s in table.statuses(["b", "c"])] == [JobState.QUEUED] * 2
+    assert table.finished_at is None
 
 
 def test_status_monotonic_sequence(bell):

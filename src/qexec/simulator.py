@@ -14,6 +14,29 @@ width too: the rows' distributions are normalized as one array, each job
 draws from its own seed into its row of one tally, and every histogram is
 read off that tally in one pass.
 
+Gate passes. A one-circuit batch runs op by op on its whole array: one wide
+state needs no index tables, and this loop is the reference that a job run
+in a batch is tested against. A batch of circuits of up to
+``_RELABEL_MAX_WIDTH`` qubits goes through each gate position once per gate
+kind, a gate and its angle, whichever qubits each row's gate acts on: the
+rows are gathered, in bounded blocks, through index tables that move each
+row's gate qubits (and, for a density vector, their bra copies) to qubits 0
+and 1, each kind is applied once to its rows, the depolarizing channel
+follows in two passes, and the rows are scattered back. This is exact: a
+gate update or a depolarizing step computes each amplitude from the same
+operands with the same IEEE operations wherever the amplitude sits,
+relabeling only moves amplitudes, and every complex factor is real,
+imaginary or 1 +- i, so a row's result does not depend on which rows share
+its numpy call. Wider circuits run row by row, where a row's arithmetic
+outweighs the calls that kinds would save.
+
+Seeding. A job draws its shots as one multinomial from the generator that
+``np.random.default_rng(seed % 2**64)`` returns. A batch of at least
+``_ONE_PASS_SEEDS`` jobs derives every job's PCG64 start state in one numpy
+pass over SeedSequence's hashing, sets each in turn on one generator and
+draws from it; below that size the pass's fixed cost (about 0.1 ms) is more
+than it saves, and each job gets its own ``default_rng``, as trajectories do.
+
 Noise is depolarizing: after each gate, each qubit the gate touched suffers
 with probability ``p`` a uniformly random non-identity Pauli (X, Y, or Z).
 Up to ``DENSITY_MAX_WIDTH`` qubits the noisy kernel evolves the exact density
@@ -28,7 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -105,6 +128,18 @@ _FIXED_MATRICES = {
 # A batch, or a noisy replay, holds at most this many amplitudes at once
 # (16 MB), the same budget as one statevector of MAX_WIDTH_DEFAULT qubits.
 _CHUNK_AMPLITUDES = 1 << MAX_WIDTH_DEFAULT
+
+# The rows of a batch pass each gate position in blocks of at most this many
+# amplitudes (1 MB), each gathered into a copy along with its index table.
+_BLOCK_AMPLITUDES = _CHUNK_AMPLITUDES >> 4
+
+# The rows of a batch of circuits of up to this many qubits, ideal or noisy,
+# go through a gate position kind by kind; wider rows one by one. A wider row's
+# own arithmetic outweighs the calls the kinds save, and the gather and
+# scatter add about 7 ns per amplitude: with 256 random 20-gate circuits,
+# by kind against row by row, 8 qubits took 35 against 39 ms, 9 took 49
+# against 43 and 10 took 85 against 50 (medians of 5, shared 2-vCPU host).
+_RELABEL_MAX_WIDTH = 8
 
 # Injected Pauli codes: X and Y flip the qubit's bit, Y and Z flip the sign
 # of its 1 half. Y = iXZ, and the global phase i changes no probability.
@@ -233,30 +268,102 @@ def _depolarize(rho: np.ndarray, width: int, qubit: int, p: float) -> None:
     view[:, :, 1, :, 1] += moved
 
 
-def _evolve(circuits: Sequence[Circuit], states: np.ndarray, apply) -> None:
-    """Run each circuit on its row of ``states``: at each gate position the
-    rows that share a gate get it together, through ``apply(rows, op)``, in
-    place when they are the whole array and on a gathered copy otherwise."""
-    if len(circuits) == 1:  # one group per position, the whole array
-        for op in circuits[0].gates:
-            apply(states, op)
+def _apply_each(states: np.ndarray, ops: Sequence[GateOp], width: int, p: float | None) -> None:
+    """Apply ``ops`` in turn to every row of ``states``: statevectors, or for
+    a ``p`` density vectors of ``width``-qubit states, each gate followed by
+    the depolarizing channel on each qubit it touched."""
+    for op in ops:
+        _apply_gate(states, op)
+        if p is not None:
+            _apply_gate(states, op, width, conjugate=True)
+            for qubit in op.qubits:
+                _depolarize(states, width, qubit, p)
+
+
+def _relabel(qubits: tuple[int, ...], width: int, density: bool) -> np.ndarray:
+    """The index table that gathers a row with ``qubits`` moved to qubits 0
+    and 1, and the other qubits after them in order; for a density vector of
+    ``width``-qubit states each bra qubit ``width + q`` moves with ``q``."""
+    order = list(qubits) + [q for q in range(width) if q not in qubits]
+    if density:
+        order += [width + q for q in order]
+    n = len(order)
+    new = np.arange(1 << n)
+    table = np.zeros(1 << n, dtype=np.intp)
+    for i, q in enumerate(order):
+        table |= ((new >> (n - 1 - i)) & 1) << (n - 1 - q)
+    return table
+
+
+def _evolve(circuits: Sequence[Circuit], states: np.ndarray, p: float | None = None) -> None:
+    """Run each circuit on its row of ``states``: statevectors, or for a
+    ``p`` density vectors under depolarizing noise of strength ``p``.
+
+    One circuit, or circuits whose ops all match, run op by op on the whole
+    array, and rows of more than ``_RELABEL_MAX_WIDTH`` qubits op by op
+    alone. Otherwise, at each gate position, the rows that have a gate there
+    are sorted by its kind, its gate and angle, one-qubit kinds first, and
+    gathered, in blocks of at most ``_BLOCK_AMPLITUDES``, through each row's
+    relabel table, which puts the gate's qubits at 0 and 1. Each kind is
+    then applied once to its slice of the block, and under noise qubit 0 of
+    every row is depolarized in one pass and qubit 1 of the two-qubit rows
+    in another, before the block is scattered back."""
+    width = circuits[0].width
+    if len(circuits) == 1:
+        _apply_each(states, circuits[0].gates, width, p)
         return
-    for g in range(max(len(c.gates) for c in circuits)):
-        # Keyed by the op's plain fields, the gate by the identity of its enum
-        # member, not by the GateOp, whose generated __hash__ and __eq__ (and
-        # the Gate enum's __hash__ and value) run in Python.
-        groups: dict[tuple, tuple[GateOp, list[int]]] = {}
+    # Each kind, keyed by the identity of its enum member and its angle, is
+    # numbered in order of appearance, as is each tuple of gate qubits.
+    ops = [op for circuit in circuits for op in circuit.gates]
+    kinds: dict[tuple, int] = {}
+    tables: dict[tuple[int, ...], int] = {}
+    kind_ids = [kinds.setdefault((id(op.gate), op.angle), len(kinds)) for op in ops]
+    table_ids = [tables.setdefault(op.qubits, len(tables)) for op in ops]
+    # (rows, gate positions): -1 where a circuit has ended.
+    lengths = np.array([len(circuit.gates) for circuit in circuits])
+    has_gate = np.arange(lengths.max()) < lengths[:, None]
+    kind_of = np.full(has_gate.shape, -1)
+    table_of = np.zeros(has_gate.shape, dtype=np.intp)
+    kind_of[has_gate], table_of[has_gate] = kind_ids, table_ids
+    if (kind_of == kind_of[0]).all() and (table_of == table_of[0]).all():
+        _apply_each(states, circuits[0].gates, width, p)
+        return
+    if width > _RELABEL_MAX_WIDTH:
         for row, circuit in enumerate(circuits):
-            if g < len(circuit.gates):
-                op = circuit.gates[g]
-                groups.setdefault((id(op.gate), op.qubits, op.angle), (op, []))[1].append(row)
-        for op, rows in groups.values():
-            if len(rows) == len(states):
-                apply(states, op)
-            else:
-                part = states[rows]
-                apply(part, op)
-                states[rows] = part
+            _apply_each(states[row : row + 1], circuit.gates, width, p)
+        return
+    # Each kind's first op, moved to qubits 0 (and 1).
+    canonical = [
+        GateOp(ops[i].gate, (0, 1)[: len(ops[i].qubits)], ops[i].angle)
+        for i in np.unique(kind_ids, return_index=True)[1].tolist()
+    ]
+    pair = np.array([len(op.qubits) == 2 for op in canonical])
+    rank = np.arange(len(canonical)) + len(canonical) * pair
+    relabel = np.array([_relabel(qubits, width, p is not None) for qubits in tables])
+    size = states.shape[1]
+    block = max(1, _BLOCK_AMPLITUDES // size)
+    flat = states.reshape(-1)
+    for kind, table in zip(kind_of.T, table_of.T):
+        rows = np.flatnonzero(kind >= 0)
+        rows = rows[np.argsort(rank[kind[rows]], kind="stable")]
+        for start in range(0, len(rows), block):
+            part_rows = rows[start : start + block]
+            index = relabel[table[part_rows]]
+            index += (part_rows * size)[:, None]
+            part = flat[index]
+            part_kinds = kind[part_rows]
+            cuts = (np.flatnonzero(part_kinds[1:] != part_kinds[:-1]) + 1).tolist()
+            for a, b in zip([0] + cuts, cuts + [len(part_rows)]):
+                op = canonical[part_kinds[a]]
+                _apply_gate(part[a:b], op)
+                if p is not None:
+                    _apply_gate(part[a:b], op, width, conjugate=True)
+            if p is not None:
+                _depolarize(part, width, 0, p)
+                pairs = int(pair[part_kinds].sum())  # the last rows, by the sort
+                if pairs:
+                    _depolarize(part[len(part_rows) - pairs :], width, 1, p)
+            flat[index] = part
 
 
 def _ground(rows: int, amplitudes: int) -> np.ndarray:
@@ -268,7 +375,7 @@ def _ground(rows: int, amplitudes: int) -> np.ndarray:
 
 def _ideal_states(circuits: Sequence[Circuit]) -> np.ndarray:
     states = _ground(len(circuits), 1 << circuits[0].width)
-    _evolve(circuits, states, _apply_gate)
+    _evolve(circuits, states)
     return states
 
 
@@ -285,15 +392,8 @@ def _noisy_probabilities(circuits: Sequence[Circuit], p: float) -> np.ndarray:
     q of the circuit is qubit q (the ket) and qubit width+q (the bra) of the
     vector, and a gate U on q is U on the ket and its conjugate on the bra."""
     width = circuits[0].width
-
-    def apply(rho: np.ndarray, op: GateOp) -> None:
-        _apply_gate(rho, op)
-        _apply_gate(rho, op, width, conjugate=True)
-        for qubit in op.qubits:
-            _depolarize(rho, width, qubit, p)
-
     rho = _ground(len(circuits), 1 << 2 * width)
-    _evolve(circuits, rho, apply)
+    _evolve(circuits, rho, p)
     probabilities = np.maximum(rho[:, :: (1 << width) + 1].real, 0.0)
     probabilities /= probabilities.sum(axis=1, keepdims=True)
     return probabilities
@@ -321,6 +421,94 @@ def _histograms(tallies: np.ndarray, width: int) -> list[dict[str, int]]:
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed) % _SEED_SPACE)
+
+
+# numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) constants,
+# unchanged since numpy 1.17. Each hash step XORs in one constant of its
+# chain and multiplies by the next, so the chains are fixed.
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_chain(start: int, mult: int, steps: int) -> np.ndarray:
+    chain = [start]
+    for _ in range(steps):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+_POOL_HASH = _hash_chain(0x43B0D7E5, 0x931E8875, 16)  # 4 to fill the pool, 12 to mix it
+_STATE_HASH = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)  # 8 words of generate_state
+
+# From this many jobs on, a chunk seeds its generators in one pass, which
+# costs about 0.1 ms however many jobs it seeds, against about 11 us a job
+# for np.random.default_rng. Seeding and drawing 16 sweep-shaped jobs took
+# 134-152 us in one pass against 187-203 us job by job, and 8 jobs 111-124
+# against 97-155 us (best of 5 x 200 calls, twice, shared 2-vCPU host).
+_ONE_PASS_SEEDS = 16
+
+
+def _hashmix(values: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each value with its row's constants; uint32
+    array arithmetic wraps without a warning."""
+    values = values ^ hashes[:-1]
+    values *= hashes[1:]
+    values ^= values >> 16
+    return values
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[dict]:
+    """The state ``np.random.default_rng(seed).bit_generator`` starts in, for
+    each seed in [0, 2**64): SeedSequence's pool and ``generate_state(4,
+    np.uint64)``, run on all the seeds at once, then PCG64's seeding."""
+    seeds = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0], pool[1] = seeds & _MASK32, seeds >> 32  # the seed's 32-bit words
+    pool = _hashmix(pool, _POOL_HASH[:5])
+    for src in range(4):
+        # Word src is mixed into the other three, which leaves it unchanged.
+        dst = [d for d in range(4) if d != src]
+        hashed = _hashmix(pool[src], _POOL_HASH[4 + 3 * src : 8 + 3 * src])
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH).astype(np.uint64)
+    # Each 64-bit word is a pair of 32-bit ones, the low first.
+    high_state, low_state, high_seq, low_seq = (words[0::2] | words[1::2] << 32).tolist()
+    states = []
+    for hs, ls, hq, lq in zip(high_state, low_state, high_seq, low_seq):
+        inc = (hq << 65 | lq << 1 | 1) & _MASK128
+        state = (((hs << 64 | ls) + inc) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        )
+    return states
+
+
+def _generators(seeds: Sequence[int]) -> Iterator[np.random.Generator | Exception]:
+    """Each seed's generator, in the state ``_rng(seed)`` starts in, or the
+    exception that seed raised. From ``_ONE_PASS_SEEDS`` seeds on, and if
+    every seed is an integer, they are one generator whose state is set to
+    each seed's as it is yielded: draw from each before taking the next."""
+    if len(seeds) >= _ONE_PASS_SEEDS:
+        try:
+            ints = [int(seed) % _SEED_SPACE for seed in seeds]
+        except Exception:  # a seed that is no integer fails its own job below
+            pass
+        else:
+            bit_generator = np.random.PCG64(0)
+            generator = np.random.Generator(bit_generator)
+            for state in _pcg64_states(ints):
+                bit_generator.state = state
+                yield generator
+            return
+    for seed in seeds:
+        try:
+            rng = _rng(seed)
+        except Exception as exc:
+            rng = exc
+        yield rng
 
 
 def batch_chunks(widths: Sequence[int], noise: NoiseSpec | None) -> list[slice]:
@@ -373,13 +561,14 @@ def sample_batch(
             by_width.setdefault(circuit.width, []).append(k)
     for width, ks in by_width.items():
         tallies = np.zeros((len(ks), 1 << width), dtype=np.int64)
-        for row, (k, p) in enumerate(zip(ks, _batch_probabilities([jobs[k][0] for k in ks], noise))):
-            if isinstance(p, Exception):
-                results[k] = p
+        probabilities = _batch_probabilities([jobs[k][0] for k in ks], noise)
+        generators = _generators([jobs[k][2] for k in ks])
+        for row, (k, p, rng) in enumerate(zip(ks, probabilities, generators)):
+            if isinstance(p, Exception) or isinstance(rng, Exception):
+                results[k] = p if isinstance(p, Exception) else rng
                 continue
-            _, shots, seed = jobs[k]
-            try:  # this job's draw only: a seed numpy refuses fails no other job
-                tallies[row] = _rng(seed).multinomial(shots, p)
+            try:  # this job's draw only
+                tallies[row] = rng.multinomial(jobs[k][1], p)
             except Exception as exc:
                 results[k] = exc
         for k, histogram in zip(ks, _histograms(tallies, width)):

@@ -542,3 +542,95 @@ def test_batch_chunks_keep_within_the_budget_and_in_order():
     noisy = qexec.simulator.batch_chunks([5] * 2000 + [12], NoiseSpec(0.1))
     assert noisy == [slice(0, 1024), slice(1024, 2001)]
     assert 1024 * 4**5 == budget
+
+
+# --------------------------------------------------------------------------
+# Large batches: one-pass seeding and per-kind gate passes
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 2**70 + 5])
+def test_one_pass_seeding_gives_default_rng_states(seed):
+    seed %= 2**64
+    [state] = qexec.simulator._pcg64_states([seed])
+    assert state == np.random.default_rng(seed).bit_generator.state
+
+
+def test_a_large_chunk_draws_what_default_rng_draws():
+    width, n = 3, 4 * qexec.simulator._ONE_PASS_SEEDS
+    rng = random.Random("one-pass-draws")
+    circuits = [sweep_shaped_circuit(rng, width) for _ in range(n)]
+    seeds = [
+        rng.choice([rng.randrange(2**32), -rng.randrange(1, 2**40), rng.randrange(2**64, 2**70)])
+        for _ in range(n)
+    ]
+    jobs = [(c, rng.randint(1, 100), s) for c, s in zip(circuits, seeds)]
+    results = qexec.simulator.sample_batch(jobs)
+    probabilities = qexec.simulator._batch_probabilities(circuits, None)
+    for (_, shots, seed), p, counts in zip(jobs, probabilities, results):
+        draw = np.random.default_rng(seed % 2**64).multinomial(shots, p)
+        assert counts == {format(i, f"0{width}b"): int(c) for i, c in enumerate(draw) if c}
+
+
+def random_circuit(rng: random.Random, width: int, n_gates: int, angles: list[float]) -> Circuit:
+    """Gates of every kind on random qubits; half the rotations take an
+    angle from ``angles``, which other circuits share, the others their own."""
+    gates = []
+    for _ in range(n_gates):
+        gate = rng.choice([g for g in Gate if g.n_qubits <= width])
+        qubits = tuple(rng.sample(range(width), gate.n_qubits))
+        angle = None
+        if gate.takes_angle:
+            angle = rng.choice(angles) if rng.random() < 0.5 else rng.uniform(-7.0, 7.0)
+        gates.append(GateOp(gate, qubits, angle))
+    return Circuit(width=width, gates=tuple(gates))
+
+
+@pytest.mark.parametrize(
+    ("p", "widths"),
+    [(None, range(1, 11)), (0.0, range(1, 6)), (0.05, range(1, 6)), (1.0, range(1, 6))],
+)
+def test_each_job_of_a_large_batch_runs_as_it_would_alone(p, widths):
+    # 200 jobs of each width, so each width's chunk seeds in one pass and
+    # evolves by gate kind (up to 8 qubits) or row by row (9 and 10); 40 of
+    # one width share a circuit, which runs as one.
+    noise = None if p is None else NoiseSpec(p)
+    rng = random.Random(f"large-batch-{p}")
+    angles = [rng.uniform(-7.0, 7.0) for _ in range(3)]
+    jobs = []
+    for width in widths:
+        circuits = [random_circuit(rng, width, rng.randint(0, 12), angles) for _ in range(40)]
+        seeds = (rng.randrange(2**32), -rng.randrange(1, 2**40), 2**64 - rng.randrange(1, 100))
+        jobs += [(rng.choice(circuits), rng.randint(1, 64), rng.choice(seeds)) for _ in range(200)]
+    same = random_circuit(rng, 3, 12, angles)
+    jobs += [(same, 16, seed) for seed in range(40)]
+    results = qexec.simulator.sample_batch(jobs, noise)
+    for width in list(widths) + [None]:
+        circuits = [c for c, _, _ in jobs if c.width == width] if width else [same] * 40
+        together = qexec.simulator._batch_probabilities(circuits, noise)
+        for circuit, probabilities in zip(circuits, together):
+            [alone] = qexec.simulator._batch_probabilities([circuit], noise)
+            assert np.array_equal(probabilities, alone)
+    for (circuit, shots, seed), counts in zip(jobs, results):
+        [alone] = qexec.simulator._batch_probabilities([circuit], noise)
+        draw = np.random.default_rng(seed % 2**64).multinomial(shots, alone)
+        assert counts == {format(i, f"0{circuit.width}b"): int(c) for i, c in enumerate(draw) if c}
+
+
+@pytest.mark.parametrize(("width", "rows", "p", "bound_mb"), [(12, 256, None, 40), (5, 1024, 0.05, 24)])
+def test_a_full_chunk_stays_within_its_memory_bound(width, rows, p, bound_mb):
+    # One 16 MB chunk of 20-gate circuits: the gate passes gather blocks of
+    # rows, not the whole chunk at once.
+    rng = random.Random(f"memory-{width}")
+    angles = [rng.uniform(-7.0, 7.0) for _ in range(3)]
+    jobs = [(random_circuit(rng, width, 20, angles), 16, k) for k in range(rows)]
+    noise = None if p is None else NoiseSpec(p)
+    assert qexec.simulator.batch_chunks([width] * rows, noise) == [slice(0, rows)]
+    tracemalloc.start()
+    try:
+        results = qexec.simulator.sample_batch(jobs, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(sum(counts.values()) == 16 for counts in results)
+    assert peak <= bound_mb << 20

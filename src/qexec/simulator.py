@@ -14,28 +14,28 @@ width too: the rows' distributions are normalized as one array, each job
 draws from its own seed into its row of one tally, and every histogram is
 read off that tally in one pass.
 
-Gate passes. A one-circuit batch runs op by op on its whole array: one wide
-state needs no index tables, and this loop is the reference that a job run
-in a batch is tested against. A batch of circuits of up to
-``_RELABEL_MAX_WIDTH`` qubits goes through each gate position once per gate
-kind, a gate and its angle, whichever qubits each row's gate acts on: the
-rows are gathered, in bounded blocks, through index tables that move each
-row's gate qubits (and, for a density vector, their bra copies) to qubits 0
-and 1, each kind is applied once to its rows, the depolarizing channel
-follows in two passes, and the rows are scattered back. This is exact: a
-gate update or a depolarizing step computes each amplitude from the same
-operands with the same IEEE operations wherever the amplitude sits,
-relabeling only moves amplitudes, and every complex factor is real,
-imaginary or 1 +- i, so a row's result does not depend on which rows share
-its numpy call. Wider circuits run row by row, where a row's arithmetic
-outweighs the calls that kinds would save.
+Gate passes. A batch of circuits of up to ``_RELABEL_MAX_WIDTH`` qubits
+goes through each gate position once per gate kind, a gate and its angle,
+whichever qubits each row's gate acts on: the rows are gathered, in bounded
+blocks, through index tables that move each row's gate qubits (and, for a
+density vector, their bra copies) to qubits 0 and 1, each kind is applied
+once to its rows, the depolarizing channel follows in two passes, and the
+rows are scattered back. This is exact: a gate update or a depolarizing
+step computes each amplitude from the same operands with the same IEEE
+operations wherever the amplitude sits, relabeling only moves amplitudes,
+and every complex factor is real, imaginary or 1 +- i, so a row's result
+does not depend on which rows share its numpy call. A one-circuit batch
+(or one whose circuits all match), and each row of a wider batch, runs op
+by op instead: one state needs no index tables, a wide row's own
+arithmetic outweighs the calls that kinds would save, and this loop is the
+reference that a job run in a batch is tested against.
 
 Seeding. A job draws its shots as one multinomial from the generator that
 ``np.random.default_rng(seed % 2**64)`` returns. A batch of at least
 ``_ONE_PASS_SEEDS`` jobs derives every job's PCG64 start state in one numpy
 pass over SeedSequence's hashing, sets each in turn on one generator and
-draws from it; below that size the pass's fixed cost (about 0.1 ms) is more
-than it saves, and each job gets its own ``default_rng``, as trajectories do.
+draws from it; below that size the pass's fixed cost (about 0.1 ms) is
+more than it saves, and each job gets its own ``default_rng``, as trajectories do.
 
 Noise is depolarizing: after each gate, each qubit the gate touched suffers
 with probability ``p`` a uniformly random non-identity Pauli (X, Y, or Z).
@@ -133,13 +133,19 @@ _CHUNK_AMPLITUDES = 1 << MAX_WIDTH_DEFAULT
 # amplitudes (1 MB), each gathered into a copy along with its index table.
 _BLOCK_AMPLITUDES = _CHUNK_AMPLITUDES >> 4
 
-# The rows of a batch of circuits of up to this many qubits, ideal or noisy,
-# go through a gate position kind by kind; wider rows one by one. A wider row's
-# own arithmetic outweighs the calls the kinds save, and the gather and
-# scatter add about 7 ns per amplitude: with 256 random 20-gate circuits,
-# by kind against row by row, 8 qubits took 35 against 39 ms, 9 took 49
-# against 43 and 10 took 85 against 50 (medians of 5, shared 2-vCPU host).
-_RELABEL_MAX_WIDTH = 8
+# The rows of a batch of circuits of up to this many qubits go through a gate
+# position kind by kind; wider rows, each alone, op by op. The gather and
+# scatter cost about 7 ns an amplitude, and a wide row's own arithmetic
+# outweighs the calls the kinds save. Timed on random 20-gate circuits and
+# on a 4-layer RY and CX-chain ansatz with each row's own angles, by kind /
+# row by row / one pass per group of rows sharing (gate, qubits, angle), in
+# ms: 8 qubits, 256 rows: 28 / 42 / 51 and 132 / 171 / 161; 9 qubits, 256
+# rows: 49 / 49 / 65 and 167 / 182 / 223; 9 qubits, 1,024 rows: 142 / 191
+# / 174 and 731 / 764 / 953; 10 qubits, 1,024 rows: 287 / 231 / 285 and
+# 1,226 / 972 / 1,212; 12 qubits, 256 rows: 268 / 117 / 193 and 1,043 / 605
+# / 785 (ideal, medians of 5 interleaved calls, shared 2-vCPU host). A noisy
+# row holds at most DENSITY_MAX_WIDTH qubits, so it always goes kind by kind.
+_RELABEL_MAX_WIDTH = 9
 
 # Injected Pauli codes: X and Y flip the qubit's bit, Y and Z flip the sign
 # of its 1 half. Y = iXZ, and the global phase i changes no probability.
@@ -300,7 +306,7 @@ def _evolve(circuits: Sequence[Circuit], states: np.ndarray, p: float | None = N
     ``p`` density vectors under depolarizing noise of strength ``p``.
 
     One circuit, or circuits whose ops all match, run op by op on the whole
-    array, and rows of more than ``_RELABEL_MAX_WIDTH`` qubits op by op
+    array, and each row of more than ``_RELABEL_MAX_WIDTH`` qubits op by op
     alone. Otherwise, at each gate position, the rows that have a gate there
     are sorted by its kind, its gate and angle, one-qubit kinds first, and
     gathered, in blocks of at most ``_BLOCK_AMPLITUDES``, through each row's
@@ -441,11 +447,13 @@ def _hash_chain(start: int, mult: int, steps: int) -> np.ndarray:
 _POOL_HASH = _hash_chain(0x43B0D7E5, 0x931E8875, 16)  # 4 to fill the pool, 12 to mix it
 _STATE_HASH = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)  # 8 words of generate_state
 
-# From this many jobs on, a chunk seeds its generators in one pass, which
-# costs about 0.1 ms however many jobs it seeds, against about 11 us a job
-# for np.random.default_rng. Seeding and drawing 16 sweep-shaped jobs took
-# 134-152 us in one pass against 187-203 us job by job, and 8 jobs 111-124
-# against 97-155 us (best of 5 x 200 calls, twice, shared 2-vCPU host).
+# From this many jobs on, a chunk seeds its generators in one pass. Seeding
+# and drawing n 3-qubit 16-shot jobs took, job by job against in one pass,
+# 24 / 146 us at n = 1, 158 / 197 at 8, 243 / 235 at 12, 179 / 133 at 16 and
+# 356 / 190 at 32, and in a second run 20 / 137, 89 / 109, 134 / 120,
+# 178 / 133 and 375 / 202 (medians of 5 interleaved rounds of 200 calls,
+# shared 2-vCPU host): about 11 us a job for np.random.default_rng, against
+# about 4 us a job in one pass after a fixed cost of about 0.1 ms.
 _ONE_PASS_SEEDS = 16
 
 

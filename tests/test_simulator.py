@@ -592,7 +592,7 @@ def random_circuit(rng: random.Random, width: int, n_gates: int, angles: list[fl
 )
 def test_each_job_of_a_large_batch_runs_as_it_would_alone(p, widths):
     # 200 jobs of each width, so each width's chunk seeds in one pass and
-    # evolves by gate kind (up to 8 qubits) or row by row (9 and 10); 40 of
+    # evolves by gate kind (up to 9 qubits) or row by row (10); 40 of
     # one width share a circuit, which runs as one.
     noise = None if p is None else NoiseSpec(p)
     rng = random.Random(f"large-batch-{p}")
@@ -617,10 +617,14 @@ def test_each_job_of_a_large_batch_runs_as_it_would_alone(p, widths):
         assert counts == {format(i, f"0{circuit.width}b"): int(c) for i, c in enumerate(draw) if c}
 
 
-@pytest.mark.parametrize(("width", "rows", "p", "bound_mb"), [(12, 256, None, 40), (5, 1024, 0.05, 24)])
+@pytest.mark.parametrize(
+    ("width", "rows", "p", "bound_mb"),
+    [(12, 256, None, 40), (9, 2048, None, 40), (5, 1024, 0.05, 24)],
+)
 def test_a_full_chunk_stays_within_its_memory_bound(width, rows, p, bound_mb):
-    # One 16 MB chunk of 20-gate circuits: the gate passes gather blocks of
-    # rows, not the whole chunk at once.
+    # One 16 MB chunk of 20-gate circuits. The 9-qubit and the noisy chunk
+    # go kind by kind, so their gate passes must gather blocks of rows, not
+    # the whole chunk at once; the 12-qubit chunk runs row by row.
     rng = random.Random(f"memory-{width}")
     angles = [rng.uniform(-7.0, 7.0) for _ in range(3)]
     jobs = [(random_circuit(rng, width, 20, angles), 16, k) for k in range(rows)]

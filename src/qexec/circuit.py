@@ -128,16 +128,21 @@ _ANGLE_RE = re.compile(  # a signed pi, k*pi, pi/m, k*pi/m or number k; k/m is m
 )
 _INDEX_FIELDS = (("lb", "'['", None), ("index", "integer index", None), ("rb", "']'", None))
 
-# Gate statements that passed every check, process-wide: (the statement's text
-# from its first word through its ';', the qreg name, the width) -> its GateOp.
-# Only a statement that parsed is stored, so a hit skips checks it has passed
-# and every error is raised as without the cache. A statement longer than
-# _GATE_CACHE_TEXT characters is not stored, and a full cache is emptied
-# before the next store, so it holds at most _GATE_CACHE_SIZE short entries.
+# Statements that passed every check, process-wide: (the statement's text from
+# its first word through its ';', the qreg name, the width) -> what it adds to
+# the circuit: a gate's GateOp, or an (include, qreg, creg or measure word,
+# register name, width) record. Only a statement that parsed is stored, and a
+# hit is taken only where the parse state lets the statement stand: a creg
+# where none is declared yet, a measure under the creg it names, and nothing
+# after a measure. Anywhere else the statement is parsed again, so every error
+# is raised as without the cache. A statement longer than _GATE_CACHE_TEXT
+# characters is not stored, and a full cache is emptied before the next store,
+# so it holds at most _GATE_CACHE_SIZE short entries. _LINE_CACHE keeps each
+# GateOp's canonical line for serialize_qasm under the same two rules.
 _GATE_CACHE_SIZE = 4096
 _GATE_CACHE_TEXT = 128
-_GATE_CACHE: dict[tuple[str, str, int], GateOp] = {}
-_GATE_CACHE_LOCK = threading.Lock()  # for stores; a lookup is one dict.get
+_GATE_CACHE: dict[tuple[str, str, int], GateOp | tuple[str, str, int]] = {}
+_GATE_CACHE_LOCK = threading.Lock()  # for stores in either cache; a lookup is one dict.get
 
 
 def _error(text: str, offset: int, message: str) -> QasmError:
@@ -183,20 +188,51 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
     inside a statement. Raises :class:`QasmError` at the offending lexeme's line and column;
     never crashes.
     """
-    text = _COMMENT_RE.sub(lambda c: " " * len(c.group()), text)
+    if "//" in text:
+        text = _COMMENT_RE.sub(lambda c: " " * len(c.group()), text)
     header = _HEADER_RE.match(text)
     pos = _require(text, header, ("header", "'OPENQASM 2.0;' header", None),
                    ("version", "version", "2.0"), ("semi", "';'", None))
     registers, width, gates, measured = {"qreg": "", "creg": ""}, 0, [], False
-    while statement := _STATEMENT_RE.match(text, pos):
-        start, end = statement.span("body")
-        word, op, pos = statement["word"], None, statement.end()
+    while True:
+        # A stored key holds one ';', at its end, unless it is an include of a
+        # file name that holds one, so a statement whose text through its first
+        # ';' is a key has just that text, and is looked up without the regex.
+        after = text.find(";", pos) + 1
+        entry = None
+        if after and not measured:
+            entry = _GATE_CACHE.get((text[pos:after].lstrip(), registers["qreg"], width))
+        if entry.__class__ is GateOp:
+            gates.append(entry)
+            pos = after
+            continue
+        if entry is not None:
+            word, register, size = entry
+            if word == "include":
+                pos = after
+                continue
+            if word == "measure":
+                if register == registers["creg"]:
+                    measured, pos = True, after
+                    continue
+            elif not registers[word]:
+                registers[word] = register
+                if word == "qreg":
+                    width = size
+                pos = after
+                continue
+        statement = _STATEMENT_RE.match(text, pos)
+        if statement is None:
+            break
+        start, pos = statement.start("body"), statement.end()
         if measured:
             raise _error(text, start, "statements after terminal measure")
+        key = (text[start:pos], registers["qreg"], width)
+        end, word = statement.end("body"), statement["word"]
         if statement["include"] is not None:
             if statement["file"] is None:
                 raise _unexpected(text, start + 7, "file name")
-            after = end
+            after, entry = end, ("include", "", 0)
         elif word is None:
             raise _unexpected(text, start, "statement")
         elif word == "measure":
@@ -204,7 +240,7 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
             after = _require(text, m, ("src", "quantum register", registers["qreg"]),
                              ("arrow", "'->'", None),
                              ("dst", "declared classical register", registers["creg"]))
-            measured = True
+            measured, entry = True, ("measure", registers["creg"], 0)
         elif word in registers:  # qreg or creg
             if registers[word]:
                 raise _error(text, start, f"multiple {word} declarations")
@@ -213,26 +249,28 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
             registers[word] = m["reg"]
             if word == "qreg":
                 width = int(m["index"])
+            entry = (word, m["reg"], width)
         else:
-            key = (text[start:pos], registers["qreg"], width)
-            if (op := _GATE_CACHE.get(key)) is not None:
-                gates.append(op)
-                continue
-            op, after = _parse_gate(text, word, start, end, registers["qreg"], width)
+            entry, after = _parse_gate(text, word, start, end, registers["qreg"], width)
         if text[after:end].strip() or not statement["semi"]:
             raise _unexpected(text, after, "';'")
-        if op is not None:
-            if len(set(op.qubits)) != len(op.qubits):
+        if entry.__class__ is GateOp:
+            if len(set(entry.qubits)) != len(entry.qubits):
                 raise _error(text, start, "duplicate qubit in gate")
-            gates.append(op)
-            if pos - start <= _GATE_CACHE_TEXT:
-                with _GATE_CACHE_LOCK:
-                    if len(_GATE_CACHE) >= _GATE_CACHE_SIZE:
-                        _GATE_CACHE.clear()
-                    _GATE_CACHE[key] = op
+            gates.append(entry)
+        if pos - start <= _GATE_CACHE_TEXT:
+            with _GATE_CACHE_LOCK:
+                if len(_GATE_CACHE) >= _GATE_CACHE_SIZE:
+                    _GATE_CACHE.clear()
+                _GATE_CACHE[key] = entry
     if not registers["qreg"]:
         raise _error(text, 0, "missing qreg declaration")
-    return Circuit(width=width, gates=tuple(gates), measured=measured, name=name)
+    # Every check that Circuit makes, the parse has made: a qubit is a digit
+    # string below the width, each gate has its qubit count, distinct qubits
+    # and a finite angle just where it takes one.
+    circuit = object.__new__(Circuit)
+    circuit.__dict__.update(width=width, gates=tuple(gates), measured=measured, name=name)
+    return circuit
 
 
 def _parse_gate(text: str, word: str, start: int, end: int, qreg: str, width: int):
@@ -291,17 +329,36 @@ def _angle(text: str, m: re.Match) -> float:
 # --------------------------------------------------------------------------
 
 
+# id(op) -> (op, its canonical line). The entry keeps its op alive, so no
+# other op takes that id while the entry is stored. Ops that compare equal may
+# print apart, as rz(0.0) and rz(-0.0) do, so the key is not the op itself.
+_LINE_CACHE: dict[int, tuple[GateOp, str]] = {}
+
+
+def _line(op: GateOp) -> str:
+    """The canonical line of ``op``, stored in _LINE_CACHE by the statement cache's rules."""
+    args = ",".join(f"q[{q}]" for q in op.qubits)
+    if op.angle is not None:
+        line = f"{op.gate.value}({op.angle!r}) {args};"
+    else:
+        line = f"{op.gate.value} {args};"
+    if len(line) <= _GATE_CACHE_TEXT:
+        with _GATE_CACHE_LOCK:
+            if len(_LINE_CACHE) >= _GATE_CACHE_SIZE:
+                _LINE_CACHE.clear()
+            _LINE_CACHE[id(op)] = (op, line)
+    return line
+
+
 def serialize_qasm(circuit: Circuit) -> str:
     """Emit canonical subset text; parse_qasm(serialize_qasm(c)) == c for every c."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.width}];"]
     if circuit.measured:
         lines.append(f"creg c[{circuit.width}];")
+    cached = _LINE_CACHE.get
     for op in circuit.gates:
-        args = ",".join(f"q[{q}]" for q in op.qubits)
-        if op.angle is not None:
-            lines.append(f"{op.gate.value}({op.angle!r}) {args};")
-        else:
-            lines.append(f"{op.gate.value} {args};")
+        entry = cached(id(op))
+        lines.append(_line(op) if entry is None else entry[1])
     if circuit.measured:
         lines.append("measure q -> c;")
     return "\n".join(lines) + "\n"

@@ -39,7 +39,7 @@ from .circuit import Circuit, parse_qasm
 from .collector import ResultCollector, to_table, tree_to_json
 from .errors import ProviderConfigError, QasmError, QExecError
 from .executor import ExperimentSpec, QuantumExecutor
-from .providers import ProviderConfig
+from .providers import JobState, ProviderConfig
 from .simulator import NoiseSpec
 
 __all__ = ["main"]
@@ -83,7 +83,7 @@ def _read_yaml(path: Path) -> Any:
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         return yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise SchemaError(f"{path}: invalid YAML: {exc}") from exc
@@ -157,26 +157,52 @@ def load_providers_file(path: Path | None) -> list[ProviderConfig]:
 
 
 def resolve_circuits(entries: list[str], base_dir: Path) -> list[Circuit]:
-    """Each entry is inline QASM (contains 'OPENQASM') or a path relative to the file.
-    A QasmError names its file, or ``circuit{i}`` for inline QASM, before its message."""
+    """Each entry is inline QASM (contains 'OPENQASM') or a path relative to the file,
+    named by its stem. A QasmError names its file, or ``circuit{i}`` for inline QASM,
+    before its message."""
     circuits = []
     for i, entry in enumerate(entries):
-        if "OPENQASM" in entry:
-            source, text, name = f"circuit{i}", entry, f"circuit{i}"
+        inline = "OPENQASM" in entry
+        if inline:
+            text, name = entry, f"circuit{i}"
         else:
-            source = Path(entry)
-            if not source.is_absolute():
-                source = base_dir / source
-            try:
-                text = source.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise SchemaError(f"cannot read circuit file {source}: {exc}") from exc
-            name = source.stem
+            text, name = _read_circuit(entry, base_dir), _stem(entry)
         try:
             circuits.append(parse_qasm(text, name=name))
         except QasmError as exc:
+            source = name if inline else _source(entry, base_dir)
             raise QasmError(f"{source}: {exc.message}", exc.line, exc.column) from exc
     return circuits
+
+
+def _read_circuit(entry: str, base_dir: Path) -> str:
+    """The text of the circuit file ``entry``. It is decoded without text mode's
+    newline translation: the parser reads "\\r\\n" and a lone "\\r" as one line
+    break each. Only when its joined name cannot be read is it read again as the
+    Path that messages name, whose normal form may still read (``c.qasm/``) and
+    else fails with the message it gives."""
+    try:
+        with open(os.path.join(base_dir, entry), "rb", buffering=0) as file:
+            return file.readall().decode("utf-8")
+    except (OSError, UnicodeDecodeError):
+        source = _source(entry, base_dir)
+        try:
+            return source.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"cannot read circuit file {source}: {exc}") from exc
+
+
+def _source(entry: str, base_dir: Path) -> Path:
+    """The circuit file ``entry`` as messages name it."""
+    source = Path(entry)
+    return source if source.is_absolute() else base_dir / source
+
+
+def _stem(entry: str) -> str:
+    """``Path(entry).stem``, without building a Path for a name of the form ``stem.suffix``."""
+    name = os.path.basename(entry)
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else Path(entry).stem
 
 
 # --------------------------------------------------------------------------
@@ -195,24 +221,31 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _status_payload(collector: ResultCollector) -> dict:
-    payload = {}
-    for ordinal, (state, error) in sorted(collector.status().items()):
-        provider_id, backend_name = collector.job_site(ordinal)
-        payload[str(ordinal)] = {
-            "provider": provider_id,
-            "backend": backend_name,
-            "state": state.value,
-            "error": error,
-        }
-    return payload
+def _write_status(run_dir: Path, collector: ResultCollector) -> bool:
+    """Write status.json, the bytes that _write_json writes of its {ordinal:
+    {provider, backend, state, error}} mapping; whether any job has FAILED.
+    Each distinct entry is encoded once, and the ordinals are sorted as the
+    strings they are written as, as sort_keys sorts them."""
+    encoded: dict[tuple, str] = {}
+    items = []
+    for ordinal, (state, error) in collector.status().items():
+        site = collector.job_site(ordinal)
+        text = encoded.get((site, state, error))
+        if text is None:
+            entry = {"provider": site[0], "backend": site[1], "state": state.value, "error": error}
+            text = encoded[site, state, error] = json.dumps(entry, sort_keys=True)
+        items.append((str(ordinal), text))
+    items.sort()  # the ordinals are distinct, so no two texts are compared
+    body = ", ".join([f'"{ordinal}": {text}' for ordinal, text in items])
+    (run_dir / "status.json").write_text("{" + body + "}\n", encoding="utf-8")
+    return any(state is JobState.FAILED for _, state, _ in encoded)
 
 
 def _write_initial_record(run_dir: Path, source: Path, collector: ResultCollector) -> None:
     run_dir.mkdir(parents=True)
     (run_dir / "experiment.yaml").write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
     (run_dir / "dispatch.json").write_text(collector.dispatch.to_json() + "\n", encoding="utf-8")
-    _write_json(run_dir / "status.json", _status_payload(collector))
+    _write_status(run_dir, collector)
     _write_meta(run_dir, source, collector)
 
 
@@ -234,12 +267,12 @@ def _finalize_record(run_dir: Path, source: Path, collector: ResultCollector) ->
     """Write the final files, merged.json last: a merge that raises leaves the rest."""
     tree = collector.get_results(block=True)
     (run_dir / "results.json").write_text(tree_to_json(tree) + "\n", encoding="utf-8")
-    _write_json(run_dir / "status.json", _status_payload(collector))
+    failed = _write_status(run_dir, collector)
     _write_meta(run_dir, source, collector)
     if collector.merge_policy is not None:
         merged, metadata = collector.get_merged_results()
         _write_json(run_dir / "merged.json", {"merged": merged, "metadata": metadata})
-    return EXIT_JOB_FAILED if collector.failed_jobs() else EXIT_OK
+    return EXIT_JOB_FAILED if failed else EXIT_OK
 
 
 # --------------------------------------------------------------------------

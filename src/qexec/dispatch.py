@@ -113,14 +113,14 @@ class Dispatch:
         circuits: list[str] = []
         index: dict[int, int] = {}  # id(circuit) -> position; every circuit outlives the loop
         jobs: dict[str, dict[str, list[dict]]] = {}
-        for provider_id, backend_name, spec in self.jobs():
-            key = id(spec.circuit)
-            if key not in index:
-                index[key] = len(circuits)
-                circuits.append(serialize_qasm(spec.circuit))
-            jobs.setdefault(provider_id, {}).setdefault(backend_name, []).append(
-                {"circuit": index[key], "shots": spec.shots}
-            )
+        for provider_id, backend_name in self.backends():
+            entries = jobs.setdefault(provider_id, {})[backend_name] = []
+            for spec in self._assignments[provider_id][backend_name]:
+                position = index.get(id(spec.circuit))
+                if position is None:
+                    position = index[id(spec.circuit)] = len(circuits)
+                    circuits.append(serialize_qasm(spec.circuit))
+                entries.append({"circuit": position, "shots": spec.shots})
         return {"circuits": circuits, "jobs": jobs}
 
     def to_json(self) -> str:

@@ -319,12 +319,26 @@ def _evolve(circuits: Sequence[Circuit], states: np.ndarray, p: float | None = N
         _apply_each(states, circuits[0].gates, width, p)
         return
     # Each kind, keyed by the identity of its enum member and its angle, is
-    # numbered in order of appearance, as is each tuple of gate qubits.
+    # numbered in order of appearance, as is each tuple of gate qubits. Parsed
+    # circuits share their ops, so each distinct op object is keyed once, in
+    # order of its first appearance, and its numbers are spread to its uses.
     ops = [op for circuit in circuits for op in circuit.gates]
+    _, first, inverse = np.unique(
+        np.fromiter(map(id, ops), np.uintp, len(ops)), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    distinct = [ops[i] for i in first[order].tolist()]
+    uses = np.empty_like(order)
+    uses[order] = np.arange(len(order))
+    uses = uses[inverse]  # each op's position in distinct
     kinds: dict[tuple, int] = {}
     tables: dict[tuple[int, ...], int] = {}
-    kind_ids = [kinds.setdefault((id(op.gate), op.angle), len(kinds)) for op in ops]
-    table_ids = [tables.setdefault(op.qubits, len(tables)) for op in ops]
+    kind_ids = np.fromiter(
+        (kinds.setdefault((id(op.gate), op.angle), len(kinds)) for op in distinct), np.intp, len(distinct)
+    )[uses]
+    table_ids = np.fromiter(
+        (tables.setdefault(op.qubits, len(tables)) for op in distinct), np.intp, len(distinct)
+    )[uses]
     # (rows, gate positions): -1 where a circuit has ended.
     lengths = np.array([len(circuit.gates) for circuit in circuits])
     has_gate = np.arange(lengths.max()) < lengths[:, None]

@@ -221,8 +221,18 @@ def _outcome(text: str, name: str = "circuit") -> tuple:
             "qreg q[2]; creg c[2]; measure q -> c; h q[0];",
             "statements after terminal measure",
         ),
+        # a creg warmed where none was declared, met after another creg
+        ("qreg q[2]; creg c[2];", "qreg q[2]; creg d[2]; creg c[2];", "multiple creg declarations"),
+        # a measure warmed under the creg c, met under the creg d
+        (
+            "qreg q[2]; creg c[2]; measure q -> c;",
+            "qreg q[2]; creg d[2]; measure q -> c;",
+            "expected declared classical register 'd', got 'c'",
+        ),
+        # a qreg warmed as the first declaration, met as the second
+        ("qreg q[2];", "qreg r[1]; qreg q[2];", "multiple qreg declarations"),
     ],
-    ids=["width", "qreg-name", "after-measure"],
+    ids=["width", "qreg-name", "after-measure", "second-creg", "measure-creg", "second-qreg"],
 )
 def test_a_cached_statement_still_fails_where_its_context_refuses_it(cold_cache, warm, text, message):
     text = "OPENQASM 2.0;\n" + text.replace("; ", ";\n")
@@ -241,16 +251,22 @@ _STATEMENTS = [
     # statement, a measure with or without a creg to write
     "cx q[0],q[0];", "h q[1]", "h q[0] q[1];", "rx q[0];", "h(0.1) q[0];", "foo q[0];", ";",
     "measure q -> c;",
+    # the other statement kinds, cached as gates are: an include, a second
+    # qreg, a creg that may come before the qreg or after another creg, and
+    # a measure of the register r
+    'include "qelib1.inc";', "qreg q[2];", "creg c[2];", "measure r -> c;",
+    # an include whose file name holds a ';', which ends no statement
+    'include "h q[0];";',
 ]
 
 
 @st.composite
 def qasm_texts(draw, pool: list[str]):
-    """A header, maybe a qreg of 1 to 4 qubits named q or r and a creg, and
-    up to 8 statements drawn from ``pool``."""
+    """A header, maybe a qreg of 1 to 4 qubits named q or r and a creg before
+    or after it, and up to 8 statements drawn from ``pool``."""
     width, reg = draw(st.integers(1, 4)), draw(st.sampled_from("qr"))
     qreg, creg = f"qreg {reg}[{width}];", f"creg c[{width}];"
-    declarations = draw(st.sampled_from([[qreg], [qreg, creg], []]))
+    declarations = draw(st.sampled_from([[qreg], [qreg, creg], [creg, qreg], []]))
     statements = draw(st.lists(st.sampled_from(pool), max_size=8))
     layout = draw(st.sampled_from(["\n", " ", "\n  "]))
     return "OPENQASM 2.0;\n" + layout.join(declarations + statements)
@@ -284,7 +300,7 @@ def test_a_long_statement_is_not_cached(cold_cache):
     padding = " " * qexec.circuit._GATE_CACHE_TEXT
     circuit = parse_qasm(f"OPENQASM 2.0; qreg q[1]; h{padding}q[0];")
     assert circuit.gates == (GateOp(Gate.H, (0,)),)
-    assert not cold_cache
+    assert not [key for key in cold_cache if padding in key[0]]
 
 
 def test_threads_parsing_at_once_each_get_their_own_circuits(cold_cache):
@@ -339,6 +355,59 @@ def test_serialize_empty_circuit_header_only():
 
 def test_serialize_round_trip_bell(bell):
     assert parse_qasm(serialize_qasm(bell)) == bell
+
+
+def test_ops_that_compare_equal_keep_their_own_lines():
+    # rz(0.0) == rz(-0.0), but each prints its own sign, however often and
+    # in whichever order the two are serialized.
+    zero, minus = GateOp(Gate.RZ, (0,), 0.0), GateOp(Gate.RZ, (0,), -0.0)
+    assert zero == minus
+    for ops in [(zero, minus), (minus, zero), (minus, zero)]:
+        lines = serialize_qasm(Circuit(width=1, gates=ops)).splitlines()[3:]
+        assert lines == [f"rz({op.angle!r}) q[0];" for op in ops]
+
+
+def test_the_line_cache_holds_at_most_its_bound():
+    size = qexec.circuit._GATE_CACHE_SIZE
+    circuit = Circuit(width=1, gates=tuple(GateOp(Gate.RZ, (0,), float(k)) for k in range(size + 10)))
+    lines = serialize_qasm(circuit).splitlines()[3:]
+    assert lines == [f"rz({float(k)!r}) q[0];" for k in range(size + 10)]
+    assert 0 < len(qexec.circuit._LINE_CACHE) <= size
+
+
+def test_threads_serializing_at_once_each_get_their_own_text():
+    # Circuits that share ops, one of them equal to another but printed apart,
+    # serialized from four threads while the cache is emptied under them.
+    ops = [GateOp(Gate.H, (0,)), GateOp(Gate.CX, (0, 1)), GateOp(Gate.RZ, (1,), 0.0),
+           GateOp(Gate.RZ, (1,), -0.0), GateOp(Gate.RY, (0,), math.pi / 3)]
+    circuits = [Circuit(width=2, gates=tuple(ops[i:] + ops[:i])) for i in range(len(ops))]
+    expected = []
+    for circuit in circuits:
+        qexec.circuit._LINE_CACHE.clear()
+        expected.append(serialize_qasm(circuit))
+    start, seen, lock = threading.Barrier(4), [], threading.Lock()
+
+    def serialize_all(offset):
+        start.wait()
+        for round_ in range(50):
+            if round_ % 10 == offset:
+                qexec.circuit._LINE_CACHE.clear()
+            texts = [serialize_qasm(circuit) for circuit in circuits[offset:] + circuits[:offset]]
+            with lock:
+                seen.append(texts == expected[offset:] + expected[:offset])
+
+    threads = [threading.Thread(target=serialize_all, args=(offset,)) for offset in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-lookup and mid-store
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [True] * 200
 
 
 # --------------------------------------------------------------------------

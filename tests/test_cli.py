@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 import qexec.policies
 import qexec.providers
 from qexec import cli
+from qexec.circuit import parse_qasm
 from qexec.collector import to_table
+from qexec.errors import QasmError
 from conftest import BELL_QASM, MALFORMED_LISTINGS, serve_listing
 
 INLINE_EXPERIMENT = {
@@ -469,3 +472,146 @@ def test_reruns_append_new_directories(tmp_path, store):
     assert json.loads((store / id1 / "results.json").read_text()) == json.loads(
         (store / id2 / "results.json").read_text()
     )  # same seed, same experiment -> reproducible
+
+
+# The circuits of the pinned record: rz(0) and rz(-0) compare equal but
+# print apart, so each file's circuit is written as its own text.
+PINNED_CIRCUITS = {
+    "zero.qasm": (
+        "OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\nh q[0];\nrz(0) q[0];\ncx q[0],q[2];\nmeasure q -> c;\n"
+    ),
+    "minus.qasm": (
+        "OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\nh q[0];\nrz(-0) q[0];\ncx q[0],q[2];\nmeasure q -> c;\n"
+    ),
+    "two.dots.qasm": (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\nry(pi/3) q[1]; cz q[1],q[2];\nt q[2]; h q[0]; // last\n'
+    ),
+    "absolute.qasm": "OPENQASM 2.0;\nqreg r[3];\nx r[2];\nrx(-0.25) r[0];\ncx r[2],r[1];\n",
+}
+PINNED_INLINE = "OPENQASM 2.0; qreg q[3]; h q[1]; s q[1]; cx q[1],q[0]; rz(-pi/4) q[2];"
+# sha256 of each record file a seeded run of the pinned experiment writes.
+PINNED_DIGESTS = {
+    "dispatch.json": "13159fc84544ee00b82760285157d31cef0b05d24e57f6cf09b36ac5bf545482",
+    "status.json": "d88d4fc698f42da4ef452934d718ebb87196085ed45b7089eeaab3d46f48b5b6",
+    "results.json": "9bfb3eae6a1b2ebc7fbf211205f6fdd14be91544cbcbbbd332966d50fb15df0f",
+    "merged.json": "dfb538604add9cdd9e52632deeaef1aa1ff9d3064d15ee64979f9ef9505b77c5",
+}
+
+
+def _pinned_experiment(tmp_path: Path) -> Path:
+    (tmp_path / "sub").mkdir()
+    for name, text in PINNED_CIRCUITS.items():
+        (tmp_path / ("sub" if name == "absolute.qasm" else "") / name).write_text(text, encoding="utf-8")
+    absolute = str(tmp_path / "sub" / "absolute.qasm")
+    circuits = ["zero.qasm", "minus.qasm", "two.dots.qasm", absolute, PINNED_INLINE, "zero.qasm"]
+    return write_experiment(tmp_path, dict(INLINE_EXPERIMENT, circuits=circuits, shots=64, seed=29))
+
+
+def test_run_writes_the_pinned_record_bytes(tmp_path, store, capsys):
+    # Every statement kind, equal ops that print apart, a file name of two
+    # dots, an absolute path, inline QASM and a repeated file, merged by sum.
+    exp = _pinned_experiment(tmp_path)
+    assert cli.main(["--store", str(store), "run", str(exp)]) == 0
+    run_dir = store / capsys.readouterr().out.split()[0]
+    digests = {
+        name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+        for name in ("dispatch.json", "status.json", "results.json", "merged.json")
+    }
+    assert digests == PINNED_DIGESTS
+
+
+class _StubCollector:
+    """The two reads that status.json is written from."""
+
+    def __init__(self, states, sites):
+        self._states, self._sites = states, sites
+
+    def status(self):
+        return dict(self._states)
+
+    def job_site(self, ordinal):
+        return self._sites[ordinal]
+
+
+@pytest.mark.parametrize("failed", [False, True])
+def test_status_json_is_what_json_dumps_writes(tmp_path, failed):
+    # Ordinals past 9 sort as strings ("10" before "2"), jobs share some
+    # entries and not others, and error texts need escaping.
+    JobState = qexec.providers.JobState
+    errors = [None, 'quote " and \\ backslash', "caf\u00e9\nline", None]
+    states, sites = {}, {}
+    for ordinal in reversed(range(23)):
+        state = JobState.FAILED if failed and ordinal % 5 == 3 else JobState.DONE
+        states[ordinal] = (state, errors[ordinal % 4] if state is JobState.FAILED else None)
+        sites[ordinal] = ("p" + str(ordinal % 2), "b" + str(ordinal % 3))
+    assert cli._write_status(tmp_path, _StubCollector(states, sites)) is failed
+    expected = {
+        str(ordinal): {"provider": sites[ordinal][0], "backend": sites[ordinal][1],
+                       "state": state.value, "error": error}
+        for ordinal, (state, error) in states.items()
+    }
+    written = (tmp_path / "status.json").read_text(encoding="utf-8")
+    assert written == json.dumps(expected, sort_keys=True) + "\n"
+
+
+def test_run_names_a_circuit_too_wide_for_its_backend(tmp_path, store, capsys):
+    exp = _pinned_experiment(tmp_path)
+    providers = tmp_path / "providers.yaml"
+    providers.write_text("local_ideal: {kind: local_ideal, max_qubits: 2}\n")
+    payload = yaml.safe_load(exp.read_text())
+    exp.write_text(yaml.safe_dump(dict(payload, backends={"local_ideal": ["statevector"]})))
+    assert cli.main(["--store", str(store), "--providers", str(providers), "run", str(exp)]) == 2
+    err = capsys.readouterr().err
+    for name in ("zero", "minus", "two.dots", "absolute", "circuit4"):
+        assert f"circuit {name!r} width 3 exceeds local_ideal/statevector limit 2" in err
+    assert not store.exists()
+
+
+def test_run_circuit_file_not_utf8_exit1(tmp_path, store):
+    (tmp_path / "cafe.qasm").write_bytes(BELL_QASM.encode() + b"// caf\xe9\n")
+    exp = write_experiment(tmp_path, dict(INLINE_EXPERIMENT, circuits=["cafe.qasm"]))
+    result = run_cli("--store", str(store), "run", str(exp))
+    assert result.returncode == 1
+    assert f"error: cannot read circuit file {tmp_path / 'cafe.qasm'}: 'utf-8' codec" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("bad_file", ["experiment", "providers"])
+def test_run_yaml_file_not_utf8_exit1(tmp_path, store, capsys, bad_file):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"name: caf\xe9\n")
+    exp = bad if bad_file == "experiment" else write_experiment(tmp_path, INLINE_EXPERIMENT)
+    providers = ["--providers", str(bad)] if bad_file == "providers" else []
+    assert cli.main(["--store", str(store), *providers, "run", str(exp)]) == 1
+    assert f"error: cannot read {bad}: 'utf-8' codec" in capsys.readouterr().err
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("broken", [False, True])
+def test_circuit_files_read_as_text_mode_reads_them(tmp_path, newline, broken):
+    # Each line break of a circuit file, "\r\n" and a lone "\r" too, reads as
+    # one, so an error's line and column are those of its text read as text.
+    text = BELL_QASM.replace("h q[0];", "h q[5];" if broken else "h q[0];\r\nx q[1];")
+    path = tmp_path / "c.qasm"
+    path.write_bytes(text.replace("\n", newline).encode())
+    try:
+        expected = parse_qasm(path.read_text(encoding="utf-8"), name="c")
+    except QasmError as exc:
+        expected = f"{path}: {exc.message}", exc.line, exc.column
+    try:
+        [got] = cli.resolve_circuits(["c.qasm"], tmp_path)
+    except QasmError as exc:
+        got = exc.message, exc.line, exc.column
+    assert got == expected
+    assert broken or [op.gate.value for op in got.gates][:2] == ["h", "x"]
+
+
+@pytest.mark.parametrize("entry", ["c.qasm", "two.dots.qasm", ".hidden", "trail.", "trail..", "sub/c.qasm/"])
+def test_a_circuit_file_is_named_by_its_path_stem(tmp_path, entry):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / entry.rstrip("/")).write_text(BELL_QASM)
+    [circuit] = cli.resolve_circuits([entry], tmp_path)
+    assert circuit.name == Path(entry).stem
+    assert circuit == parse_qasm(BELL_QASM)

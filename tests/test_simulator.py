@@ -586,6 +586,26 @@ def random_circuit(rng: random.Random, width: int, n_gates: int, angles: list[fl
     return Circuit(width=width, gates=tuple(gates))
 
 
+@pytest.mark.parametrize("p", [None, 0.05])
+def test_a_batch_of_shared_ops_runs_as_one_of_distinct_ops(p):
+    # Parsed circuits share their GateOp objects, which the kernel keys once
+    # each. The same circuits with every op a copy of its own, and with
+    # rz(0.0) beside the equal rz(-0.0), give each row the probabilities of
+    # its circuit run alone, bit for bit.
+    noise = None if p is None else NoiseSpec(p)
+    rng = random.Random("shared-ops")
+    pool = [op for _ in range(4) for op in random_circuit(rng, 3, 6, [0.3, -1.1]).gates]
+    pool += [GateOp(Gate.RZ, (1,), 0.0), GateOp(Gate.RZ, (1,), -0.0)]
+    shared = [Circuit(3, tuple(rng.choices(pool, k=rng.randint(1, 10)))) for _ in range(60)]
+    copied = [Circuit(3, tuple(GateOp(op.gate, op.qubits, op.angle) for op in c.gates)) for c in shared]
+    assert len({id(op) for c in copied for op in c.gates}) == sum(len(c.gates) for c in copied)
+    together = qexec.simulator._batch_probabilities(shared, noise)
+    assert np.array_equal(qexec.simulator._batch_probabilities(copied, noise), together)
+    for circuit, probabilities in zip(shared, together):
+        [alone] = qexec.simulator._batch_probabilities([circuit], noise)
+        assert np.array_equal(probabilities, alone)
+
+
 @pytest.mark.parametrize(
     ("p", "widths"),
     [(None, range(1, 11)), (0.0, range(1, 6)), (0.05, range(1, 6)), (1.0, range(1, 6))],

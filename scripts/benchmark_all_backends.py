@@ -39,16 +39,11 @@ def main() -> int:
                 ProviderConfig("remote", "remote_http", endpoint=server.endpoint),
             ]
         )
-        all_backends = qe.get_backends(online_only=True)
-        backends = {prov: [d.backend_name for d in descs] for prov, descs in all_backends.items()}
-        n_targets = sum(len(names) for names in backends.values())
-        print(f"dispatching {len(circuits)} circuits x {n_targets} backends, {args.shots} shots each")
-
         start = time.monotonic()
         collector = qe.run_experiment(
             circuits=circuits,
             shots=args.shots,
-            backends=backends,
+            backends="all_online",
             split_policy="multiplier",
             parallel=True,
             wait=True,
@@ -57,6 +52,8 @@ def main() -> int:
         wall = time.monotonic() - start
 
         tree = collector.get_results()
+        n_targets = len(collector.dispatch.backends())
+        print(f"dispatched {len(circuits)} circuits x {n_targets} backends, {args.shots} shots each")
         print(f"finished {collector.dispatch.total_jobs()} jobs in {wall:.2f}s\n")
         print(f"{'PROVIDER':<14} {'BACKEND':<22} {'JOB':<4} {'BITSTRING':<10} COUNT")
         for provider, backend, job, bitstring, count in to_table(tree):

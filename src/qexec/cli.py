@@ -3,22 +3,26 @@
 Commands:
 
 * ``qexec backends [--online]``                 list discoverable backends
-* ``qexec run <experiment.yaml> [--no-wait]``   execute and persist a run record
+* ``qexec run <experiment.yaml>``               execute and persist a run record
 * ``qexec status <run_id>``                     per-job states of a stored run
 * ``qexec results <run_id> [--merged] [--csv]`` replay stored results
 
 Experiment files are YAML; provider credentials live in a separate providers
-file, never in experiment files. Run records are JSON under the run store
+file, never in experiment files. This module checks an experiment file's
+form: its keys, and its circuits as a list of QASM paths or inline QASM.
+Each other value becomes the ExperimentSpec field of its name (``seed`` is
+``base_seed``), which checks it: ``backends`` is a mapping of provider to
+backend names, or ``all_online``. Run records are JSON under the run store
 (``./qexec-runs`` or ``$QEXEC_HOME``), one append-only directory per run:
 re-running never mutates a prior record. ``status`` and ``results`` replay
 from disk only and need no providers to be reachable.
 
-Exit codes for ``run``: 0 success, 1 schema error (in the experiment or the
-providers file), 2 pre-flight validation failure (nothing submitted, no run
+``run`` prints the run_id once the record exists, while the jobs are in
+flight, and a summary once the record is finalized. Its exit codes: 0
+success, 1 schema error (in the experiment or the providers file; the error
+names the file), 2 pre-flight validation failure (nothing submitted, no run
 directory) or a merge policy that raised after the run (the record then
 holds everything but ``merged.json``), 3 at least one job FAILED.
-With ``--no-wait`` the run_id prints immediately and the process stays alive
-until the background run finalizes the record.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import yaml
 
 from .circuit import Circuit, parse_qasm
 from .collector import ResultCollector, to_table, tree_to_json
-from .errors import ProviderConfigError, QasmError, QExecError
+from .errors import ExperimentError, ProviderConfigError, QasmError, QExecError
 from .executor import ExperimentSpec, QuantumExecutor
 from .providers import JobState, ProviderConfig
 from .simulator import NoiseSpec
@@ -62,7 +66,6 @@ _EXPERIMENT_KEYS = {
     "split_policy",
     "merge_policy",
     "parallel",
-    "wait",
     "seed",
     "policy_context",
 }
@@ -90,7 +93,9 @@ def _read_yaml(path: Path) -> Any:
 
 
 def load_experiment_file(path: Path) -> dict[str, Any]:
-    """Parse and schema-validate an experiment file; unknown keys are rejected."""
+    """Parse an experiment file and check its form: a mapping with no unknown
+    keys, the required keys, ``circuits`` a non-empty list of strings and
+    ``name`` a string or null. ExperimentSpec checks the other values."""
     data = _read_yaml(path)
     if not isinstance(data, Mapping):
         raise SchemaError(f"{path}: experiment file must be a mapping")
@@ -106,27 +111,8 @@ def load_experiment_file(path: Path) -> dict[str, Any]:
         raise SchemaError(f"{path}: circuits must be a non-empty list")
     if not all(isinstance(c, str) for c in data["circuits"]):
         raise SchemaError(f"{path}: circuits entries must be strings (path or inline QASM)")
-    if isinstance(data["shots"], bool) or not isinstance(data["shots"], int) or data["shots"] < 1:
-        raise SchemaError(f"{path}: shots must be a positive integer")
-    backends = data["backends"]
-    if backends != "all_online" and not isinstance(backends, Mapping):
-        raise SchemaError(f"{path}: backends must be a mapping or the literal 'all_online'")
-    if isinstance(backends, Mapping):
-        for provider_id, names in backends.items():
-            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-                raise SchemaError(f"{path}: backends[{provider_id!r}] must be a list of names")
-    if "split_policy" in data and not isinstance(data["split_policy"], str):
-        raise SchemaError(f"{path}: split_policy must be a string")
-    for key in ("merge_policy", "name"):
-        if data.get(key) is not None and not isinstance(data[key], str):
-            raise SchemaError(f"{path}: {key} must be a string")
-    for key in ("parallel", "wait"):
-        if key in data and not isinstance(data[key], bool):
-            raise SchemaError(f"{path}: {key} must be a boolean")
-    if "seed" in data and (isinstance(data["seed"], bool) or not isinstance(data["seed"], int)):
-        raise SchemaError(f"{path}: seed must be an integer")
-    if "policy_context" in data and not isinstance(data["policy_context"], Mapping):
-        raise SchemaError(f"{path}: policy_context must be a mapping")
+    if data.get("name") is not None and not isinstance(data["name"], str):
+        raise SchemaError(f"{path}: name must be a string")
     return dict(data)
 
 
@@ -296,42 +282,26 @@ def cmd_backends(args) -> int:
 def cmd_run(args) -> int:
     source = Path(args.experiment)
     data = load_experiment_file(source)
-    circuits = resolve_circuits(data["circuits"], source.parent)
+    fields = {("base_seed" if key == "seed" else key): value for key, value in data.items() if key != "name"}
+    fields["circuits"] = resolve_circuits(data["circuits"], source.parent)
+    try:
+        # Not waiting here lets the record exist while the run is in flight.
+        spec = ExperimentSpec(wait=False, **fields)
+    except ExperimentError as exc:
+        raise SchemaError(f"{source}: {exc}") from exc
 
     executor = QuantumExecutor(providers=load_providers_file(args.providers))
-    backends = data["backends"]
-    if backends == "all_online":
-        backends = {
-            provider_id: [d.backend_name for d in descriptors]
-            for provider_id, descriptors in executor.get_backends(online_only=True).items()
-        }
-
-    spec = ExperimentSpec(
-        circuits=circuits,
-        shots=data["shots"],
-        backends=backends,
-        split_policy=data.get("split_policy", "multiplier"),
-        merge_policy=data.get("merge_policy"),
-        parallel=data.get("parallel", True),
-        wait=False,  # waiting handled below so the record exists while in flight
-        base_seed=data.get("seed", 0),
-        policy_context=dict(data.get("policy_context") or {}),
-    )
     collector = executor.run_experiment(spec)
 
     run_dir = store_root(args.store) / collector.run_id
     _write_initial_record(run_dir, source, collector)
     print(collector.run_id, flush=True)
 
-    # Both modes finalize in this process; --no-wait just reported the run_id
-    # immediately while the run progresses in the background.
     exit_code = _finalize_record(run_dir, source, collector)
-    effective_wait = data.get("wait", True) and not args.no_wait
-    if effective_wait:
-        merged_path = run_dir / "merged.json"
-        print(f"run {collector.run_id}: {collector.dispatch.total_jobs()} jobs finished")
-        if merged_path.exists():
-            print(merged_path.read_text(encoding="utf-8"), end="")
+    print(f"run {collector.run_id}: {collector.dispatch.total_jobs()} jobs finished")
+    merged_path = run_dir / "merged.json"
+    if merged_path.exists():
+        print(merged_path.read_text(encoding="utf-8"), end="")
     return exit_code
 
 
@@ -407,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run an experiment file")
     p.add_argument("experiment", help="experiment YAML file")
-    p.add_argument("--no-wait", action="store_true", help="print run_id immediately")
     p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("status", help="per-job states of a stored run")

@@ -40,22 +40,53 @@ _POLL_INITIAL = 0.002
 
 @dataclass
 class ExperimentSpec:
-    """Declarative experiment: what to run, where, and under which policies."""
+    """Declarative experiment: what to run, where, and under which policies.
+
+    The one check of an experiment's fields: a field of the wrong form
+    raises ExperimentError when the spec is built. ``backends`` maps each
+    provider id to a list of backend names, or is the literal
+    ``"all_online"``, every backend that a run lists as online."""
 
     circuits: list[Circuit] | Circuit
     shots: int
-    backends: Mapping[str, list[str]]
+    backends: Mapping[str, list[str]] | str
     split_policy: str = "multiplier"
     merge_policy: str | None = None
     parallel: bool = True
     wait: bool = True
     base_seed: int = 0
-    policy_context: dict[str, Any] = field(default_factory=dict)
+    policy_context: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if isinstance(self.circuits, Circuit):
-            self.circuits = [self.circuits]
-        self.circuits = list(self.circuits)
+        circuits = [self.circuits] if isinstance(self.circuits, Circuit) else self.circuits
+        if not (isinstance(circuits, list) and circuits and all(isinstance(c, Circuit) for c in circuits)):
+            raise ExperimentError("circuits must be a Circuit or a non-empty list of Circuits")
+        self.circuits = list(circuits)
+        if not _is_int(self.shots) or self.shots < 1:
+            raise ExperimentError("shots must be a positive integer")
+        if self.backends != "all_online":
+            if not isinstance(self.backends, Mapping):
+                raise ExperimentError("backends must be a mapping or the literal 'all_online'")
+            for provider_id, names in self.backends.items():
+                if not isinstance(provider_id, str):
+                    raise ExperimentError(f"backends key {provider_id!r} must be a string")
+                if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                    raise ExperimentError(f"backends[{provider_id!r}] must be a list of names")
+        if not isinstance(self.split_policy, str):
+            raise ExperimentError("split_policy must be a string")
+        if self.merge_policy is not None and not isinstance(self.merge_policy, str):
+            raise ExperimentError("merge_policy must be a string")
+        for key in ("parallel", "wait"):
+            if not isinstance(getattr(self, key), bool):
+                raise ExperimentError(f"{key} must be a boolean")
+        if not _is_int(self.base_seed):
+            raise ExperimentError("base_seed must be an integer")
+        if not isinstance(self.policy_context, Mapping):
+            raise ExperimentError("policy_context must be a mapping")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class QuantumExecutor:
@@ -99,15 +130,24 @@ class QuantumExecutor:
 
         Accepts an ExperimentSpec or the same fields as keywords. All policy
         and backend resolution happens before anything is submitted: each
-        provider the spec names is listed once, and its descriptors serve
-        both the check here and run_dispatch's pre-flight.
+        provider the spec names, or every provider for ``"all_online"``, is
+        listed once, and its descriptors serve both the check here and
+        run_dispatch's pre-flight.
         """
         if spec is None:
             spec = ExperimentSpec(**kwargs)
         split_fn = self.policies.resolve_split(spec.split_policy)
 
-        targets = [(p, b) for p in sorted(spec.backends) for b in sorted(spec.backends[p])]
-        descriptors = self._list(targets)
+        if spec.backends == "all_online":
+            descriptors = {
+                (provider_id, d.backend_name): d
+                for provider_id, listed in self.get_backends(online_only=True).items()
+                for d in listed
+            }
+            targets = list(descriptors)
+        else:
+            targets = [(p, b) for p in sorted(spec.backends) for b in sorted(spec.backends[p])]
+            descriptors = self._list(targets)
         for provider_id, backend_name in targets:
             if descriptors[provider_id, backend_name] is None:
                 raise UnknownBackendError(f"unknown backend {provider_id}/{backend_name}")

@@ -25,8 +25,9 @@ early 401 or 404 leaves the connection in step; a Content-Length that is not
 an integer gets 400 and the connection is closed. A kept connection idle for
 _IDLE_TIMEOUT seconds is closed. stop() ends the serve loop within
 _SHUTDOWN_POLL seconds and closes the kept connections too, so nothing is
-served after it. The service's backends are one JobRunner, the runner each
-in-process provider uses: it checks a job against its backend and runs its
+served after it. The service hosts ``statevector``, ideal, and
+``noisy_statevector``, depolarizing at p=0.05, on one JobRunner, the runner
+each in-process provider uses: it checks a job against its backend and runs its
 jobs in submission order, each starting no earlier than ``delay`` seconds
 after its submission. With no delay they run on the process's one kernel
 worker, one at a time with every other in-process kernel; with a delay, on a
@@ -45,7 +46,7 @@ import logging
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -54,7 +55,7 @@ from .errors import ProviderConfigError, QExecError
 from .providers import MAX_BATCH_JOBS, BackendDescriptor, JobRunner, JobStatus, submit_checked
 from .simulator import MAX_WIDTH_DEFAULT, NoiseSpec
 
-__all__ = ["ServerBackend", "ServerConfig", "RemoteServer", "main"]
+__all__ = ["ServerConfig", "RemoteServer", "main"]
 
 logger = logging.getLogger(__name__)
 
@@ -64,22 +65,8 @@ _SHUTDOWN_POLL = 0.05
 # seconds: long enough for a client's next poll, short enough that a client
 # that never closes its connection does not hold a service thread for ever.
 _IDLE_TIMEOUT = 30.0
-
-
-@dataclass(frozen=True)
-class ServerBackend:
-    """One backend hosted by the service, MAX_WIDTH_DEFAULT qubits wide;
-    noise=None means ideal."""
-
-    name: str
-    noise: NoiseSpec | None = None
-
-
-def _default_backends() -> list[ServerBackend]:
-    return [
-        ServerBackend("statevector"),
-        ServerBackend("noisy_statevector", NoiseSpec(0.05)),
-    ]
+# The hosted backends, by name, each with its noise; None is ideal.
+_BACKENDS = (("statevector", None), ("noisy_statevector", NoiseSpec(0.05)))
 
 
 @dataclass
@@ -88,7 +75,6 @@ class ServerConfig:
     port: int = 0  # 0 = pick a free port
     delay: float = 0.0  # each job starts no earlier than this many seconds after submission
     api_key: str | None = None
-    backends: list[ServerBackend] = field(default_factory=_default_backends)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -281,15 +267,16 @@ class _Server(ThreadingHTTPServer):
 
 
 class RemoteServer:
-    """Owns the HTTP server thread and the JobRunner of the hosted backends."""
+    """Owns the HTTP server thread and the JobRunner of the hosted backends,
+    each MAX_WIDTH_DEFAULT qubits wide."""
 
     def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig()
         self._runner = JobRunner(
             "rjob",
             [
-                (BackendDescriptor("rjob", b.name, True, MAX_WIDTH_DEFAULT, b.noise is None), b.noise)
-                for b in self.config.backends
+                (BackendDescriptor("rjob", name, True, MAX_WIDTH_DEFAULT, noise is None), noise)
+                for name, noise in _BACKENDS
             ],
             self.config.delay,
         )
@@ -335,26 +322,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--port", type=int, default=8748)
     parser.add_argument("--delay", type=float, default=0.0, help="seconds after submission before a job may run")
     parser.add_argument("--api-key", default=None)
-    parser.add_argument("--noise-p", type=float, default=0.05, help="depolarizing p of the noisy backend")
-    parser.add_argument(
-        "--only", choices=["ideal", "noisy"], default=None, help="host a single backend"
-    )
     args = parser.parse_args(argv)
 
-    backends = []
-    if args.only in (None, "ideal"):
-        backends.append(ServerBackend("statevector"))
-    if args.only in (None, "noisy"):
-        backends.append(ServerBackend("noisy_statevector", NoiseSpec(args.noise_p)))
-    config = ServerConfig(
-        host=args.host, port=args.port, delay=args.delay, api_key=args.api_key, backends=backends
-    )
+    config = ServerConfig(host=args.host, port=args.port, delay=args.delay, api_key=args.api_key)
     try:
         server = RemoteServer(config)  # checks the delay before it binds the port
     except ProviderConfigError as exc:
         parser.error(f"argument --delay: {exc}")
     server.start()
-    print(f"serving on {server.endpoint} (backends: {', '.join(b.name for b in backends)})")
+    print(f"serving on {server.endpoint} (backends: {', '.join(name for name, _ in _BACKENDS)})")
     try:
         while True:
             time.sleep(3600)

@@ -284,7 +284,28 @@ def test_run_boolean_shots_or_seed_exit1(tmp_path, store, key, value):
     exp = write_experiment(tmp_path, dict(INLINE_EXPERIMENT, **{key: value}))
     result = run_cli("--store", str(store), "run", str(exp))
     assert result.returncode == 1
+    assert f"error: {exp}: " in result.stderr
     assert f"{key} must be" in result.stderr
+    assert not store.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("policy_context", None, "policy_context must be a mapping"),
+        ("parallel", "no", "parallel must be a boolean"),
+        ("shots", 1.5, "shots must be a positive integer"),
+        ("backends", ["local_ideal"], "backends must be a mapping or the literal 'all_online'"),
+        ("backends", {"local_ideal": "statevector"}, "backends['local_ideal'] must be a list of names"),
+        ("merge_policy", 3, "merge_policy must be a string"),
+        ("name", 3, "name must be a string"),
+        ("wait", True, "unknown keys ['wait']"),
+    ],
+)
+def test_run_malformed_value_exit1_names_the_file(tmp_path, store, capsys, key, value, message):
+    exp = write_experiment(tmp_path, dict(INLINE_EXPERIMENT, **{key: value}))
+    assert cli.main(["--store", str(store), "run", str(exp)]) == 1
+    assert capsys.readouterr().err == f"error: {exp}: {message}\n"
     assert not store.exists()
 
 
@@ -364,6 +385,8 @@ def test_run_all_online_sugar(tmp_path, store):
 
 
 def test_run_no_wait_prints_run_id_immediately(tmp_path, store):
+    # qexec run has no --no-wait: it prints the run id once the record
+    # exists, before it waits for the jobs.
     providers = tmp_path / "providers.yaml"
     providers.write_text("slow: {kind: mock_delay, delay: 1.5}\n")
     payload = {
@@ -384,7 +407,6 @@ def test_run_no_wait_prints_run_id_immediately(tmp_path, store):
             str(providers),
             "run",
             str(exp),
-            "--no-wait",
         ],
         stdout=subprocess.PIPE,
         text=True,

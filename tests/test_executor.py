@@ -4,7 +4,7 @@ from urllib.parse import urlsplit
 
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qexec.providers
@@ -32,7 +32,7 @@ from qexec.errors import (
 )
 from qexec.providers import BackendDescriptor, JobState, JobStatus
 
-from conftest import BELL_QASM, count_kernels_in_flight, serve_listing
+from conftest import BELL_QASM, count_kernels_in_flight, local_provider_configs, serve_listing
 
 LOCAL_PAIR = {"local_ideal": ["statevector"], "local_noisy": ["noisy_statevector"]}
 
@@ -856,6 +856,90 @@ def test_run_experiment_unresolvable_backend(local_executor, bell, submit_calls)
             circuits=bell, shots=10, backends={"local_ideal": ["teleporter"]}
         )
     assert submit_calls == []
+
+
+class _SubmitCountingProvider(VirtualProvider):
+    def __init__(self):
+        super().__init__()
+        self.submit_batch_calls = 0
+
+    def submit_batch(self, *args):
+        self.submit_batch_calls += 1
+        return super().submit_batch(*args)
+
+
+_NOT_BOOL = st.none() | st.integers() | st.text() | st.floats()
+# For each ExperimentSpec field, values of a form that field does not take.
+_WRONG_FORMS = {
+    "circuits": st.none() | st.just([]) | st.text() | st.lists(st.text(), min_size=1),
+    "shots": st.integers(max_value=0) | st.booleans() | st.floats() | st.text() | st.none(),
+    "backends": (
+        st.lists(st.text())
+        | st.text().filter(lambda text: text != "all_online")
+        | st.dictionaries(st.text(), st.text() | st.none() | st.integers(), min_size=1)
+        | st.dictionaries(st.text(), st.lists(st.integers(), min_size=1), min_size=1)
+        | st.dictionaries(st.integers(), st.lists(st.text()), min_size=1)
+    ),
+    "split_policy": st.none() | st.integers() | st.booleans(),
+    "merge_policy": st.integers() | st.booleans() | st.lists(st.text()),
+    "parallel": _NOT_BOOL,
+    "wait": _NOT_BOOL,
+    "base_seed": st.booleans() | st.floats() | st.text() | st.none(),
+    "policy_context": st.none() | st.lists(st.integers()) | st.text() | st.integers(),
+}
+
+
+@st.composite
+def wrong_field(draw):
+    key = draw(st.sampled_from(sorted(_WRONG_FORMS)))
+    return key, draw(_WRONG_FORMS[key])
+
+
+@given(wrong_field())
+@example(("circuits", [BELL_QASM]))
+@example(("circuits", []))
+@example(("backends", ["local_ideal"]))
+@example(("backends", {"local_ideal": "statevector"}))
+@example(("parallel", "no"))
+@example(("base_seed", True))
+@example(("shots", 0))
+@example(("shots", True))
+@example(("shots", 1.5))
+@example(("policy_context", []))
+@settings(max_examples=60, deadline=None)
+def test_run_experiment_refuses_a_field_of_the_wrong_form(case):
+    # One valid spec with one field swapped for a value of the wrong form:
+    # ExperimentSpec refuses it before anything is submitted.
+    key, value = case
+    fields = dict(
+        circuits=[parse_qasm(BELL_QASM, name="bell")], shots=8, backends=LOCAL_PAIR, base_seed=3
+    )
+    provider = _SubmitCountingProvider()
+    executor = QuantumExecutor(local_provider_configs(), provider)
+    with pytest.raises(ExperimentError):
+        executor.run_experiment(**{**fields, key: value})
+    assert provider.submit_batch_calls == 0
+
+
+def test_all_online_run_lists_each_provider_once(local_executor, bell):
+    local_executor.register_provider(
+        ProviderConfig(provider_id="sleepy", kind="mock_delay", delay=0.1, online=False)
+    )
+    listings = []
+    for provider_id, adapter in local_executor.virtual_provider._adapters.items():
+
+        def counting_backends(original=adapter.backends, provider_id=provider_id):
+            listings.append(provider_id)
+            return original()
+
+        adapter.backends = counting_backends
+    collector = local_executor.run_experiment(circuits=bell, shots=16, backends="all_online")
+    assert sorted(listings) == ["local_ideal", "local_noisy", "sleepy"]
+    assert sorted(collector.dispatch.backends()) == [
+        ("local_ideal", "statevector"),
+        ("local_noisy", "noisy_statevector"),
+    ]
+    assert not collector.failed_jobs()
 
 
 def test_run_experiment_discovers_per_backend_not_per_job(local_executor, bell):

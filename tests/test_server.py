@@ -9,7 +9,7 @@ import qexec.providers
 import qexec.server
 from qexec import sample
 from qexec.errors import ProviderConfigError
-from qexec.server import RemoteServer, ServerBackend, ServerConfig
+from qexec.server import RemoteServer, ServerConfig
 
 from conftest import BELL_QASM, count_kernels_in_flight, post_job, post_jobs, read_jobs, wait_done
 
@@ -30,12 +30,6 @@ def test_backends_default_pair(remote_server):
     assert by_name["statevector"]["is_ideal_simulator"] is True
     assert by_name["noisy_statevector"]["is_ideal_simulator"] is False
     assert all(b["online"] for b in listing)
-
-
-def test_backends_ideal_only():
-    with RemoteServer(ServerConfig(backends=[ServerBackend("statevector")])) as server:
-        listing = requests.get(f"{server.endpoint}/backends", timeout=5).json()
-        assert len(listing) == 1
 
 
 @pytest.mark.parametrize("delay", [float("inf"), float("nan"), -1.0])

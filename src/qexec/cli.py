@@ -12,25 +12,26 @@ file, never in experiment files. This module checks an experiment file's
 form: its keys, and its circuits as a list of QASM paths or inline QASM.
 Each other value becomes the ExperimentSpec field of its name (``seed`` is
 ``base_seed``), which checks it: ``backends`` is a mapping of provider to
-backend names, or ``all_online``. Run records are JSON under the run store
-(``./qexec-runs`` or ``$QEXEC_HOME``), one append-only directory per run:
-re-running never mutates a prior record. ``status`` and ``results`` replay
-from disk only and need no providers to be reachable.
+backend names, or ``all_online``. The run store is ``--store``, else
+``$QEXEC_HOME``, else ``./qexec-runs``. This module keeps the arguments, the
+loading of those files, the exit codes and the printing: qexec.record writes
+each run's record there and reads it back, so ``status`` and ``results``
+replay from disk only and need no providers to be reachable.
 
 ``run`` prints the run_id once the record exists, while the jobs are in
-flight, and a summary once the record is finalized. Its exit codes: 0
-success, 1 schema error (in the experiment or the providers file; the error
-names the file), 2 pre-flight validation failure (nothing submitted, no run
-directory) or a merge policy that raised after the run (the record then
-holds everything but ``merged.json``), 3 at least one job FAILED.
+flight, and a summary once the record is finalized. A reader that goes away,
+as ``qexec run ... | head -n 1`` does, ends the printing, not the run. Its
+exit codes: 0 success, 1 schema error (in the experiment or the providers
+file; the error names the file), 2 pre-flight validation failure (nothing
+submitted, no run directory) or a merge policy that raised after the run
+(the record then holds everything but the merged output), 3 at least one
+job FAILED.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
-import json
 import logging
 import os
 import sys
@@ -39,16 +40,15 @@ from typing import Any, Mapping
 
 import yaml
 
+from . import record
 from .circuit import Circuit, parse_qasm
-from .collector import ResultCollector, to_table, tree_to_json
+from .collector import to_table, tree_to_json
 from .errors import ExperimentError, ProviderConfigError, QasmError, QExecError
 from .executor import ExperimentSpec, QuantumExecutor
-from .providers import JobState, ProviderConfig
+from .providers import ProviderConfig
 from .simulator import NoiseSpec
 
 __all__ = ["main"]
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_STORE = "qexec-runs"
 STORE_ENV_VAR = "QEXEC_HOME"
@@ -192,7 +192,7 @@ def _stem(entry: str) -> str:
 
 
 # --------------------------------------------------------------------------
-# Run store
+# Commands
 # --------------------------------------------------------------------------
 
 
@@ -200,70 +200,6 @@ def store_root(override: str | None = None) -> Path:
     if override:
         return Path(override)
     return Path(os.environ.get(STORE_ENV_VAR, DEFAULT_STORE))
-
-
-def _write_json(path: Path, payload) -> None:
-    """Compact JSON with sorted keys: without indent, CPython's C encoder writes it."""
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _write_status(run_dir: Path, collector: ResultCollector) -> bool:
-    """Write status.json, the bytes that _write_json writes of its {ordinal:
-    {provider, backend, state, error}} mapping; whether any job has FAILED.
-    Each distinct entry is encoded once, and the ordinals are sorted as the
-    strings they are written as, as sort_keys sorts them."""
-    encoded: dict[tuple, str] = {}
-    items = []
-    for ordinal, (state, error) in collector.status().items():
-        site = collector.job_site(ordinal)
-        text = encoded.get((site, state, error))
-        if text is None:
-            entry = {"provider": site[0], "backend": site[1], "state": state.value, "error": error}
-            text = encoded[site, state, error] = json.dumps(entry, sort_keys=True)
-        items.append((str(ordinal), text))
-    items.sort()  # the ordinals are distinct, so no two texts are compared
-    body = ", ".join([f'"{ordinal}": {text}' for ordinal, text in items])
-    (run_dir / "status.json").write_text("{" + body + "}\n", encoding="utf-8")
-    return any(state is JobState.FAILED for _, state, _ in encoded)
-
-
-def _write_initial_record(run_dir: Path, source: Path, collector: ResultCollector) -> None:
-    run_dir.mkdir(parents=True)
-    (run_dir / "experiment.yaml").write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
-    (run_dir / "dispatch.json").write_text(collector.dispatch.to_json() + "\n", encoding="utf-8")
-    _write_status(run_dir, collector)
-    _write_meta(run_dir, source, collector)
-
-
-def _write_meta(run_dir: Path, source: Path, collector: ResultCollector) -> None:
-    """meta.json, written when the record is created and again when it is finalized."""
-    _write_json(
-        run_dir / "meta.json",
-        {
-            "run_id": collector.run_id,
-            "experiment_file": str(source),
-            "merge_policy": collector.merge_policy,
-            "started_at": collector.started_at,
-            "finished_at": collector.finished_at,
-        },
-    )
-
-
-def _finalize_record(run_dir: Path, source: Path, collector: ResultCollector) -> int:
-    """Write the final files, merged.json last: a merge that raises leaves the rest."""
-    tree = collector.get_results(block=True)
-    (run_dir / "results.json").write_text(tree_to_json(tree) + "\n", encoding="utf-8")
-    failed = _write_status(run_dir, collector)
-    _write_meta(run_dir, source, collector)
-    if collector.merge_policy is not None:
-        merged, metadata = collector.get_merged_results()
-        _write_json(run_dir / "merged.json", {"merged": merged, "metadata": metadata})
-    return EXIT_JOB_FAILED if failed else EXIT_OK
-
-
-# --------------------------------------------------------------------------
-# Commands
-# --------------------------------------------------------------------------
 
 
 def cmd_backends(args) -> int:
@@ -294,30 +230,37 @@ def cmd_run(args) -> int:
     collector = executor.run_experiment(spec)
 
     run_dir = store_root(args.store) / collector.run_id
-    _write_initial_record(run_dir, source, collector)
-    print(collector.run_id, flush=True)
+    record.create(run_dir, source, collector)
+    _print_out(collector.run_id + "\n")
 
-    exit_code = _finalize_record(run_dir, source, collector)
-    print(f"run {collector.run_id}: {collector.dispatch.total_jobs()} jobs finished")
-    merged_path = run_dir / "merged.json"
-    if merged_path.exists():
-        print(merged_path.read_text(encoding="utf-8"), end="")
-    return exit_code
+    failed, merged = record.finalize(run_dir, source, collector)
+    summary = f"run {collector.run_id}: {collector.dispatch.total_jobs()} jobs finished\n"
+    _print_out(summary + (merged or ""))
+    return EXIT_JOB_FAILED if failed else EXIT_OK
+
+
+def _print_out(text: str) -> None:
+    """Write text to stdout and flush it. A reader that has gone away ends
+    the printing, not the run: stdout is pointed at os.devnull, so later
+    output and the flush at exit are dropped instead of raising."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        stdout = sys.stdout.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout)
+        os.close(devnull)
 
 
 def cmd_status(args) -> int:
-    status_path = store_root(args.store) / args.run_id / "status.json"
-    if not status_path.exists():
+    statuses = record.read_statuses(store_root(args.store) / args.run_id)
+    if statuses is None:
         print(f"unknown run {args.run_id!r}", file=sys.stderr)
         return EXIT_SCHEMA
-    statuses = json.loads(status_path.read_text(encoding="utf-8"))
     print(f"{'JOB':<5} {'PROVIDER':<16} {'BACKEND':<24} {'STATE':<8} ERROR")
-    for ordinal in sorted(statuses, key=int):
-        entry = statuses[ordinal]
-        print(
-            f"{ordinal:<5} {entry['provider']:<16} {entry['backend']:<24} "
-            f"{entry['state']:<8} {entry.get('error') or ''}"
-        )
+    for ordinal, (provider, backend, state, error) in statuses.items():
+        print(f"{ordinal:<5} {provider:<16} {backend:<24} {state.value:<8} {error or ''}")
     return EXIT_OK
 
 
@@ -326,34 +269,25 @@ def cmd_results(args) -> int:
     if not run_dir.exists():
         print(f"unknown run {args.run_id!r}", file=sys.stderr)
         return EXIT_SCHEMA
-    if args.merged:
-        merged_path = run_dir / "merged.json"
-        if not merged_path.exists():
-            # A finalized record, one with results.json, has its final meta.json.
-            if not (run_dir / "results.json").exists():
-                print(f"run {args.run_id} is not finalized yet", file=sys.stderr)
-                return EXIT_SCHEMA
-            policy = json.loads((run_dir / "meta.json").read_text(encoding="utf-8"))["merge_policy"]
-            if policy is None:
-                print(f"run {args.run_id} has no merge policy", file=sys.stderr)
-            else:
-                message = f"merge policy {policy!r} gave no merged output"
-                print(f"run {args.run_id}: {message}", file=sys.stderr)
-            return EXIT_SCHEMA
-        print(merged_path.read_text(encoding="utf-8"), end="")
+    if args.merged and (merged := record.read_merged(run_dir)) is not None:
+        print(merged, end="")
         return EXIT_OK
-    results_path = run_dir / "results.json"
-    if not results_path.exists():
+    tree = record.read_tree(run_dir)
+    if tree is None:
         print(f"run {args.run_id} is not finalized yet", file=sys.stderr)
         return EXIT_SCHEMA
-    tree = json.loads(results_path.read_text(encoding="utf-8"))
+    if args.merged:
+        # A finalized record has its final meta.
+        policy = record.read_meta(run_dir)["merge_policy"]
+        if policy is None:
+            print(f"run {args.run_id} has no merge policy", file=sys.stderr)
+        else:
+            print(f"run {args.run_id}: merge policy {policy!r} gave no merged output", file=sys.stderr)
+        return EXIT_SCHEMA
     if args.csv:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["provider", "backend", "job", "bitstring", "count"])
-        for row in to_table(tree):
-            writer.writerow(row)
-        print(buffer.getvalue(), end="")
+        writer.writerows(to_table(tree))
     else:
         print(tree_to_json(tree))
     return EXIT_OK

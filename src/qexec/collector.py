@@ -32,11 +32,11 @@ __all__ = ["ResultCollector", "to_table", "tree_to_json"]
 class ResultCollector:
     """Tracks every job of one run and aggregates outputs.
 
-    The run's driver thread calls the record_* methods: record_statuses
-    takes many jobs' statuses under one hold of the lock, and the others
-    are its one-job case. Readers may call status() for each job's state
-    and get_results() for the counts, from any thread at any time.
-    Blocking retrieval parks on a condition variable, never busy-waits.
+    The run's driver thread records jobs through record_statuses, which
+    takes many jobs' statuses under one hold of the lock, and record_failed,
+    its one-job case for a failure. Readers may call status() for each
+    job's state and get_results() for the counts, from any thread at any
+    time. Blocking retrieval parks on a condition variable, never busy-waits.
     """
 
     def __init__(
@@ -73,15 +73,6 @@ class ResultCollector:
         terminal one ends it unless it has already ended. A DONE status must
         carry counts, which the collector keeps as given."""
         self._table.set_statuses(updates)
-
-    def record_status(self, ordinal: int, status: JobStatus) -> None:
-        """Upgrade a job's observed non-terminal status; terminal states only
-        ever enter through record_statuses, record_result or record_failed."""
-        if status.state is JobState.RUNNING:
-            self.record_statuses([(ordinal, status)])
-
-    def record_result(self, ordinal: int, counts: dict[str, int]) -> None:
-        self.record_statuses([(ordinal, JobStatus(JobState.DONE, counts=dict(counts)))])
 
     def record_failed(self, ordinal: int, message: str) -> None:
         self.record_statuses([(ordinal, JobStatus(JobState.FAILED, message))])

@@ -199,13 +199,12 @@ class JobTable:
     A transition that would move a job backwards, or out of a terminal
     state, is ignored: the first terminal state recorded wins. Jobs are
     created, and their transitions applied, many under one hold of the
-    lock: set_statuses is the one way to change a job, and set_done and
-    set_failed are its one-job case. A DONE status holds counts that no one
-    edits once recorded. Only statuses() and counts() return counts, and
-    each returns copies; states() returns none. The table counts its
-    pending (non-terminal) jobs. ``finished_at`` is the wall-clock time at
-    which the last pending job became terminal, and None exactly while a
-    job is pending; wait() blocks until no job is pending.
+    lock: set_statuses is the one way to change a job. A DONE status holds
+    counts that no one edits once recorded. Only statuses() and counts()
+    return counts, and each returns copies; states() returns none. The
+    table counts its pending (non-terminal) jobs. ``finished_at`` is the
+    wall-clock time at which the last pending job became terminal, and None
+    exactly while a job is pending; wait() blocks until no job is pending.
     """
 
     def __init__(self, keys: Iterable[Hashable] = ()):
@@ -249,12 +248,6 @@ class JobTable:
                 if not self._pending and self.finished_at is None:
                     self.finished_at = time.time()
                     self._cond.notify_all()
-
-    def set_done(self, key: Hashable, counts: dict[str, int]) -> None:
-        self.set_statuses([(key, JobStatus(JobState.DONE, counts=dict(counts)))])
-
-    def set_failed(self, key: Hashable, message: str) -> None:
-        self.set_statuses([(key, JobStatus(JobState.FAILED, message))])
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until no job is pending; returns False on timeout."""

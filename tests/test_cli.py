@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import qexec.policies
 import qexec.providers
-from qexec import cli
+from qexec import cli, record
 from qexec.circuit import parse_qasm
 from qexec.collector import to_table
 from qexec.errors import QasmError
@@ -566,7 +566,7 @@ def test_status_json_is_what_json_dumps_writes(tmp_path, failed):
         state = JobState.FAILED if failed and ordinal % 5 == 3 else JobState.DONE
         states[ordinal] = (state, errors[ordinal % 4] if state is JobState.FAILED else None)
         sites[ordinal] = ("p" + str(ordinal % 2), "b" + str(ordinal % 3))
-    assert cli._write_status(tmp_path, _StubCollector(states, sites)) is failed
+    assert record.write_status(tmp_path, _StubCollector(states, sites)) is failed
     expected = {
         str(ordinal): {"provider": sites[ordinal][0], "backend": sites[ordinal][1],
                        "state": state.value, "error": error}
@@ -574,6 +574,64 @@ def test_status_json_is_what_json_dumps_writes(tmp_path, failed):
     }
     written = (tmp_path / "status.json").read_text(encoding="utf-8")
     assert written == json.dumps(expected, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("scenario", sorted(p.name for p in EXPERIMENTS_DIR.glob("scenario*.yaml")))
+def test_a_finished_record_reads_back_as_its_run(tmp_path, store, capsys, monkeypatch, scenario):
+    collectors = []
+
+    class KeepingExecutor(cli.QuantumExecutor):
+        def run_experiment(self, spec=None, **kwargs):
+            collectors.append(super().run_experiment(spec, **kwargs))
+            return collectors[-1]
+
+    monkeypatch.setattr(cli, "QuantumExecutor", KeepingExecutor)
+    providers = EXPERIMENTS_DIR / "providers_local.yaml"
+    argv = ["--store", str(store), "--providers", str(providers), "run", str(EXPERIMENTS_DIR / scenario)]
+    assert cli.main(argv) == 0
+    [collector] = collectors
+    run_dir = store / collector.run_id
+    assert record.read_dispatch(run_dir) == collector.dispatch
+    assert record.read_statuses(run_dir) == {
+        ordinal: (*collector.job_site(ordinal), state, error)
+        for ordinal, (state, error) in sorted(collector.status().items())
+    }
+    assert record.read_tree(run_dir) == collector.get_results()
+    assert record.read_meta(run_dir)["finished_at"] == collector.finished_at
+    merged = record.read_merged(run_dir)
+    assert (merged is None) == (collector.merge_policy is None)
+    # run prints the merged text that it wrote, after its summary line.
+    assert capsys.readouterr().out.endswith(merged or "jobs finished\n")
+
+
+def test_run_into_a_reader_that_leaves_after_the_run_id(tmp_path, store):
+    # As `qexec run ... | head -n 1` does: the reader takes the run id and
+    # closes the pipe while the jobs are in flight. The summary then has
+    # nowhere to go, and the run still finalizes its record and exits 0.
+    providers = tmp_path / "providers.yaml"
+    providers.write_text("slow: {kind: mock_delay, delay: 0.5}\n")
+    payload = {"circuits": [BELL_QASM], "shots": 64, "backends": {"slow": ["delayed_statevector"]},
+               "merge_policy": "sum"}
+    exp = write_experiment(tmp_path, payload)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qexec.cli", "--store", str(store), "--providers", str(providers), "run", str(exp)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        run_id = proc.stdout.readline().strip()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=30) == 0, stderr
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+    assert record.read_meta(store / run_id)["finished_at"] is not None
+    assert (store / run_id / "results.json").exists()
 
 
 def test_run_names_a_circuit_too_wide_for_its_backend(tmp_path, store, capsys):

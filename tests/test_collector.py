@@ -14,6 +14,11 @@ from qexec.providers import JobState, JobStatus
 from conftest import BELL_QASM
 
 
+def done_with(ordinal, counts):
+    """The (ordinal, status) pair that records job ``ordinal`` DONE with ``counts``."""
+    return ordinal, JobStatus(JobState.DONE, counts=counts)
+
+
 def two_backend_dispatch(bell):
     dispatch = Dispatch()
     dispatch.add_job("p1", "b1", bell, 10)
@@ -29,10 +34,10 @@ def test_initial_statuses_queued(bell):
 
 def test_record_result_builds_tree(bell):
     collector = ResultCollector(two_backend_dispatch(bell))
-    collector.record_result(0, {"00": 6, "11": 4})
+    collector.record_statuses([done_with(0, {"00": 6, "11": 4})])
     partial = collector.get_results(block=False)
     assert partial == {"p1": {"b1": [{"00": 6, "11": 4}]}}
-    collector.record_result(1, {"00": 10})
+    collector.record_statuses([done_with(1, {"00": 10})])
     assert collector.is_terminal()
     assert collector.get_results(block=True) == {
         "p1": {"b1": [{"00": 6, "11": 4}]},
@@ -52,7 +57,7 @@ def test_monotone_completion(bell):
 
     seen = [leaves()]
     for ordinal in range(4):
-        collector.record_result(ordinal, {"00": 10})
+        collector.record_statuses([done_with(ordinal, {"00": 10})])
         seen.append(leaves())
     assert seen == sorted(seen)
     assert seen[-1] == 4
@@ -60,7 +65,7 @@ def test_monotone_completion(bell):
 
 def test_nonblocking_terminal_agrees_with_blocking(bell):
     collector = ResultCollector(two_backend_dispatch(bell))
-    collector.record_result(0, {"00": 10})
+    collector.record_statuses([done_with(0, {"00": 10})])
     collector.record_failed(1, "boom")
     assert tree_to_json(collector.get_results(block=False)) == tree_to_json(
         collector.get_results(block=True)
@@ -69,7 +74,7 @@ def test_nonblocking_terminal_agrees_with_blocking(bell):
 
 def test_blocking_timeout_carries_partial(bell):
     collector = ResultCollector(two_backend_dispatch(bell))
-    collector.record_result(0, {"00": 10})
+    collector.record_statuses([done_with(0, {"00": 10})])
     with pytest.raises(ResultTimeoutError) as info:
         collector.get_results(block=True, timeout=0.05)
     assert info.value.partial == {"p1": {"b1": [{"00": 10}]}}
@@ -85,7 +90,7 @@ def test_empty_dispatch_terminal_immediately():
 def test_failed_jobs_contribute_no_counts(bell):
     collector = ResultCollector(two_backend_dispatch(bell))
     collector.record_failed(0, "backend exploded")
-    collector.record_result(1, {"00": 10})
+    collector.record_statuses([done_with(1, {"00": 10})])
     tree = collector.get_results(block=True)
     assert "p1" not in tree
     assert collector.status()[0] == (JobState.FAILED, "backend exploded")
@@ -93,12 +98,11 @@ def test_failed_jobs_contribute_no_counts(bell):
 
 def test_record_status_upgrades_only(bell):
     collector = ResultCollector(two_backend_dispatch(bell))
-    collector.record_status(0, JobStatus(JobState.RUNNING))
+    collector.record_statuses([(0, JobStatus(JobState.RUNNING))])
     assert collector.status()[0] == (JobState.RUNNING, None)
-    # Terminal states never enter through record_status.
-    collector.record_status(0, JobStatus(JobState.DONE))
+    collector.record_statuses([(0, JobStatus(JobState.QUEUED))])  # backwards: ignored
     assert collector.status()[0] == (JobState.RUNNING, None)
-    collector.record_result(0, {"00": 10})
+    collector.record_statuses([done_with(0, {"00": 10})])
     # Terminal is sticky.
     collector.record_failed(0, "late failure ignored")
     assert collector.status()[0] == (JobState.DONE, None)
@@ -108,8 +112,8 @@ def test_merged_sum_over_two_backends(bell):
     collector = ResultCollector(
         two_backend_dispatch(bell), merge_policy="sum", merge_fn=merge_sum
     )
-    collector.record_result(0, {"00": 6, "11": 4})
-    collector.record_result(1, {"00": 10})
+    collector.record_statuses([done_with(0, {"00": 6, "11": 4})])
+    collector.record_statuses([done_with(1, {"00": 10})])
     merged, metadata = collector.get_merged_results()
     assert merged == {"00": 16, "11": 4}
     assert metadata["jobs"] == 2
@@ -127,8 +131,8 @@ def test_merged_tvd_matches_direct_oracle(bell):
     )
     ref = {"00": 6, "11": 4}
     other = {"00": 3, "11": 7}
-    collector.record_result(0, ref)
-    collector.record_result(1, other)
+    collector.record_statuses([done_with(0, ref)])
+    collector.record_statuses([done_with(1, other)])
     merged, _ = collector.get_merged_results()
     assert merged == {"p2/b1": pytest.approx(tvd(other, ref), abs=1e-12)}
 
@@ -143,22 +147,23 @@ def test_merged_requires_terminal(bell):
 
 def test_merged_requires_policy(bell):
     collector = ResultCollector(two_backend_dispatch(bell))
-    collector.record_result(0, {"00": 10})
-    collector.record_result(1, {"00": 10})
+    collector.record_statuses([done_with(0, {"00": 10})])
+    collector.record_statuses([done_with(1, {"00": 10})])
     with pytest.raises(CollectorError, match="no merge policy"):
         collector.get_merged_results()
 
 
 def test_readers_get_copies_of_the_counts(bell):
-    # Editing the counts a job was recorded with, or the counts get_results()
+    # Editing the counts a job was recorded from, or the counts get_results()
     # returned, leaves the run's own counts as they were; status() returns
-    # no counts at all.
+    # no counts at all. record_statuses keeps a status as given, so the
+    # recorder hands over a copy of counts it goes on editing.
     collector = ResultCollector(
         two_backend_dispatch(bell), merge_policy="sum", merge_fn=merge_sum
     )
     recorded = {"00": 6, "11": 4}
-    collector.record_result(0, recorded)
-    collector.record_result(1, {"00": 10})
+    collector.record_statuses([done_with(0, dict(recorded))])
+    collector.record_statuses([done_with(1, {"00": 10})])
     recorded["11"] = 999
     tree = collector.get_results()
     tree["p1"]["b1"][0]["00"] = 999
@@ -177,8 +182,8 @@ def test_merged_memoized(bell):
     collector = ResultCollector(
         two_backend_dispatch(bell), merge_policy="count", merge_fn=counting_merge
     )
-    collector.record_result(0, {"00": 10})
-    collector.record_result(1, {"00": 10})
+    collector.record_statuses([done_with(0, {"00": 10})])
+    collector.record_statuses([done_with(1, {"00": 10})])
     first = collector.get_merged_results()
     second = collector.get_merged_results()
     assert first == second
@@ -192,8 +197,8 @@ def test_merged_failure_reported_with_policy_name(bell):
     collector = ResultCollector(
         two_backend_dispatch(bell), merge_policy="broken", merge_fn=broken
     )
-    collector.record_result(0, {"00": 10})
-    collector.record_result(1, {"00": 10})
+    collector.record_statuses([done_with(0, {"00": 10})])
+    collector.record_statuses([done_with(1, {"00": 10})])
     with pytest.raises(MergeError, match="'broken'.*kaput"):
         collector.get_merged_results()
 
@@ -203,7 +208,7 @@ def test_merged_metadata_records_failures(bell):
         two_backend_dispatch(bell), merge_policy="sum", merge_fn=merge_sum
     )
     collector.record_failed(0, "device offline")
-    collector.record_result(1, {"00": 10})
+    collector.record_statuses([done_with(1, {"00": 10})])
     merged, metadata = collector.get_merged_results()
     assert merged == {"00": 10}
     assert metadata["failed_jobs"] == [
@@ -215,7 +220,7 @@ def test_run_state_snapshot(bell):
     # status() holds every job of the run, terminal or not.
     collector = ResultCollector(two_backend_dispatch(bell))
     assert collector.status() == {0: (JobState.QUEUED, None), 1: (JobState.QUEUED, None)}
-    collector.record_result(0, {"00": 10})
+    collector.record_statuses([done_with(0, {"00": 10})])
     assert [state.terminal for state, _ in collector.status().values()] == [True, False]
     collector.record_failed(1, "boom")
     assert collector.status() == {0: (JobState.DONE, None), 1: (JobState.FAILED, "boom")}
@@ -248,12 +253,12 @@ def test_record_interleavings_property(n_jobs, ops):
 
     def record(step, ordinal, kind):
         if kind == "queued":
-            collector.record_status(ordinal, JobStatus(JobState.QUEUED))
+            collector.record_statuses([(ordinal, JobStatus(JobState.QUEUED))])
         elif kind == "running":
-            collector.record_status(ordinal, JobStatus(JobState.RUNNING))
+            collector.record_statuses([(ordinal, JobStatus(JobState.RUNNING))])
             running.add(ordinal)
         elif kind == "done":
-            collector.record_result(ordinal, {"0": step + 1})
+            collector.record_statuses([done_with(ordinal, {"0": step + 1})])
             first_terminal.setdefault(ordinal, (JobState.DONE, {"0": step + 1}))
         else:
             collector.record_failed(ordinal, f"failure {step}")
@@ -319,11 +324,11 @@ def test_concurrent_records_finish_exactly_once(bell):
     def writer(index):
         start.wait()
         for ordinal in range(jobs):
-            collector.record_status(ordinal, JobStatus(JobState.RUNNING))
+            collector.record_statuses([(ordinal, JobStatus(JobState.RUNNING))])
             if index % 2:
                 collector.record_failed(ordinal, f"writer {index}")
             else:
-                collector.record_result(ordinal, {"0": 10})
+                collector.record_statuses([done_with(ordinal, {"0": 10})])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -482,8 +482,11 @@ def test_runner_fails_each_faulty_job_of_a_batch_alone(bell, monkeypatch, noise)
 def test_job_table_status_hands_out_a_copy_of_counts():
     table = JobTable(["pending", "done", "failed"])
     counts = {"00": 3, "11": 5}
-    table.set_done("done", counts)
-    table.set_failed("failed", "boom")
+    # set_statuses keeps a status as given: a caller that goes on editing
+    # its counts hands over a copy.
+    table.set_statuses(
+        [("done", JobStatus(JobState.DONE, counts=dict(counts))), ("failed", JobStatus(JobState.FAILED, "boom"))]
+    )
     counts["00"] = 99  # the caller's dict is not the table's
     [read] = table.statuses(["done"])
     assert read.state is JobState.DONE and read.counts == {"00": 3, "11": 5}
@@ -549,7 +552,7 @@ def test_job_table_wakes_its_waiters_when_the_last_pending_job_ends_inside_a_bat
 
 def test_job_table_creates_no_job_of_a_batch_that_repeats_one():
     table = JobTable(["a"])
-    table.set_done("a", {"0": 1})
+    table.set_statuses([("a", JobStatus(JobState.DONE, counts={"0": 1}))])
     finished_at = table.finished_at
     for keys in (["b", "a", "c"], ["b", "c", "b"]):
         with pytest.raises(ValueError, match="already exists"):

@@ -80,12 +80,14 @@ class SchemaError(Exception):
 # --------------------------------------------------------------------------
 
 
-def _read_yaml(path: Path) -> Any:
-    """The file's YAML document, read by libyaml's safe loader when PyYAML
-    was built with it, else by the pure-Python one; SchemaError if it cannot."""
+def _read_yaml(path: Path) -> tuple[bytes, Any]:
+    """The file's bytes, read once, and its YAML document, read by libyaml's
+    safe loader when PyYAML was built with it, else by the pure-Python one;
+    SchemaError if it cannot."""
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        return yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
+        raw = path.read_bytes()
+        return raw, yaml.load(raw.decode("utf-8"), Loader=loader)
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -96,7 +98,12 @@ def load_experiment_file(path: Path) -> dict[str, Any]:
     """Parse an experiment file and check its form: a mapping with no unknown
     keys, the required keys, ``circuits`` a non-empty list of strings and
     ``name`` a string or null. ExperimentSpec checks the other values."""
-    data = _read_yaml(path)
+    return _load_experiment(path)[1]
+
+
+def _load_experiment(path: Path) -> tuple[bytes, dict[str, Any]]:
+    """The experiment file's bytes, as given, and its checked fields."""
+    raw, data = _read_yaml(path)
     if not isinstance(data, Mapping):
         raise SchemaError(f"{path}: experiment file must be a mapping")
 
@@ -113,7 +120,7 @@ def load_experiment_file(path: Path) -> dict[str, Any]:
         raise SchemaError(f"{path}: circuits entries must be strings (path or inline QASM)")
     if data.get("name") is not None and not isinstance(data["name"], str):
         raise SchemaError(f"{path}: name must be a string")
-    return dict(data)
+    return raw, dict(data)
 
 
 def load_providers_file(path: Path | None) -> list[ProviderConfig]:
@@ -126,7 +133,7 @@ def load_providers_file(path: Path | None) -> list[ProviderConfig]:
             ProviderConfig(provider_id="local_ideal", kind="local_ideal"),
             ProviderConfig(provider_id="local_noisy", kind="local_noisy", noise=NoiseSpec(0.05)),
         ]
-    data = _read_yaml(path)
+    _, data = _read_yaml(path)
     if data is None:
         return []
     if not isinstance(data, Mapping):
@@ -217,7 +224,7 @@ def cmd_backends(args) -> int:
 
 def cmd_run(args) -> int:
     source = Path(args.experiment)
-    data = load_experiment_file(source)
+    raw, data = _load_experiment(source)
     fields = {("base_seed" if key == "seed" else key): value for key, value in data.items() if key != "name"}
     fields["circuits"] = resolve_circuits(data["circuits"], source.parent)
     try:
@@ -230,7 +237,7 @@ def cmd_run(args) -> int:
     collector = executor.run_experiment(spec)
 
     run_dir = store_root(args.store) / collector.run_id
-    record.create(run_dir, source, collector)
+    record.create(run_dir, source, raw, collector)
     _print_out(collector.run_id + "\n")
 
     failed, merged = record.finalize(run_dir, source, collector)

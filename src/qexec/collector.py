@@ -32,11 +32,11 @@ __all__ = ["ResultCollector", "to_table", "tree_to_json"]
 class ResultCollector:
     """Tracks every job of one run and aggregates outputs.
 
-    The run's driver thread records jobs through record_statuses, which
-    takes many jobs' statuses under one hold of the lock, and record_failed,
-    its one-job case for a failure. Readers may call status() for each
-    job's state and get_results() for the counts, from any thread at any
-    time. Blocking retrieval parks on a condition variable, never busy-waits.
+    The run's driver thread records every change of a job's state through
+    record_statuses, many jobs under one hold of the lock; a job's first
+    terminal state wins. Readers may call status() for each job's state
+    and get_results() for the counts, from any thread at any time. Blocking
+    retrieval parks on a condition variable, never busy-waits.
     """
 
     def __init__(
@@ -67,15 +67,13 @@ class ResultCollector:
 
     # -- writer side -------------------------------------------------------
 
-    def record_statuses(self, updates: Iterable[tuple[int, JobStatus]]) -> None:
-        """Record each ``(ordinal, status)`` a poll read, in order, under one
-        hold of the table's lock: a RUNNING status upgrades its job, and a
-        terminal one ends it unless it has already ended. A DONE status must
-        carry counts, which the collector keeps as given."""
-        self._table.set_statuses(updates)
-
-    def record_failed(self, ordinal: int, message: str) -> None:
-        self.record_statuses([(ordinal, JobStatus(JobState.FAILED, message))])
+    def record_statuses(self, updates: Iterable[tuple[int, JobStatus]]) -> list[int]:
+        """Record each ``(ordinal, status)``, in order, under one hold of the
+        table's lock, and return the ordinals of the jobs it ended: a RUNNING
+        status upgrades its job, and a terminal one ends it unless it has
+        already ended. A DONE status must carry counts, which the collector
+        keeps as given."""
+        return self._table.set_statuses(updates)
 
     # -- reader side -------------------------------------------------------
 

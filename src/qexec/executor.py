@@ -3,7 +3,7 @@
 Runs are declarative (run_experiment with an ExperimentSpec) or explicit
 (run_dispatch with a pre-built Dispatch). Either way, one driver thread per
 run submits every backend's jobs and polls them (see QuantumExecutor._drive),
-and records each poll in the run's collector under one hold of its lock.
+and records each poll, refused batch or fault in one collector call.
 Which jobs overlap is the providers' decision, not the driver's: in-process
 simulators run every kernel on one worker per process, one at a time. Job
 k's seed is base_seed + ordinal(k), making serial and parallel runs of the
@@ -243,13 +243,14 @@ class QuantumExecutor:
         """Submit each backend's jobs in canonical order: all at once when
         parallel, else each once every job of the one before is terminal.
         Pending jobs are kept by provider, in submission order. Each poll reads
-        a provider's pending jobs in one status_batch call and hands its RUNNING
-        and DONE statuses to the collector in one call (see _record). Between
-        polls the driver waits through VirtualProvider.wait on the
-        earliest-submitted provider with pending jobs, with an interval that
-        restarts after progress and otherwise grows to MAX_WAIT. A fault fails the jobs of the call that raised, once
-        each: a backend's jobs if its submit raised, and a provider's pending
-        jobs if its read, the recording of that read, or its wait raised."""
+        a provider's pending jobs in one status_batch call, records them in one
+        record_statuses call (see _adapter_statuses) and drops the jobs it
+        ended. Between polls the driver waits through VirtualProvider.wait on
+        the earliest-submitted provider with pending jobs, with an interval
+        that restarts after progress and otherwise grows to MAX_WAIT. A fault
+        fails the jobs of the call that raised, in one call: a backend's jobs
+        if its submit raised, and a provider's pending jobs if its read, the
+        recording of that read, or its wait raised."""
         queued = list(specs)
         pending: dict[str, dict[int, str]] = {}  # provider id -> {ordinal: job id}
         interval = _POLL_INITIAL
@@ -265,7 +266,9 @@ class QuantumExecutor:
             for provider_id, jobs in pending.items():
                 try:
                     statuses = self.virtual_provider.status_batch(provider_id, list(jobs.values()))
-                    progress |= _record(collector, jobs, statuses)
+                    for ordinal in collector.record_statuses(_adapter_statuses(jobs, statuses)):
+                        del jobs[ordinal]
+                        progress = True
                 except Exception as exc:
                     _fail(collector, jobs, exc)
                     jobs.clear()
@@ -280,54 +283,39 @@ class QuantumExecutor:
 
     def _submit(self, site, specs, base_seed: int, collector: ResultCollector) -> dict[int, str]:
         """Submit a backend's ``(circuit, shots, seed)`` jobs in one batch and
-        record each outcome; returns the job id of each job accepted, by
-        ordinal. A fault in the batch call, or a base_seed that cannot be added
-        to an ordinal, raises, and the driver fails the backend's jobs with
-        its message."""
+        record every refused job, with its error, in one record_statuses call;
+        returns the job id of each job accepted, by ordinal. A fault in the
+        batch call, or a base_seed that cannot be added to an ordinal, raises,
+        and the driver fails the backend's jobs with its message."""
         jobs = [(spec.circuit, spec.shots, base_seed + spec.ordinal) for spec in specs]
         outcomes = self.virtual_provider.submit_batch(*site, jobs)
         accepted: dict[int, str] = {}
+        refused: list[tuple[int, JobStatus]] = []
         for spec, outcome in zip(specs, outcomes):
             if isinstance(outcome, Exception):
-                collector.record_failed(spec.ordinal, str(outcome))
+                refused.append((spec.ordinal, JobStatus(JobState.FAILED, str(outcome))))
             else:
                 accepted[spec.ordinal] = outcome
+        collector.record_statuses(refused)
         return accepted
 
 
-def _record(collector: ResultCollector, jobs: dict[int, str], statuses: list) -> bool:
-    """Record a poll's status of each of a provider's pending jobs, in order:
-    the RUNNING and DONE ones in one record_statuses call, and each failure
-    through record_failed. A malformed status raises once every status
-    before it is recorded. A job leaves ``jobs`` only once its terminal
-    state is recorded; True if one did."""
-    updates: list[tuple[int, JobStatus]] = []
-    ended: list[int] = []
-    try:
-        for ordinal, status in zip(jobs, statuses):
-            state = status.state
-            if state is JobState.RUNNING:
-                updates.append((ordinal, status))
-            elif state is JobState.DONE and status.counts is not None:
-                updates.append((ordinal, status))
-                ended.append(ordinal)
-            elif state.terminal:
-                if state is JobState.FAILED:
-                    message = status.error_message or "job failed"
-                else:
-                    message = "adapter reported DONE without counts"
-                collector.record_failed(ordinal, message)
-                ended.append(ordinal)
-    finally:
-        collector.record_statuses(updates)
-        for ordinal in ended:
-            del jobs[ordinal]
-    return bool(ended)
+def _adapter_statuses(jobs: dict[int, str], statuses: list):
+    """Each ``(ordinal, status)`` of a poll, read as the adapter contract
+    says: a DONE status with no counts fails the job, and a FAILED one keeps
+    only its message, "job failed" if it has none. Lazy, so that a status
+    that is not a JobStatus raises once every status before it is recorded."""
+    for ordinal, status in zip(jobs, statuses):
+        if status.state is JobState.DONE and status.counts is None:
+            status = JobStatus(JobState.FAILED, "adapter reported DONE without counts")
+        elif status.state is JobState.FAILED:
+            status = JobStatus(JobState.FAILED, status.error_message or "job failed")
+        yield ordinal, status
 
 
 def _fail(collector: ResultCollector, ordinals: Iterable[int], exc: Exception) -> None:
-    """Record each of ``ordinals``, jobs with no terminal record, as failed
-    with the fault's message."""
+    """Record each of ``ordinals`` as failed with the fault's message, in one
+    record_statuses call; a job that has already ended is left as it is."""
     logger.debug("jobs of run %s failed", collector.run_id, exc_info=exc)
-    for ordinal in ordinals:
-        collector.record_failed(ordinal, str(exc))
+    failed = JobStatus(JobState.FAILED, str(exc))
+    collector.record_statuses((ordinal, failed) for ordinal in ordinals)

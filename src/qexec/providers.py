@@ -199,10 +199,10 @@ class JobTable:
     A transition that would move a job backwards, or out of a terminal
     state, is ignored: the first terminal state recorded wins. Jobs are
     created, and their transitions applied, many under one hold of the
-    lock: set_statuses is the one way to change a job. A DONE status holds
-    counts that no one edits once recorded. Only statuses() and counts()
-    return counts, and each returns copies; states() returns none. The
-    table counts its pending (non-terminal) jobs. ``finished_at`` is the
+    lock: set_statuses, the one way to change a job, returns the jobs it
+    ended. A DONE status holds counts that no one edits once recorded. Only
+    statuses() and counts() return counts, and each returns copies;
+    states() returns none. The table counts its pending (non-terminal) jobs. ``finished_at`` is the
     wall-clock time at which the last pending job became terminal, and None
     exactly while a job is pending; wait() blocks until no job is pending.
     """
@@ -228,13 +228,14 @@ class JobTable:
                 self._pending += len(fresh)
                 self.finished_at = None
 
-    def set_statuses(self, updates: Iterable[tuple[Hashable, JobStatus]]) -> None:
+    def set_statuses(self, updates: Iterable[tuple[Hashable, JobStatus]]) -> list[Hashable]:
         """Apply each ``(key, status)`` transition, in order, under one hold of
-        the lock; KeyError for a key the table never created, once the
-        transitions before it are applied. Each status is kept as given, so a
-        caller hands over a DONE status's counts and edits them no more. If the
-        last pending job ends among them, ``finished_at`` is set and every
-        wait() returns."""
+        the lock; the keys of the jobs it ended. KeyError for a key the table
+        never created, once the transitions before it are applied. Each status
+        is kept as given, so a caller hands over a DONE status's counts and
+        edits them no more. If the last pending job ends among them, even in a
+        batch that raises, ``finished_at`` is set and every wait() returns."""
+        ended = []
         with self._cond:
             statuses = self._statuses
             try:
@@ -243,11 +244,13 @@ class JobTable:
                     if rank > _STATE_RANK[statuses[key].state]:
                         statuses[key] = status
                         if rank == _TERMINAL_RANK:
-                            self._pending -= 1
+                            ended.append(key)
             finally:
+                self._pending -= len(ended)
                 if not self._pending and self.finished_at is None:
                     self.finished_at = time.time()
                     self._cond.notify_all()
+        return ended
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until no job is pending; returns False on timeout."""

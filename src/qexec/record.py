@@ -1,15 +1,15 @@
 """The run record, one append-only directory per run: written and read here only.
 
 Its files, each JSON one compact with sorted keys and a closing newline:
-``experiment.yaml`` (the experiment file as given), ``dispatch.json``
-(``Dispatch.to_json``), ``status.json`` ({ordinal: {provider, backend, state,
-error}}), ``meta.json`` ({run_id, experiment_file, merge_policy, started_at,
-finished_at}), ``results.json`` (``tree_to_json`` of the result tree) and, for
-a run with a merge policy, ``merged.json`` ({merged, metadata}). create()
-writes the first four while the jobs are in flight. finalize() writes
-results.json, then status.json and meta.json again, and merged.json last: a
-merge that raises leaves the rest. A record with results.json is finalized.
-create() refuses a directory that exists, so no run touches a prior record.
+``experiment.yaml`` (the experiment file as given, byte for byte),
+``dispatch.json`` (``Dispatch.to_json``), ``status.json`` ({ordinal:
+{provider, backend, state, error}}), ``meta.json`` ({run_id, experiment_file,
+merge_policy, started_at, finished_at}), ``results.json`` (``tree_to_json`` of
+the result tree) and, for a run with a merge policy, ``merged.json``
+({merged, metadata}). create() writes the first four while the jobs are in
+flight. finalize() writes results.json, then status.json and meta.json
+again, and merged.json last: a merge that raises leaves the rest. A record
+with results.json is finalized. create() refuses a directory that exists, so no run touches a prior record.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ def _write_json(path: Path, payload) -> str:
     return text
 
 
-def create(run_dir: Path, source: Path, collector: ResultCollector) -> None:
+def create(run_dir: Path, source: Path, experiment: bytes, collector: ResultCollector) -> None:
     run_dir.mkdir(parents=True)
-    (run_dir / "experiment.yaml").write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
+    (run_dir / "experiment.yaml").write_bytes(experiment)
     (run_dir / "dispatch.json").write_text(collector.dispatch.to_json() + "\n", encoding="utf-8")
     write_status(run_dir, collector)
     _write_meta(run_dir, source, collector)

@@ -10,7 +10,7 @@ import pytest
 import requests
 
 import qexec.providers
-from qexec import NoiseSpec, ProviderConfig, QuantumExecutor, VirtualProvider, parse_qasm
+from qexec import NoiseSpec, ProviderConfig, QuantumExecutor, ResultCollector, VirtualProvider, parse_qasm
 from qexec.server import RemoteServer, ServerConfig, _Handler
 
 BELL_QASM = """\
@@ -190,6 +190,24 @@ def count_kernels_in_flight(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(qexec.providers, "sample_batch", counted(qexec.providers.sample_batch))
     return in_flight
+
+
+def recorded_ends(monkeypatch) -> list[list[tuple[int, str | None]]]:
+    """Spy on ResultCollector.record_statuses: for each call that ended a
+    job, in call order, the (ordinal, error message) of every job the call
+    returned as ended."""
+    calls = []
+    original = ResultCollector.record_statuses
+
+    def recording(collector, updates):
+        ended = original(collector, updates)
+        if ended:
+            states = collector.status()
+            calls.append([(ordinal, states[ordinal][1]) for ordinal in ended])
+        return ended
+
+    monkeypatch.setattr(ResultCollector, "record_statuses", recording)
+    return calls
 
 
 def post_jobs(endpoint: str, backend: str, *jobs: dict, session=requests):

@@ -604,6 +604,39 @@ def test_a_finished_record_reads_back_as_its_run(tmp_path, store, capsys, monkey
     assert capsys.readouterr().out.endswith(merged or "jobs finished\n")
 
 
+NEWLINE_EXPERIMENT = """\
+# A comment line, an inline circuit as a block scalar, and a circuit file.
+name: newlines
+circuits:
+  - |
+    OPENQASM 2.0;
+    qreg q[2];
+    h q[0];
+    cx q[0],q[1];
+  - bell.qasm
+shots: 64
+backends: {local_ideal: [statevector]}
+merge_policy: sum
+seed: 3
+"""
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_the_record_holds_the_experiment_file_byte_for_byte(tmp_path, store, capsys, newline):
+    # experiment.yaml is the file as given, whatever its line ends, and the
+    # file runs as its LF form does.
+    (tmp_path / "bell.qasm").write_text(BELL_QASM, encoding="utf-8")
+    run_dirs = []
+    for name, ends in (("lf.yaml", "\n"), ("given.yaml", newline)):
+        exp = tmp_path / name
+        exp.write_bytes(NEWLINE_EXPERIMENT.replace("\n", ends).encode("utf-8"))
+        assert cli.main(["--store", str(store), "run", str(exp)]) == 0
+        run_dirs.append(store / capsys.readouterr().out.split()[0])
+        assert (run_dirs[-1] / "experiment.yaml").read_bytes() == exp.read_bytes()
+    for name in ("dispatch.json", "results.json", "merged.json"):
+        assert (run_dirs[0] / name).read_bytes() == (run_dirs[1] / name).read_bytes()
+
+
 def test_run_into_a_reader_that_leaves_after_the_run_id(tmp_path, store):
     # As `qexec run ... | head -n 1` does: the reader takes the run id and
     # closes the pipe while the jobs are in flight. The summary then has

@@ -19,6 +19,11 @@ def done_with(ordinal, counts):
     return ordinal, JobStatus(JobState.DONE, counts=counts)
 
 
+def failed_with(ordinal, message):
+    """The (ordinal, status) pair that records job ``ordinal`` FAILED with ``message``."""
+    return ordinal, JobStatus(JobState.FAILED, message)
+
+
 def two_backend_dispatch(bell):
     dispatch = Dispatch()
     dispatch.add_job("p1", "b1", bell, 10)
@@ -66,7 +71,7 @@ def test_monotone_completion(bell):
 def test_nonblocking_terminal_agrees_with_blocking(bell):
     collector = ResultCollector(two_backend_dispatch(bell))
     collector.record_statuses([done_with(0, {"00": 10})])
-    collector.record_failed(1, "boom")
+    collector.record_statuses([failed_with(1, "boom")])
     assert tree_to_json(collector.get_results(block=False)) == tree_to_json(
         collector.get_results(block=True)
     )
@@ -89,7 +94,7 @@ def test_empty_dispatch_terminal_immediately():
 
 def test_failed_jobs_contribute_no_counts(bell):
     collector = ResultCollector(two_backend_dispatch(bell))
-    collector.record_failed(0, "backend exploded")
+    collector.record_statuses([failed_with(0, "backend exploded")])
     collector.record_statuses([done_with(1, {"00": 10})])
     tree = collector.get_results(block=True)
     assert "p1" not in tree
@@ -104,7 +109,7 @@ def test_record_status_upgrades_only(bell):
     assert collector.status()[0] == (JobState.RUNNING, None)
     collector.record_statuses([done_with(0, {"00": 10})])
     # Terminal is sticky.
-    collector.record_failed(0, "late failure ignored")
+    assert collector.record_statuses([failed_with(0, "late failure ignored")]) == []
     assert collector.status()[0] == (JobState.DONE, None)
 
 
@@ -207,7 +212,7 @@ def test_merged_metadata_records_failures(bell):
     collector = ResultCollector(
         two_backend_dispatch(bell), merge_policy="sum", merge_fn=merge_sum
     )
-    collector.record_failed(0, "device offline")
+    collector.record_statuses([failed_with(0, "device offline")])
     collector.record_statuses([done_with(1, {"00": 10})])
     merged, metadata = collector.get_merged_results()
     assert merged == {"00": 10}
@@ -222,7 +227,7 @@ def test_run_state_snapshot(bell):
     assert collector.status() == {0: (JobState.QUEUED, None), 1: (JobState.QUEUED, None)}
     collector.record_statuses([done_with(0, {"00": 10})])
     assert [state.terminal for state, _ in collector.status().values()] == [True, False]
-    collector.record_failed(1, "boom")
+    collector.record_statuses([failed_with(1, "boom")])
     assert collector.status() == {0: (JobState.DONE, None), 1: (JobState.FAILED, "boom")}
     assert collector.is_terminal()
 
@@ -252,17 +257,20 @@ def test_record_interleavings_property(n_jobs, ops):
     finished_at = None
 
     def record(step, ordinal, kind):
+        # A call returns the ordinal it ended: a job's first terminal record.
+        ends = [ordinal] if kind in ("done", "failed") and ordinal not in first_terminal else []
         if kind == "queued":
-            collector.record_statuses([(ordinal, JobStatus(JobState.QUEUED))])
+            ended = collector.record_statuses([(ordinal, JobStatus(JobState.QUEUED))])
         elif kind == "running":
-            collector.record_statuses([(ordinal, JobStatus(JobState.RUNNING))])
+            ended = collector.record_statuses([(ordinal, JobStatus(JobState.RUNNING))])
             running.add(ordinal)
         elif kind == "done":
-            collector.record_statuses([done_with(ordinal, {"0": step + 1})])
+            ended = collector.record_statuses([done_with(ordinal, {"0": step + 1})])
             first_terminal.setdefault(ordinal, (JobState.DONE, {"0": step + 1}))
         else:
-            collector.record_failed(ordinal, f"failure {step}")
+            ended = collector.record_statuses([failed_with(ordinal, f"failure {step}")])
             first_terminal.setdefault(ordinal, (JobState.FAILED, f"failure {step}"))
+        assert ended == ends
 
     def check():
         all_terminal = len(first_terminal) == n_jobs
@@ -320,15 +328,16 @@ def test_concurrent_records_finish_exactly_once(bell):
         dispatch.add_job("p", "b", bell, 10)
     collector = ResultCollector(dispatch)
     start = threading.Barrier(writers)
+    ended = [[] for _ in range(writers)]  # the ordinals each writer's calls ended
 
     def writer(index):
         start.wait()
         for ordinal in range(jobs):
-            collector.record_statuses([(ordinal, JobStatus(JobState.RUNNING))])
+            ended[index] += collector.record_statuses([(ordinal, JobStatus(JobState.RUNNING))])
             if index % 2:
-                collector.record_failed(ordinal, f"writer {index}")
+                ended[index] += collector.record_statuses([failed_with(ordinal, f"writer {index}")])
             else:
-                collector.record_statuses([done_with(ordinal, {"0": 10})])
+                ended[index] += collector.record_statuses([done_with(ordinal, {"0": 10})])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -357,6 +366,12 @@ def test_concurrent_records_finish_exactly_once(bell):
     # A lost pending-count update leaves the run non-terminal.
     assert collector.wait(timeout=0)
     assert all(state.terminal for state, _ in collector.status().values())
+    # Each job ended once, in the state its one ending writer recorded.
+    assert sorted(ordinal for ordinals in ended for ordinal in ordinals) == list(range(jobs))
+    status = collector.status()
+    for index, ordinals in enumerate(ended):
+        expected = (JobState.FAILED, f"writer {index}") if index % 2 else (JobState.DONE, None)
+        assert all(status[ordinal] == expected for ordinal in ordinals)
 
 
 # --------------------------------------------------------------------------

@@ -32,7 +32,13 @@ from qexec.errors import (
 )
 from qexec.providers import BackendDescriptor, JobState, JobStatus
 
-from conftest import BELL_QASM, count_kernels_in_flight, local_provider_configs, serve_listing
+from conftest import (
+    BELL_QASM,
+    count_kernels_in_flight,
+    local_provider_configs,
+    recorded_ends,
+    serve_listing,
+)
 
 LOCAL_PAIR = {"local_ideal": ["statevector"], "local_noisy": ["noisy_statevector"]}
 
@@ -296,21 +302,17 @@ def test_a_wait_that_raises_fails_every_pending_job_of_its_provider_once(
     # The wait was on the provider, so none of its pending jobs, on either
     # backend, can be trusted to end; the other provider's jobs run on.
     executor = executor_with_broken(_TwoBackendsWaitRaisingOnce(), local_executor)
-    records = []
-    original = ResultCollector.record_failed
-
-    def counting_record_failed(collector, ordinal, message):
-        records.append(ordinal)
-        original(collector, ordinal, message)
-
-    monkeypatch.setattr(ResultCollector, "record_failed", counting_record_failed)
+    calls = recorded_ends(monkeypatch)
     dispatch = Dispatch()
     for backend_name in ("d0", "d0", "d1", "d1"):
         dispatch.add_job("flaky", backend_name, bell, 8)
     dispatch.add_job("local_ideal", "statevector", bell, 8).add_job("local_ideal", "statevector", bell, 8)
     collector = executor.run_dispatch(dispatch, wait=False)
     assert collector.wait(timeout=5), "the run never ended"
-    assert sorted(records) == [0, 1, 2, 3]
+    # The four failures arrive in one call, and each job ends once.
+    flaky = [call for call in calls if any(ordinal < 4 for ordinal, _ in call)]
+    assert [sorted(call) for call in flaky] == [[(ordinal, "clock stopped") for ordinal in range(4)]]
+    assert sorted(ordinal for call in calls for ordinal, _ in call) == list(range(6))
     assert [(job["ordinal"], job["error"]) for job in collector.failed_jobs()] == [
         (ordinal, "clock stopped") for ordinal in range(4)
     ]
@@ -483,6 +485,7 @@ _SCRIPTS = st.tuples(
             JobStatus(JobState.DONE),
             JobStatus(JobState.FAILED, "device melted"),
             JobStatus(JobState.FAILED),
+            JobStatus(JobState.FAILED, "device melted", counts={"00": 8}),  # its counts are dropped
         ]
     ),
 ).map(lambda script: [*script[0], script[1]])
@@ -603,9 +606,9 @@ def test_the_driver_ends_every_scripted_run_with_one_record_per_job(plans, paral
     original = ResultCollector.record_statuses
 
     def record_statuses(collector, updates):
-        updates = list(updates)
-        events.extend(("terminal", ordinal) for ordinal, status in updates if status.state.terminal)
-        original(collector, updates)
+        ended = original(collector, updates)
+        events.extend(("terminal", ordinal) for ordinal in ended)
+        return ended
 
     before = set(threading.enumerate())
     ResultCollector.record_statuses = record_statuses
@@ -622,7 +625,7 @@ def test_the_driver_ends_every_scripted_run_with_one_record_per_job(plans, paral
     assert threading.active_count() == len(before)
 
     terminal = [ordinal for kind, ordinal in events if kind == "terminal"]
-    assert sorted(terminal) == sorted(scripts)  # one terminal record each
+    assert sorted(terminal) == sorted(scripts)  # each job ended by exactly one call
     submitted = [o for kind, ordinals in events if kind == "submit" for o in ordinals]
     assert sorted(submitted) == sorted(scripts)  # each job once
 

@@ -37,6 +37,7 @@ from conftest import (
     MALFORMED_LISTINGS,
     drop_always,
     drop_once,
+    recorded_ends,
     serve_jobs_reply,
     serve_listing,
 )
@@ -550,6 +551,35 @@ def test_job_table_wakes_its_waiters_when_the_last_pending_job_ends_inside_a_bat
     assert table.finished_at == finished_at
 
 
+def test_job_table_returns_the_keys_it_ended_even_from_a_batch_that_raises():
+    table = JobTable(["a", "b", "c"])
+    ended = table.set_statuses(
+        [
+            ("a", JobStatus(JobState.RUNNING)),
+            ("b", JobStatus(JobState.FAILED, "boom")),
+            ("a", JobStatus(JobState.DONE, counts={"0": 1})),
+            ("b", JobStatus(JobState.FAILED, "late")),  # b has ended: ignored
+        ]
+    )
+    assert ended == ["b", "a"]
+    assert table.set_statuses([("a", JobStatus(JobState.FAILED, "late"))]) == []
+    woken = []
+    waiter = threading.Thread(target=lambda: woken.append(table.wait(5)))
+    waiter.start()
+    waiter.join(0.05)
+    assert waiter.is_alive()  # c is pending
+    # The batch ends the last pending job, then names a key the table never
+    # created: the job it ended still counts, so the table finishes.
+    with pytest.raises(KeyError):
+        table.set_statuses(
+            [("c", JobStatus(JobState.DONE, counts={"1": 1})), ("never", JobStatus(JobState.FAILED, "late"))]
+        )
+    waiter.join(5)
+    assert woken == [True]
+    assert table.finished_at is not None
+    assert table.states()["c"] == (JobState.DONE, None)
+
+
 def test_job_table_creates_no_job_of_a_batch_that_repeats_one():
     table = JobTable(["a"])
     table.set_statuses([("a", JobStatus(JobState.DONE, counts={"0": 1}))])
@@ -765,14 +795,7 @@ def test_remote_unknown_backend_fails_each_job_of_its_batch_once(remote_server, 
     # A stale listing names a backend the service does not host, so pre-flight
     # passes and the one POST of the batch gets 404.
     serve_listing(monkeypatch, [{"name": "ghost"}])
-    failures = []
-    original_record_failed = ResultCollector.record_failed
-
-    def counting_record_failed(collector, ordinal, message):
-        failures.append((ordinal, message))
-        original_record_failed(collector, ordinal, message)
-
-    monkeypatch.setattr(ResultCollector, "record_failed", counting_record_failed)
+    calls = recorded_ends(monkeypatch)
     sent = record_requests(monkeypatch)
     executor = QuantumExecutor(
         providers=[ProviderConfig("remote", "remote_http", endpoint=remote_server.endpoint)]
@@ -781,22 +804,10 @@ def test_remote_unknown_backend_fails_each_job_of_its_batch_once(remote_server, 
     for _ in range(3):
         dispatch.add_job("remote", "ghost", bell, 8)
     collector = executor.run_dispatch(dispatch)
-    assert sorted(failures) == [(k, "remote backend 'ghost' not found") for k in range(3)]
+    # The batch's three refusals arrive in one call, and each job ends once.
+    assert [sorted(call) for call in calls] == [[(k, "remote backend 'ghost' not found") for k in range(3)]]
     assert [job["ordinal"] for job in collector.failed_jobs()] == [0, 1, 2]
     assert [method for method, _ in sent].count("POST") == 1
-
-
-def recorded_failures(monkeypatch) -> list[tuple[int, str]]:
-    """(ordinal, message) of every ResultCollector.record_failed call in the test."""
-    failures = []
-    original_record_failed = ResultCollector.record_failed
-
-    def counting_record_failed(collector, ordinal, message):
-        failures.append((ordinal, message))
-        original_record_failed(collector, ordinal, message)
-
-    monkeypatch.setattr(ResultCollector, "record_failed", counting_record_failed)
-    return failures
 
 
 def start_remote_run(endpoint: str, circuit, n_jobs: int) -> ResultCollector:
@@ -814,9 +825,10 @@ def test_remote_status_read_dropped_on_every_try_fails_each_job_once(
     # The GET /jobs?ids= is sent, then resent twice, and each time the service
     # closes the connection without replying.
     polls = drop_always(monkeypatch, "_get_jobs")
-    failures = recorded_failures(monkeypatch)
+    calls = recorded_ends(monkeypatch)
     collector = start_remote_run(remote_server.endpoint, bell, 3)
     assert collector.wait(10), "the run never ended"
+    failures = [end for call in calls for end in call]
     assert sorted(ordinal for ordinal, _ in failures) == [0, 1, 2]
     assert all(message.startswith("remote status check failed") for _, message in failures)
     assert len(polls) == 3
@@ -825,9 +837,10 @@ def test_remote_status_read_dropped_on_every_try_fails_each_job_once(
 @pytest.mark.parametrize("reply", MALFORMED_JOB_REPLIES.values(), ids=MALFORMED_JOB_REPLIES)
 def test_remote_malformed_status_reply_fails_each_job_once(remote_server, bell, monkeypatch, reply):
     serve_jobs_reply(monkeypatch, "_get_jobs", 200, reply)
-    failures = recorded_failures(monkeypatch)
+    calls = recorded_ends(monkeypatch)
     collector = start_remote_run(remote_server.endpoint, bell, 3)
     assert collector.wait(10), "the run never ended"
+    failures = [end for call in calls for end in call]
     assert sorted(ordinal for ordinal, _ in failures) == [0, 1, 2]
     assert all(message.startswith("malformed status response") for _, message in failures)
 
@@ -843,9 +856,10 @@ def test_remote_malformed_submission_reply_fails_each_job_once(
 ):
     # The POST /jobs answers 201, with a body that names no job's outcome.
     serve_jobs_reply(monkeypatch, "_post_jobs", 201, reply)
-    failures = recorded_failures(monkeypatch)
+    calls = recorded_ends(monkeypatch)
     collector = start_remote_run(remote_server.endpoint, bell, 3)
     assert collector.wait(10), "the run never ended"
+    failures = [end for call in calls for end in call]
     assert sorted(ordinal for ordinal, _ in failures) == [0, 1, 2]
     assert all(message.startswith("malformed submission response") for _, message in failures)
 
